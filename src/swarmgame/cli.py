@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, parse_config
@@ -150,29 +151,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("rho", "episodes", "seed")
+        if getattr(args, key) is not None
+    }
     try:
-        config = parse_config(Path(args.config).read_text())
+        # Overrides rebuild the config, so they pass the same checks as keys.
+        config = replace(parse_config(Path(args.config).read_text()), **overrides)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    overrides = {}
-    if args.rho is not None:
-        if not 0.0 <= args.rho <= 1.0:
-            print(f"error: --rho must lie in [0, 1], got {args.rho}", file=sys.stderr)
-            return 2
-        overrides["rho"] = args.rho
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
 
     try:
         return _COMMANDS[args.command](config, args)

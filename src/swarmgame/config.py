@@ -1,13 +1,14 @@
 """Run configuration: `key = value` text with `#` comments.
 
 The format is deliberately minimal so configs diff cleanly in tests and
-can be written by hand.  Unknown keys and malformed values are rejected
-with the offending key and line number.
+can be written by hand.  Unknown keys and malformed or non-finite values
+are rejected with the offending key and line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Union
 
 from .model import SwarmParams
@@ -16,7 +17,8 @@ __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
 
 class ConfigError(ValueError):
-    """Raised for unknown keys, malformed values, or invariant violations."""
+    """Raised for unknown keys, malformed or non-finite values, or invariant
+    violations, including those of a RunConfig rebuilt with overrides."""
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,21 @@ class RunConfig:
     seed: int = 42
     grid_size: int = 101
     tolerance: float = 1e-5
+
+    def __post_init__(self) -> None:
+        if self.episodes < 1:
+            raise ConfigError(f"key 'episodes' must be >= 1, got {self.episodes}")
+        if self.grid_size < 2:
+            raise ConfigError(f"key 'grid_size' must be >= 2, got {self.grid_size}")
+        if self.tolerance <= 0:
+            raise ConfigError(f"key 'tolerance' must be positive, got {self.tolerance}")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ConfigError(f"key 'rho' must lie in [0, 1], got {self.rho}")
+        # SwarmParams invariants, surfaced as config errors with the key name.
+        try:
+            self.to_params(expected_nu=3.0 if self.expected_nu == "auto" else None)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_params(self, expected_nu: float | None = None) -> SwarmParams:
         """Build SwarmParams; expected_nu overrides the "auto" marker."""
@@ -58,6 +75,11 @@ class RunConfig:
 
 _REQUIRED = ("M", "drone_value", "lambda_a", "delta0", "delta")
 
+
+def _expected_nu(value: str) -> Union[float, str]:
+    return "auto" if value == "auto" else float(value)
+
+
 _PARSERS = {
     "M": int,
     "drone_value": float,
@@ -65,6 +87,7 @@ _PARSERS = {
     "lambda_h": float,
     "delta0": float,
     "delta": float,
+    "expected_nu": _expected_nu,
     "ally_unit_cost": float,
     "rho": float,
     "episodes": int,
@@ -87,48 +110,20 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key == "expected_nu":
-            if value == "auto":
-                values[key] = "auto"
-            else:
-                try:
-                    values[key] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: key 'expected_nu' must be a number "
-                        f"or 'auto', got {value!r}"
-                    ) from None
-            continue
         if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _PARSERS[key](value)
+            parsed = _PARSERS[key](value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: malformed value for key {key!r}: {value!r}"
             ) from None
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {value!r}")
+        values[key] = parsed
 
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required key {key!r}")
 
-    config = RunConfig(**values)  # type: ignore[arg-type]
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    if config.episodes < 1:
-        raise ConfigError(f"key 'episodes' must be >= 1, got {config.episodes}")
-    if config.grid_size < 2:
-        raise ConfigError(f"key 'grid_size' must be >= 2, got {config.grid_size}")
-    if config.tolerance <= 0:
-        raise ConfigError(f"key 'tolerance' must be positive, got {config.tolerance}")
-    if not 0.0 <= config.rho <= 1.0:
-        raise ConfigError(f"key 'rho' must lie in [0, 1], got {config.rho}")
-    # SwarmParams invariants, surfaced as config errors with the key name.
-    try:
-        nu = 3.0 if config.expected_nu == "auto" else float(config.expected_nu)
-        replace(config, expected_nu=nu).to_params()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**values)  # type: ignore[arg-type]

@@ -1,11 +1,16 @@
 """Numerically stable Poisson and binomial probability kernels.
 
 Everything downstream (burst probabilities, cost curves, ally weighting)
-reduces to these four functions.  All pmf evaluation happens in log space
-so that node counts in the hundreds cannot overflow a float.
+reduces to these four functions.  pmf evaluation happens in log space so
+that node counts in the hundreds cannot overflow a float; the cdf and the
+tail are regularized incomplete gamma functions (``scipy.special.pdtr``
+and ``pdtrc``), which neither underflow at large means nor cancel to zero
+in the far tail.
 """
 
 import math
+
+from scipy.special import pdtr, pdtrc
 
 __all__ = ["pois_pmf", "pois_cdf", "pois_tail", "binom_pmf"]
 
@@ -27,27 +32,18 @@ def pois_cdf(k: int, mean: float) -> float:
         raise ValueError(f"mean must be nonnegative, got {mean}")
     if k < 0:
         return 0.0
-    if mean == 0.0:
-        return 1.0
-    # Stable forward recurrence on pmf terms in linear space; each term is
-    # a bounded multiple of the previous one, so no overflow is possible.
-    term = math.exp(-mean)
-    total = term
-    for j in range(1, k + 1):
-        term *= mean / j
-        total += term
-    return min(total, 1.0)
+    return float(pdtr(k, mean))
 
 
 def pois_tail(k: int, mean: float) -> float:
-    """P{X >= k} for X ~ Poisson(mean), via the cdf complement."""
+    """P{X >= k} for X ~ Poisson(mean), computed directly, not as 1 - cdf."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    if mean < 0:
+        raise ValueError(f"mean must be nonnegative, got {mean}")
     if k == 0:
-        if mean < 0:
-            raise ValueError(f"mean must be nonnegative, got {mean}")
         return 1.0
-    return 1.0 - pois_cdf(k - 1, mean)
+    return float(pdtrc(k - 1, mean))
 
 
 def binom_pmf(j: int, n: int, p: float) -> float:

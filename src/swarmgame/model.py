@@ -63,6 +63,17 @@ class SwarmParams:
     def __post_init__(self) -> None:
         if self.M < 4:
             raise ValueError(f"M must be at least 4, got {self.M}")
+        for name in (
+            "drone_value",
+            "lambda_a",
+            "lambda_h",
+            "delta0",
+            "delta",
+            "expected_nu",
+            "ally_unit_cost",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.drone_value < 0:
             raise ValueError(f"drone_value must be nonnegative, got {self.drone_value}")
         if self.lambda_a < 0:

@@ -3,10 +3,16 @@
 Observation epochs are exponentially spaced; attacker and honest node
 counts accumulate as Poisson processes between epochs.  An episode ends
 when the attacker first holds a strict majority (the exit index nu) or
-when the epoch horizon is reached.  Episodes are simulated in fixed-size
-chunks, each driven by its own counter-based random stream keyed on
-(seed, chunk index), so results are bitwise reproducible and independent
-of how chunks are scheduled across workers.
+when the epoch horizon is reached.
+
+One kernel, ``_chunk``, runs the epoch loop for a chunk of episodes
+driven by its own counter-based random stream keyed on (seed, chunk
+index), and returns per-episode arrays.  ``estimate`` reduces chunks to
+integer sums, ``sample_exit_indices`` keeps their exit indices, and
+``simulate_episode`` is chunk 0 at size 1.  So results are bitwise
+reproducible, independent of how chunks are scheduled across workers,
+and ``simulate_episode(seed)`` is the single episode
+``estimate(episodes=1, seed=seed)`` aggregates.
 """
 
 from __future__ import annotations
@@ -37,11 +43,19 @@ DEFAULT_HORIZON = 10_000
 CHUNK = 4096
 
 
-def _normalize_strategy(strategy: str) -> str:
+def _plan(strategy: str, rho: float, episodes: int) -> tuple[str, list[int]]:
+    """Validate inputs; return the strategy name and the chunk sizes.
+
+    The chunk layout depends only on the episode count.
+    """
     name = strategy.capitalize()
     if name not in (REGULAR, SAFETY):
         raise ValueError(f"unknown strategy {strategy!r}; expected Regular or Safety")
-    return name
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    return name, [min(CHUNK, episodes - start) for start in range(0, episodes, CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -88,77 +102,30 @@ def _streams(seed: int, chunk: int):
     return process, allies
 
 
-def simulate_episode(
-    params: SwarmParams,
-    strategy: str,
-    seed: int,
-    rho: float = 0.0,
-    horizon: int = DEFAULT_HORIZON,
-) -> EpisodeOutcome:
-    """Simulate one game, deterministically in the seed."""
-    strategy = _normalize_strategy(strategy)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    rng, ally_rng = _streams(seed, 0)
-    threshold = majority_threshold(params.M)
-
-    allies = int(ally_rng.binomial(params.candidates, rho)) if strategy == SAFETY else 0
-
-    attacker = honest = 0
-    nu = mu = None
-    a_prior = a_exit = 0
-    for k in range(1, horizon + 1):
-        dt = rng.exponential(params.delta0 if k == 1 else params.delta)
-        x = int(rng.poisson(params.lambda_a * dt))
-        z = int(rng.poisson(params.lambda_h * dt))
-        honest += z
-        if mu is None and honest >= threshold:
-            mu = k
-        if attacker + x >= threshold:
-            nu = k
-            a_prior = attacker
-            a_exit = attacker + x
-            break
-        attacker += x
-    censored = nu is None
-    if censored:
-        a_prior = a_exit = attacker
-    burst = (
-        not censored
-        and a_exit - allies >= threshold
-        and (mu is None or nu < mu)
-    )
-    return EpisodeOutcome(
-        nu=nu,
-        mu=mu,
-        a_prior=a_prior,
-        a_exit=a_exit,
-        allies=allies,
-        burst=burst,
-        censored=censored,
-    )
-
-
-def _run_chunk(
+def _chunk(
     params: SwarmParams,
     strategy: str,
     rho: float,
     seed: int,
-    chunk: int,
+    index: int,
     size: int,
     horizon: int,
-) -> tuple[int, int, int, int, int, int, int]:
-    """Simulate one chunk; returns integer sums so aggregation is exact."""
-    rng, ally_rng = _streams(seed, chunk)
+) -> tuple[np.ndarray, ...]:
+    """Simulate chunk ``index`` of ``size`` episodes: the one epoch loop.
+
+    Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
+    a_prior, a_exit, allies, burst, censored, with 0 in nu/mu for a
+    threshold not reached.  mu is tracked only while the episode is
+    active, as the honest count at its exit epoch decides the burst.
+    """
+    rng, ally_rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
-    half = params.M / 2
 
     attacker = np.zeros(size, dtype=np.int64)
     honest = np.zeros(size, dtype=np.int64)
     nu = np.zeros(size, dtype=np.int64)
+    mu = np.zeros(size, dtype=np.int64)
     a_prior = np.zeros(size, dtype=np.int64)
-    a_exit = np.zeros(size, dtype=np.int64)
-    honest_below = np.zeros(size, dtype=bool)
     active = np.ones(size, dtype=bool)
 
     k = 0
@@ -168,37 +135,37 @@ def _run_chunk(
         dt = rng.exponential(mean, size=size)
         x = rng.poisson(params.lambda_a * dt)
         z = rng.poisson(params.lambda_h * dt)
-        crossing = active & (attacker + x >= threshold)
+        honest += z
+        mu[active & (mu == 0) & (honest >= threshold)] = k
+        np.copyto(a_prior, attacker, where=active)
+        np.add(attacker, x, out=attacker, where=active)
+        crossing = active & (attacker >= threshold)
         nu[crossing] = k
-        a_prior[crossing] = attacker[crossing]
-        a_exit[crossing] = (attacker + x)[crossing]
-        honest_below[crossing] = (honest + z)[crossing] < threshold
-        still = active & ~crossing
-        attacker[still] += x[still]
-        honest[still] += z[still]
-        active = still
+        active &= ~crossing
 
     censored = active
     a_prior[censored] = attacker[censored]
-    a_exit[censored] = attacker[censored]
-
     if strategy == SAFETY:
         allies = ally_rng.binomial(params.candidates, rho, size=size)
     else:
         allies = np.zeros(size, dtype=np.int64)
+    # mu never exceeds nu once set, so nu < mu reduces to mu unset.
+    burst = ~censored & (attacker - allies >= threshold) & (mu == 0)
+    return nu, mu, a_prior, attacker, allies, burst, censored
 
-    burst = ~censored & (a_exit - allies >= threshold) & honest_below
-    prior_safe = a_prior < half
-    done = ~censored
-    return (
-        int(burst.sum()),
-        int(prior_safe.sum()),
-        int(nu[done].sum()),
-        int((nu[done] ** 2).sum()),
-        int(a_exit[done].sum()),
-        int(censored.sum()),
-        int(done.sum()),
-    )
+
+def simulate_episode(
+    params: SwarmParams,
+    strategy: str,
+    seed: int,
+    rho: float = 0.0,
+    horizon: int = DEFAULT_HORIZON,
+) -> EpisodeOutcome:
+    """Simulate one game, deterministically in the seed: chunk 0 at size 1."""
+    strategy, _ = _plan(strategy, rho, 1)
+    arrays = _chunk(params, strategy, rho, seed, 0, 1, horizon)
+    nu, mu, *rest = (a[0].item() for a in arrays)
+    return EpisodeOutcome(nu or None, mu or None, *rest)
 
 
 def sample_exit_indices(
@@ -209,34 +176,16 @@ def sample_exit_indices(
 ) -> tuple[np.ndarray, int]:
     """Exit indices of non-censored episodes, plus the censored count.
 
-    Uses the same chunked streams as ``estimate`` with the Regular
-    strategy, so episode i here is episode i there.
+    Runs the chunks of ``estimate`` with the Regular strategy, so
+    episode i here is episode i there.
     """
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
-    threshold = majority_threshold(params.M)
+    strategy, sizes = _plan(REGULAR, 0.0, episodes)
     collected = []
     censored_total = 0
-    for chunk, start in enumerate(range(0, episodes, CHUNK)):
-        size = min(CHUNK, episodes - start)
-        rng, _ = _streams(seed, chunk)
-        attacker = np.zeros(size, dtype=np.int64)
-        nu = np.zeros(size, dtype=np.int64)
-        active = np.ones(size, dtype=bool)
-        k = 0
-        while active.any() and k < horizon:
-            k += 1
-            mean = params.delta0 if k == 1 else params.delta
-            dt = rng.exponential(mean, size=size)
-            x = rng.poisson(params.lambda_a * dt)
-            rng.poisson(params.lambda_h * dt)  # keep stream layout identical
-            crossing = active & (attacker + x >= threshold)
-            nu[crossing] = k
-            still = active & ~crossing
-            attacker[still] += x[still]
-            active = still
-        censored_total += int(active.sum())
-        collected.append(nu[~active])
+    for index, size in enumerate(sizes):
+        nu, *_, censored = _chunk(params, strategy, 0.0, seed, index, size, horizon)
+        censored_total += int(censored.sum())
+        collected.append(nu[~censored])
     return np.concatenate(collected), censored_total
 
 
@@ -251,40 +200,34 @@ def estimate(
 ) -> SimStats:
     """Aggregate independent episodes into SimStats.
 
-    The chunk layout depends only on (episodes, seed), and per-chunk
-    results are integer sums folded in chunk order, so the outcome is
-    identical for any worker count.
+    Each chunk is reduced to integer sums as soon as it is simulated,
+    and the sums are folded in chunk order, so the outcome is identical
+    for any worker count.
     """
-    strategy = _normalize_strategy(strategy)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    strategy, sizes = _plan(strategy, rho, episodes)
+    half = params.M / 2
 
-    sizes = [
-        min(CHUNK, episodes - start) for start in range(0, episodes, CHUNK)
-    ]
-
-    def run(chunk: int):
-        return _run_chunk(
-            params, strategy, rho, seed, chunk, sizes[chunk], horizon
+    def run(index: int) -> tuple[int, ...]:
+        nu, _, a_prior, a_exit, _, burst, censored = _chunk(
+            params, strategy, rho, seed, index, sizes[index], horizon
+        )
+        done = ~censored
+        return (
+            int(burst.sum()),
+            int((a_prior < half).sum()),
+            int(nu[done].sum()),
+            int((nu[done] ** 2).sum()),
+            int(a_exit[done].sum()),
+            int(censored.sum()),
+            int(done.sum()),
         )
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(len(sizes))))
     else:
-        results = [run(c) for c in range(len(sizes))]
-
-    burst = safe = nu_sum = nu_sq = exit_sum = censored = done = 0
-    for b, s, ns, nq, es, ce, dn in results:
-        burst += b
-        safe += s
-        nu_sum += ns
-        nu_sq += nq
-        exit_sum += es
-        censored += ce
-        done += dn
+        results = [run(index) for index in range(len(sizes))]
+    burst, safe, nu_sum, nu_sq, exit_sum, censored, done = map(sum, zip(*results))
 
     n = episodes
     burst_rate = burst / n

@@ -114,3 +114,33 @@ def test_auto_mode_uses_transform(tmp_path, capsys):
     line = next(l for l in out.splitlines() if l.startswith("q0"))
     q0 = float(line.split("=")[1])
     assert q0 > 0.5
+
+
+@pytest.mark.parametrize(
+    "key", ["drone_value", "lambda_a", "delta", "expected_nu", "tolerance"]
+)
+def test_non_finite_config_exits_2(tmp_path, capsys, key):
+    values = dict(M=20, drone_value=1500, lambda_a=1, delta0=1, delta=1)
+    values[key] = "nan"
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert run(["optimize", "--config", cfg]) == 2
+    assert f"key '{key}' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--episodes", "0"], "key 'episodes' must be >= 1, got 0"),
+        (["--episodes", "-5"], "key 'episodes' must be >= 1, got -5"),
+        (["--rho", "1.5"], "key 'rho' must lie in [0, 1], got 1.5"),
+        (["--rho", "nan"], "key 'rho' must lie in [0, 1], got nan"),
+        (["--workers", "0"], "--workers must be >= 1, got 0"),
+        (["--workers", "-3"], "--workers must be >= 1, got -3"),
+    ],
+)
+def test_invalid_override_exits_2(config_path, capsys, flags, message):
+    assert run(["simulate", "--config", config_path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from swarmgame.config import ConfigError, parse_config
+from swarmgame.model import SwarmParams
 
 TABLE_CONFIG = """\
 # swarm of twenty drones
@@ -83,3 +86,34 @@ def test_invariant_violations_surface_as_config_errors():
         parse_config(TABLE_CONFIG + "grid_size = 1\n")
     with pytest.raises(ConfigError, match="delta0"):
         parse_config(TABLE_CONFIG.replace("delta0 = 1", "delta0 = -2"))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "drone_value",
+        "lambda_a",
+        "lambda_h",
+        "delta0",
+        "delta",
+        "expected_nu",
+        "ally_unit_cost",
+        "rho",
+        "tolerance",
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected(key, value):
+    lines = [l for l in TABLE_CONFIG.splitlines() if not l.startswith(f"{key} ")]
+    text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+    with pytest.raises(ConfigError, match=rf"line {len(lines) + 1}: key '{key}' must be finite"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "key", ["drone_value", "lambda_a", "delta0", "delta", "expected_nu"]
+)
+def test_swarm_params_reject_non_finite(key):
+    base = dict(M=20, drone_value=1500.0, lambda_a=1.0)
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        SwarmParams(**{**base, key: math.nan})

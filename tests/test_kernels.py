@@ -73,6 +73,26 @@ def test_tail_matches_summation_oracle():
     assert pois_tail(11, 9.0) == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("k, mean", [(2000, 800.0), (1000, 1000.0), (40, 5.0)])
+def test_cdf_and_tail_match_mpmath_far_out(k, mean):
+    # exp(-800) underflows and 1 - cdf cancels; neither may show here.
+    m = mpmath.mpf(mean)
+    cdf = mpmath.gammainc(k + 1, m, mpmath.inf, regularized=True)
+    tail = mpmath.gammainc(k, 0, m, regularized=True)
+    assert pois_cdf(k, mean) == pytest.approx(float(cdf), rel=1e-12, abs=0)
+    assert pois_tail(k, mean) == pytest.approx(float(tail), rel=1e-12, abs=0)
+
+
+def test_cdf_and_tail_domain_errors():
+    with pytest.raises(ValueError):
+        pois_cdf(3, -1.0)
+    with pytest.raises(ValueError):
+        pois_tail(-1, 1.0)
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            pois_tail(k, -1.0)
+
+
 def test_pmf_mass_converges_to_one():
     for mean in (0.0, 1.0, 9.0, 100.0):
         K = int(mean + 40 * math.sqrt(mean + 1))

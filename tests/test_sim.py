@@ -3,7 +3,15 @@ import math
 import pytest
 
 from swarmgame.model import SwarmParams, majority_threshold
-from swarmgame.sim import REGULAR, SAFETY, estimate, simulate_episode
+from swarmgame.sim import (
+    REGULAR,
+    SAFETY,
+    EpisodeOutcome,
+    SimStats,
+    estimate,
+    sample_exit_indices,
+    simulate_episode,
+)
 
 
 def params(**overrides):
@@ -120,3 +128,91 @@ def test_safety_allies_lower_burst_rate():
     none = estimate(p, SAFETY, episodes=40_000, seed=6, rho=0.0)
     many = estimate(p, SAFETY, episodes=40_000, seed=6, rho=0.9)
     assert many.burst_rate < none.burst_rate
+
+
+# Golden values: simulator outputs pinned bit for bit, so a change to the
+# epoch loop or the stream layout cannot pass unseen.  They were recorded
+# before the three epoch loops were folded into one chunk kernel.
+
+GOLDEN_EPISODES = [
+    # (lambda_h, strategy, rho, seed, outcome)
+    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(7, None, 6, 11, 6, False, False)),
+    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(9, None, 9, 11, 2, False, False)),
+    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(12, None, 10, 11, 6, False, False)),
+    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(10, None, 9, 15, 2, True, False)),
+    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(7, 6, 9, 12, 6, False, False)),
+    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(8, 3, 9, 12, 5, False, False)),
+    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(7, 6, 9, 12, 0, False, False)),
+]
+
+REGULAR_STATS = SimStats(
+    episodes=10000,
+    burst_rate=0.9227,
+    burst_se=0.002670668642868299,
+    prior_safe_rate=0.5045,
+    prior_safe_se=0.004999797495899209,
+    mean_nu=11.9511,
+    mean_nu_se=0.04708641926288299,
+    mean_a_exit=12.0141,
+    censored_count=0,
+)
+GOLDEN_STATS = [
+    (REGULAR, 0.0, REGULAR_STATS),
+    (
+        SAFETY,
+        0.5,
+        SimStats(
+            episodes=10000,
+            burst_rate=0.0694,
+            burst_se=0.0025413311472533445,
+            prior_safe_rate=0.5045,
+            prior_safe_se=0.004999797495899209,
+            mean_nu=11.9511,
+            mean_nu_se=0.04708641926288299,
+            mean_a_exit=12.0141,
+            censored_count=0,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("lambda_h, strategy, rho, seed, outcome", GOLDEN_EPISODES)
+def test_golden_episode(lambda_h, strategy, rho, seed, outcome):
+    got = simulate_episode(params(lambda_h=lambda_h), strategy, seed=seed, rho=rho)
+    assert got == outcome
+    assert all(
+        type(getattr(got, f)) is type(getattr(outcome, f))
+        for f in EpisodeOutcome.__dataclass_fields__
+    )
+
+
+def test_golden_censored_episode():
+    p = params(lambda_a=0.0, lambda_h=2.0)
+    got = simulate_episode(p, REGULAR, seed=5, horizon=50)
+    assert got == EpisodeOutcome(None, 8, 0, 0, 0, False, True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("strategy, rho, stats", GOLDEN_STATS)
+def test_golden_estimate(strategy, rho, stats, workers):
+    p = params(lambda_h=0.5)
+    assert estimate(p, strategy, episodes=10_000, seed=11, rho=rho, workers=workers) == stats
+
+
+def test_golden_exit_indices():
+    nu, censored = sample_exit_indices(params(lambda_h=0.5), 10_000, seed=11)
+    assert (int(nu.sum()), len(nu), censored) == (119511, 10000, 0)
+    assert nu.mean() == REGULAR_STATS.mean_nu
+
+
+def test_episode_is_first_episode_of_estimate_and_exit_indices():
+    p = params(lambda_h=0.5)
+    for seed in range(40):
+        for strategy, rho in ((REGULAR, 0.0), (SAFETY, 0.5)):
+            episode = simulate_episode(p, strategy, seed=seed, rho=rho)
+            stats = estimate(p, strategy, episodes=1, seed=seed, rho=rho)
+            assert stats.burst_rate == float(episode.burst)
+            assert stats.mean_nu == episode.nu
+            assert stats.mean_a_exit == episode.a_exit
+        nu, censored = sample_exit_indices(p, 1, seed=seed)
+        assert (nu.tolist(), censored) == ([episode.nu], 0)
