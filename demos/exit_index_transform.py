@@ -1,9 +1,11 @@
 """Evaluate the exit-index generating function and check it against sampling.
 
 The fluctuation machinery produces E[xi^nu], where nu is the first
-observation epoch at which attackers hold a strict majority. Everything
-goes through truncated power-series algebra, so there is no Monte Carlo
-noise on the analytic side; the sampled column is there for contrast.
+observation epoch at which attackers hold a strict majority. Below the
+majority the observed attacker count is an absorbing Markov chain, so the
+PGF and the exact E[nu] come from one 1-D rational generating function:
+there is no Monte Carlo noise on the analytic side, and the sampled
+column is there for contrast.
 """
 
 import math

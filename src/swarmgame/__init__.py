@@ -1,9 +1,9 @@
 """Swarm majority-takeover defense model.
 
-Analytic burst probabilities and defense costs, an exit-index transform
-built on truncated power series, a Monte Carlo simulator of the
-attacker-vs-swarm observation process, and a cost-minimizing
-ally-reservation optimizer.
+Analytic burst probabilities and defense costs, an exact exit-index
+transform built on the absorbing chain of the attacker's observed count,
+a Monte Carlo simulator of the attacker-vs-swarm observation process,
+and a cost-minimizing ally-reservation optimizer.
 """
 
 from .config import ConfigError, RunConfig, parse_config
@@ -33,7 +33,6 @@ from .model import (
     total_cost,
 )
 from .optimize import OptimalRho, optimize, sweep
-from .series import TruncSeries, d_operator, series_div, series_mul
 from .sim import REGULAR, SAFETY, EpisodeOutcome, SimStats, estimate, simulate_episode
 
 __version__ = "0.1.0"
@@ -52,13 +51,11 @@ __all__ = [
     "StrategyChoice",
     "SwarmParams",
     "TransformPoint",
-    "TruncSeries",
     "ally_cost",
     "binom_pmf",
     "burst_prob_regular",
     "burst_prob_safety",
     "choose_strategy",
-    "d_operator",
     "estimate",
     "exit_index_pgf",
     "exit_mean_count",
@@ -73,8 +70,6 @@ __all__ = [
     "pois_pmf",
     "pois_tail",
     "prior_safe_prob",
-    "series_div",
-    "series_mul",
     "sigma_transform",
     "simulate_episode",
     "sweep",

@@ -1,18 +1,25 @@
 """Exit-index transforms for the attacker-vs-swarm observation process.
 
-The attacker's node count accumulates as a Poisson process sampled at
-exponentially spaced observation epochs, so every one-interval transform
-is a rational function.  Chaining those transforms as truncated power
-series and extracting partial coefficient sums yields the joint
+The attacker's node count is a Poisson process sampled at exponentially
+spaced observation epochs, so one interval's capture count is geometric.
+Below a strict majority the observed count is an absorbing Markov chain,
+and the xi-weighted mass of its pre-exit epochs at each level is a
+coefficient of a 1-D rational generating function.  That gives the joint
 functional of the exit index nu (the first observation at which the
-attacker holds a strict majority), the pre-exit and exit counts, and the
-ally discount, together with the exit-index PGF and its mean.
+attacker holds a strict majority), the pre-exit and exit counts and the
+ally discount; the exit-index PGF; and E[nu] exactly, as one plus the
+expected number of pre-exit epochs (Kemeny & Snell, Finite Markov Chains,
+1960).  ``_phi_series`` keeps the truncated power-series form of the
+joint functional as a reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+
+import numpy as np
+from scipy.signal import lfilter
 
 from .model import SwarmParams, majority_threshold
 from .series import TruncSeries, d_operator
@@ -97,25 +104,83 @@ def sigma_transform(b: float, rho: float, candidates: int) -> float:
     return (1.0 - rho + rho / b) ** candidates
 
 
-def _phi_values(
-    xi: float,
-    g0: float,
-    g1: float,
-    b: float,
-    z0: float,
-    z1: float,
-    params: SwarmParams,
-    rho: float,
-) -> float:
-    """Joint functional without argument-magnitude validation.
+def _pre_exit_mass(
+    xi: float, y: float, z: float, params: SwarmParams, size: int
+) -> np.ndarray:
+    """xi-weighted mass h_0..h_{size-1} of pre-exit epochs by attacker level.
 
-    Kept separate so the PGF derivative may probe just outside xi = 1.
+    Over an interval of mean d the weight of k captures is c r^k, with
+    c = interval_transform(0, z, d) and r = lambda_a d c y, so h_i is the
+    coefficient of u^i in H(u) = c0 (1 - r u) / ((1 - r0 u)(1 - xi c - r u)),
+    where c0, r0 belong to the first interval (mean delta0).  Its first
+    factor is expanded directly and the rest by one first-order filter, so
+    the pole r / (1 - xi c) stays exactly 1 at xi = y = z = 1; rounded
+    second-order coefficients would move it and lose about thr ulps.
+    """
+    la, lh = params.lambda_a, params.lambda_h
+    d0, d = params.delta0, params.delta
+    c0 = interval_transform(0.0, z, d0, la, lh)
+    c = interval_transform(0.0, z, d, la, lh)
+    r = la * d * c * y
+    # 1 - xi c, written without the cancellation near xi c = 1
+    a0 = c * (1.0 - xi + la * d + lh * d * (1.0 - z))
+    first = c0 * (la * d0 * c0 * y) ** np.arange(size)
+    return lfilter([1.0, -r], [a0, -r], first)
+
+
+def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
+    """Joint transform of (nu, pre-exit count, exit count, ally discount).
+
+    Pre-exit intervals carry the marks y = g0 g1 b and z = z0 z1, the exit
+    interval y = g1 b and z = z1.  The ally-acceptance probability rho
+    enters only through the factor E[b^-B]; at b = 1 (in particular for
+    the exit-index marginal) it has no effect.
     """
     la, lh = params.lambda_a, params.lambda_h
     if la == 0.0:
         # The attacker never advances: nu is infinite, so xi^nu vanishes
         # for |xi| < 1 while the normalization at xi = 1 is preserved.
-        return 1.0 if xi == 1.0 else 0.0
+        return 1.0 if point.xi == 1.0 else 0.0
+
+    thr = majority_threshold(params.M)
+    xi, y, z = point.xi, point.g1 * point.b, point.z1
+
+    def exit_weight(mean, short):
+        """Weight of an exit interval that brings at least `short` captures."""
+        r = la * mean * interval_transform(0.0, z, mean, la, lh) * y
+        return interval_transform(y, z, mean, la, lh) * r**short
+
+    h = _pre_exit_mass(xi, point.g0 * y, point.z0 * z, params, thr)
+    # The attacker crosses in the very first interval, or at a later epoch
+    # after a run of pre-exit epochs that leaves it at level i < thr.
+    lam = xi * exit_weight(params.delta0, thr) + xi * xi * float(
+        h @ exit_weight(params.delta, thr - np.arange(thr))
+    )
+    return sigma_transform(point.b, rho, params.candidates) * lam
+
+
+def exit_index_pgf(xi: float, params: SwarmParams) -> float:
+    """E[xi^nu], the PGF of the exit index."""
+    return phi(TransformPoint(xi=xi), params)
+
+
+def expected_exit_index(params: SwarmParams) -> float:
+    """E[nu]: one plus the expected number of pre-exit epochs.
+
+    That count is the row sum of the absorbing chain's fundamental matrix,
+    the sum of h_i at xi = 1.  Infinite when the attacker rate is zero.
+    """
+    if params.lambda_a == 0.0:
+        return math.inf
+    h = _pre_exit_mass(1.0, 1.0, 1.0, params, majority_threshold(params.M))
+    return 1.0 + float(h.sum())
+
+
+def _phi_series(point: TransformPoint, params: SwarmParams, rho: float) -> float:
+    """``phi`` by trivariate truncated power-series algebra; a test reference."""
+    la, lh = params.lambda_a, params.lambda_h
+    if la == 0.0:
+        return 1.0 if point.xi == 1.0 else 0.0
 
     m = majority_threshold(params.M) - 1
     degrees = (m, m, m)
@@ -125,6 +190,7 @@ def _phi_values(
             degrees, mean, la, lh, g_scalar, g_exponents, z_scalar
         )
 
+    xi, g0, g1, b, z0, z1 = astuple(point)
     d0, d = params.delta0, params.delta
     # Pre-exit increments are marked in both q and r; the exit increment in
     # q only.  The honest side enters through the scalar z-arguments.
@@ -136,48 +202,8 @@ def _phi_values(
     gamma0_1 = transform(d0, g1 * b, (0, 0, 0), z1)
 
     one = TruncSeries.constant(1.0, degrees)
-    # First term: the attacker crosses during the very first interval;
-    # geometric tail: it crosses at a later epoch after a run of pre-exit
-    # intervals whose counts stay at or below the truncation level.
     lam = xi * (gamma0_1 - gamma0) + ((xi * xi) * theta0 / (one - xi * theta)) * (
         gamma_1 - gamma
     )
     sigma = sigma_transform(b, rho, params.candidates)
     return sigma * d_operator(lam)
-
-
-def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
-    """Joint transform of (nu, pre-exit count, exit count, ally discount).
-
-    The ally-acceptance probability rho enters only through the factor
-    E[b^-B]; at b = 1 (in particular for the exit-index marginal) it has
-    no effect.
-    """
-    return _phi_values(
-        point.xi, point.g0, point.g1, point.b, point.z0, point.z1, params, rho
-    )
-
-
-def exit_index_pgf(xi: float, params: SwarmParams) -> float:
-    """E[xi^nu], the PGF of the exit index."""
-    if abs(xi) > 1.0:
-        raise ValueError(f"|xi| must be <= 1, got {xi}")
-    return _phi_values(xi, 1.0, 1.0, 1.0, 1.0, 1.0, params, 0.0)
-
-
-def expected_exit_index(params: SwarmParams) -> float:
-    """E[nu] via a Richardson-refined central difference of the PGF at 1.
-
-    Infinite when the attacker rate is zero.
-    """
-    if params.lambda_a == 0.0:
-        return math.inf
-
-    def central(h: float) -> float:
-        hi = _phi_values(1.0 + h, 1.0, 1.0, 1.0, 1.0, 1.0, params, 0.0)
-        lo = _phi_values(1.0 - h, 1.0, 1.0, 1.0, 1.0, 1.0, params, 0.0)
-        return (hi - lo) / (2.0 * h)
-
-    h = 1e-4
-    refined = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    return max(refined, 1.0)

@@ -158,9 +158,10 @@ def test_criterion_4_fluctuation_vs_monte_carlo():
         dev = abs(exit_index_pgf(xi, p) - samples.mean())
         details.append(f"pgf({xi}) dev {dev:.2e} vs 3se {3 * se:.2e}")
         ok = ok and dev <= 3 * se
-    mean_dev = abs(expected_exit_index(p) - nu.mean()) / nu.mean()
-    details.append(f"E[nu] rel dev {mean_dev:.2e}")
-    ok = ok and mean_dev <= 0.02
+    mean_se = nu.std() / math.sqrt(len(nu))
+    mean_dev = (expected_exit_index(p) - nu.mean()) / mean_se
+    details.append(f"E[nu] dev {mean_dev:+.2f} SE")
+    ok = ok and abs(mean_dev) <= 3
     assert verdict(4, "exit-index transform vs Monte Carlo", ok, "; ".join(details))
 
 

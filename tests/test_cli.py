@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from swarmgame.cli import main
+from swarmgame.kernels import pois_tail
 from swarmgame.model import SwarmParams, total_cost
 from swarmgame.optimize import optimize
 
@@ -114,6 +116,24 @@ def test_auto_mode_uses_transform(tmp_path, capsys):
     line = next(l for l in out.splitlines() if l.startswith("q0"))
     q0 = float(line.split("=")[1])
     assert q0 > 0.5
+
+
+def test_auto_mode_at_large_swarm(tmp_path, capsys):
+    cfg = tmp_path / "auto.cfg"
+    cfg.write_text(
+        "M = 1000\ndrone_value = 1500\nlambda_a = 1\ndelta0 = 2\ndelta = 0.5\n"
+        "expected_nu = auto\n"
+    )
+    assert run(["analyze", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    line = next(l for l in out.splitlines() if l.startswith("q0"))
+    # exact E[nu] by conditioning on the first interval's geometric count
+    thr, q = 501, 2.0 / 3.0
+    k = np.arange(thr)
+    nu = 1.0 + np.sum((1.0 - q) * q**k * (1.0 + (thr - k) / 0.5))
+    assert float(line.split("=")[1]) == pytest.approx(
+        pois_tail(thr, 2.0 + (nu - 1.0) * 0.5), abs=1e-12
+    )
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,14 @@ import pytest
 
 from swarmgame.fluctuation import (
     TransformPoint,
+    _phi_series,
     exit_index_pgf,
     expected_exit_index,
     interval_transform,
     phi,
     sigma_transform,
 )
-from swarmgame.model import SwarmParams
+from swarmgame.model import SwarmParams, majority_threshold
 from swarmgame.sim import sample_exit_indices
 
 
@@ -108,9 +109,77 @@ def test_expected_exit_index_matches_monte_carlo():
     for la in (0.5, 1.0, 2.0):
         p = params(lambda_a=la, lambda_h=10.0)
         nu, _ = sample_exit_indices(p, episodes=200_000, seed=11)
-        assert expected_exit_index(p) == pytest.approx(nu.mean(), rel=0.02)
+        se = nu.std() / math.sqrt(len(nu))
+        assert abs(expected_exit_index(p) - nu.mean()) <= 3 * se
 
 
 def test_expected_exit_index_decreasing_in_attack_rate():
     values = [expected_exit_index(params(lambda_a=la)) for la in (0.5, 1.0, 2.0)]
     assert values[0] > values[1] > values[2]
+
+
+def first_step_expected_nu(p):
+    """Exact E[nu] by conditioning on the first interval.
+
+    Its capture count k is geometric with ratio q0; from there the
+    remaining epochs are the failures before the (thr - k)-th success of
+    Bernoulli trials with odds lambda_a * delta, plus the exit epoch.
+    """
+    thr = majority_threshold(p.M)
+    q0 = p.lambda_a * p.delta0 / (1.0 + p.lambda_a * p.delta0)
+    k = np.arange(thr)
+    weights = (1.0 - q0) * q0**k
+    return 1.0 + float(np.sum(weights * (1.0 + (thr - k) / (p.lambda_a * p.delta))))
+
+
+@pytest.mark.parametrize("M", [4, 20, 41, 1000, 5000])
+@pytest.mark.parametrize("la", [0.5, 1.0, 3.0])
+def test_expected_exit_index_first_step_oracle(M, la):
+    for d0, d in ((2.0, 0.5), (0.3, 1.7)):
+        p = params(M=M, lambda_a=la, delta0=d0, delta=d, lambda_h=2.0)
+        nu = expected_exit_index(p)
+        assert type(nu) is float
+        assert nu == pytest.approx(first_step_expected_nu(p), rel=1e-12)
+    # delta0 = delta: nu - 1 counts the failures before the thr-th success
+    p = params(M=M, lambda_a=la, delta0=0.7, delta=0.7)
+    thr = majority_threshold(M)
+    assert expected_exit_index(p) == pytest.approx(1.0 + thr / (la * 0.7), rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [4, 20, 41, 200, 1000])
+def test_pgf_matches_negative_binomial(M):
+    # delta0 = delta, lambda_h = 0: nu - 1 is negative binomial
+    for la, d in ((1.0, 1.0), (0.4, 2.5), (3.0, 0.5)):
+        p = params(M=M, lambda_a=la, delta0=d, delta=d)
+        q = la * d / (1.0 + la * d)
+        thr = majority_threshold(M)
+
+        def exact(xi):
+            return xi * (q / (1.0 - (1.0 - q) * xi)) ** thr
+
+        for xi in np.linspace(0.0, 1.0, 21):
+            assert exit_index_pgf(xi, p) == pytest.approx(exact(xi), rel=1e-9)
+        # alternating terms cancel for xi < 0, so compare absolutely
+        for xi in np.linspace(-1.0, -0.05, 20):
+            assert exit_index_pgf(xi, p) == pytest.approx(exact(xi), abs=1e-12)
+
+
+def test_phi_matches_series_reference():
+    rng = np.random.default_rng(2026)
+    for _ in range(120):
+        p = params(
+            M=int(rng.integers(4, 31)),
+            lambda_a=rng.uniform(0.1, 4.0),
+            lambda_h=rng.uniform(0.1, 3.0),
+            delta0=rng.uniform(0.2, 3.0),
+            delta=rng.uniform(0.2, 3.0),
+        )
+        xi, g0, g1, z0, z1 = rng.uniform(-1.0, 1.0, 5)
+        # E[b^-B] grows like |b|^-n and multiplies the series' round-off
+        # along with its value, so keep |b| >= 1/2 for an absolute check.
+        b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)
+        point = TransformPoint(xi=xi, g0=g0, g1=g1, b=b, z0=z0, z1=z1)
+        rho = rng.uniform()
+        assert phi(point, p, rho) == pytest.approx(
+            _phi_series(point, p, rho), abs=1e-9
+        )
