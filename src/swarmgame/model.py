@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .kernels import binom_pmf, pois_cdf, pois_pmf, pois_tail
+from .kernels import binom_pmf, pois_cdf, pois_tail
 
 __all__ = [
     "SwarmParams",
@@ -96,6 +96,13 @@ class SwarmParams:
         if self.ally_unit_cost < 0:
             raise ValueError(
                 f"ally_unit_cost must be nonnegative, got {self.ally_unit_cost}"
+            )
+        # Bounds every money amount a total cost computes on the way.
+        money = self.swarm_value + self.ally_unit_cost * (self.M / 2 - 1)
+        if not math.isfinite(money):
+            raise ValueError(
+                "drone_value * M + ally_unit_cost * (M/2 - 1) must be finite, "
+                f"got {money}"
             )
 
     @property
@@ -198,16 +205,18 @@ def burst_prob_safety(params: SwarmParams, rho: float) -> float:
 
     Each accepted ally raises the count the attacker must reach by one,
     so the tail threshold shifts by the binomially distributed ally count.
-    Nonincreasing in rho; equals burst_prob_regular at rho = 0.
+    Nonincreasing in rho; equals burst_prob_regular at rho = 0.  The sum
+    is divided by the weights' mass, which cancels the rounding their log
+    binomial coefficients share (about 5e-11 relative at M = 10^5).
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     mean = exit_mean_count(params)
     thresh = majority_threshold(params.M)
     n = params.candidates
-    return sum(
-        binom_pmf(j, n, rho) * pois_tail(thresh + j, mean) for j in range(n + 1)
-    )
+    weights = [binom_pmf(j, n, rho) for j in range(n + 1)]
+    tail_sum = sum(w * pois_tail(thresh + j, mean) for j, w in enumerate(weights))
+    return tail_sum / sum(weights)
 
 
 def ally_cost(params: SwarmParams, rho: float) -> float:

@@ -1,12 +1,16 @@
 """Ally-reservation cost minimization over rho in [0, 1].
 
-The cost curve is not guaranteed unimodal, so the minimizer first scans a
-coarse grid and then refines around the best grid point with a
-golden-section search.  Grid and refinement both evaluate the curve
-through one ``model._CostCurve``, which computes the rho-free quantities
-once per curve and the grid in one matrix product.  Feasibility of the
-reservation (the minimal ally count for it to pay off) is reported at the
-optimum, never used to restrict the search.
+With p = p_prior, V the swarm value, n = M//2 - 1 and K = ally_unit_cost
+* (M/2 - 1), the slope is cost'(rho) = p * (K - V * n * f(rho)), where
+f(rho) = P{X = thr + Binom(n - 1, rho)} and X ~ Poisson(exit mean).  f is
+a Bernstein polynomial of the unimodal Poisson pmf, so by variation
+diminishing it rises and then falls: the cost has at most one interior
+local minimum, and re-gridding the bracket around the best grid point
+finds it.  Grid and refinement evaluate the curve through one
+``model._CostCurve`` (rho-free quantities once per curve, each grid in
+one matrix product).  Feasibility of the reservation (the minimal ally
+count for it to pay off) is reported at the optimum, never used to
+restrict the search.
 """
 
 from __future__ import annotations
@@ -16,13 +20,16 @@ from typing import Optional
 
 import numpy as np
 
-from .model import AllyRequirement, CostBreakdown, SwarmParams, _CostCurve, min_allies
+from .model import CostBreakdown, SwarmParams, _CostCurve, min_allies
 # Not called here: the benchmark's tracer patches this name (ROADMAP item 1).
 from .model import total_cost  # noqa: F401
 
 __all__ = ["OptimalRho", "sweep", "optimize"]
 
-_INV_PHI = 0.6180339887498949  # (sqrt(5) - 1) / 2
+# Refinement offsets in grid spacings; the spacing then shrinks _SIDE-fold.
+# Offset 0 is exact, so the best point is evaluated again and never lost.
+_SIDE = 5
+_REFINE = np.arange(-_SIDE, _SIDE + 1) / _SIDE
 
 
 @dataclass(frozen=True)
@@ -45,52 +52,33 @@ def sweep(params: SwarmParams, grid_size: int) -> list[CostBreakdown]:
     return _CostCurve(params).breakdowns(_grid(grid_size))
 
 
-def _golden_section(f, lo: float, hi: float, tolerance: float) -> tuple[float, float]:
-    """Minimize f on [lo, hi]; returns (argmin, min)."""
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tolerance:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-    mid = (a + b) / 2.0
-    return mid, f(mid)
-
-
 def optimize(
     params: SwarmParams, tolerance: float = 1e-5, grid_size: int = 101
 ) -> OptimalRho:
     """Minimize the total defense cost over rho.
 
-    Coarse grid scan, then golden-section refinement inside the bracket
-    around the best grid point.  A boundary optimum (e.g. rho = 0 when
-    there is no threat) is a valid result.
+    Re-grids the bracket around the best point, keeping that point,
+    until a re-gridded bracket is no wider than tolerance or stops
+    shrinking in floating point.  Ties go to the smaller rho, so a flat
+    cost gives rho = 0; a boundary optimum is a valid result.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     engine = _CostCurve(params)
     curve = engine.breakdowns(_grid(grid_size))
-    best = min(range(grid_size), key=lambda i: curve[i].total)
-    lo = curve[max(best - 1, 0)].rho
-    hi = curve[min(best + 1, grid_size - 1)].rho
-
-    def cost(rho: float) -> float:
-        return engine.breakdowns([rho])[0].total
-
-    rho_star, cost_star = _golden_section(cost, lo, hi, tolerance)
-    if curve[best].total < cost_star:
-        rho_star, cost_star = curve[best].rho, curve[best].total
-    requirement: AllyRequirement = min_allies(params, rho_star)
+    best = min(curve, key=lambda point: point.total)
+    step = 1.0 / (grid_size - 1)
+    while best.rho + step > best.rho:
+        rho = best.rho + step * _REFINE
+        points = engine.breakdowns(rho[(rho >= 0.0) & (rho <= 1.0)])
+        best = min(points, key=lambda point: point.total)
+        if 2.0 * step <= tolerance:
+            break
+        step /= _SIDE
+    requirement = min_allies(params, best.rho)
     return OptimalRho(
-        rho_star=rho_star,
-        cost_star=cost_star,
+        rho_star=best.rho,
+        cost_star=best.total,
         feasible=requirement.feasible,
         n_required=requirement.n,
         curve=tuple(curve),

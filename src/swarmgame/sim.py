@@ -222,11 +222,8 @@ def estimate(
             int(done.sum()),
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(len(sizes))))
-    else:
-        results = [run(index) for index in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run, range(len(sizes))))
     burst, safe, nu_sum, nu_sq, exit_sum, censored, done = map(sum, zip(*results))
 
     n = episodes

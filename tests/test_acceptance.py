@@ -165,16 +165,20 @@ def test_criterion_4_fluctuation_vs_monte_carlo():
     assert verdict(4, "exit-index transform vs Monte Carlo", ok, "; ".join(details))
 
 
-def test_criterion_5_optimizer():
+def test_criterion_5_optimizer(fine_grid_minimum):
     p = params(lambda_a=1.0)
     while total_cost(p, 0.0).total <= total_cost(p, 0.5).total:
         p = params(lambda_a=p.lambda_a + 0.5)
     result = optimize(p)
-    n = 100_000
-    best = min(range(n + 1), key=lambda i: total_cost(p, i / n).total)
-    dev = abs(result.rho_star - best / n)
+    best_rho, best_total = fine_grid_minimum(p)
+    dev = abs(result.rho_star - best_rho)
     quiet = optimize(params(lambda_a=0.0))
-    ok = dev <= 1e-3 and quiet.rho_star == 0.0 and quiet.cost_star == 0.0
+    ok = (
+        dev <= 1e-3
+        and result.cost_star <= best_total * (1 + 1e-9)
+        and quiet.rho_star == 0.0
+        and quiet.cost_star == 0.0
+    )
     assert verdict(
         5, "optimizer vs fine grid", ok, f"interior dev {dev:.2e} at la {p.lambda_a}"
     )

@@ -82,6 +82,31 @@ def test_optimize_matches_library(config_path, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 102
 
 
+def test_optimize_tiny_tolerance_exits_0(config_path, tmp_path, capsys):
+    config_path.write_text(config_path.read_text() + "tolerance = 1e-300\n")
+    out = tmp_path / "opt.csv"
+    assert run(["optimize", "--config", config_path, "--out", out]) == 0
+    text = capsys.readouterr().out
+    params = SwarmParams(M=20, drone_value=1500, lambda_a=1.0, expected_nu=3.0)
+    result = optimize(params, tolerance=1e-300)
+    assert f"rho_star   = {result.rho_star:.12g}" in text
+
+
+@pytest.mark.parametrize(
+    "command, key", [("analyze", "drone_value"), ("optimize", "ally_unit_cost")]
+)
+def test_overflowing_money_exits_2(tmp_path, capsys, command, key):
+    values = dict(M=20, drone_value=1500, lambda_a=1, delta0=1, delta=1)
+    values[key] = "1e308"
+    cfg = tmp_path / "money.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o.csv"]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "(M/2 - 1) must be finite, got inf" in captured.err
+    assert captured.out == ""
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("M = 3\n")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from swarmgame.config import ConfigError, parse_config
-from swarmgame.model import SwarmParams
+from swarmgame.model import SwarmParams, total_cost
 
 TABLE_CONFIG = """\
 # swarm of twenty drones
@@ -117,3 +117,19 @@ def test_swarm_params_reject_non_finite(key):
     base = dict(M=20, drone_value=1500.0, lambda_a=1.0)
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         SwarmParams(**{**base, key: math.nan})
+
+
+@pytest.mark.parametrize("key", ["drone_value", "ally_unit_cost"])
+def test_overflowing_money_rejected(key):
+    lines = [l for l in TABLE_CONFIG.splitlines() if not l.startswith(f"{key} ")]
+    text = "\n".join(lines + [f"{key} = 1e308"]) + "\n"
+    with pytest.raises(ConfigError, match=rf"{key}.* must be finite, got inf"):
+        parse_config(text)
+
+
+def test_largest_money_gives_finite_costs():
+    p = SwarmParams(M=20, drone_value=8e306, lambda_a=1.5, ally_unit_cost=1e306)
+    breakdown = total_cost(p, 0.5)
+    assert math.isfinite(breakdown.total) and breakdown.total > 0
+    with pytest.raises(ValueError, match="must be finite"):
+        SwarmParams(M=20, drone_value=9e306, lambda_a=1.5, ally_unit_cost=1e306)

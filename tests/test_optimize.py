@@ -8,9 +8,12 @@ from swarmgame.kernels import pois_tail
 from swarmgame.model import (
     SwarmParams,
     ally_cost,
+    burst_prob_regular,
+    burst_prob_safety,
     exit_mean_count,
     majority_threshold,
     min_allies,
+    prior_safe_prob,
     total_cost,
 )
 from swarmgame.optimize import optimize, sweep
@@ -77,12 +80,12 @@ def test_optimize_beats_grid():
         assert result.cost_star <= point.total + 1e-9
 
 
-def test_optimize_matches_fine_grid():
+def test_optimize_matches_fine_grid(fine_grid_minimum):
     p = interior_minimum_params()
     result = optimize(p)
-    n = 100_000
-    best = min(range(n + 1), key=lambda i: total_cost(p, i / n).total)
-    assert result.rho_star == pytest.approx(best / n, abs=1e-3)
+    best_rho, best_total = fine_grid_minimum(p)
+    assert result.rho_star == pytest.approx(best_rho, abs=1e-3)
+    assert result.cost_star <= best_total * (1 + 1e-9)
 
 
 def test_optimize_tolerance_invariance():
@@ -90,6 +93,31 @@ def test_optimize_tolerance_invariance():
     coarse = optimize(p, tolerance=1e-4)
     fine = optimize(p, tolerance=1e-6)
     assert coarse.rho_star == pytest.approx(fine.rho_star, abs=1e-3)
+
+
+@pytest.mark.parametrize("tolerance", [1e-17, 1e-300, math.ulp(0.0)])
+def test_optimize_tiny_tolerance_terminates(tolerance):
+    """The bracket stops shrinking at the float spacing near rho*; the
+    refinement stops there too instead of looping on it."""
+    p = interior_minimum_params()
+    reference = optimize(p, tolerance=1e-6)
+    result = optimize(p, tolerance=tolerance)
+    assert result.rho_star == pytest.approx(reference.rho_star, abs=1e-6)
+    assert result.cost_star <= reference.cost_star
+    assert 0.0 < result.rho_star < 1.0
+
+
+@pytest.mark.parametrize("tolerance", [1e-5, math.ulp(0.0)])
+def test_optimize_flat_cost_takes_smallest_rho(tolerance):
+    """lambda_a * delta exceeds M/2, so p_prior = 0 and the cost is V*q0 at
+    every rho."""
+    p = SwarmParams(
+        M=6, drone_value=100.0, lambda_a=4.0, delta0=1.0, delta=1.0, expected_nu=2.0
+    )
+    assert prior_safe_prob(p) == 0.0
+    result = optimize(p, tolerance=tolerance)
+    assert result.rho_star == 0.0
+    assert result.cost_star == p.swarm_value * burst_prob_regular(p)
 
 
 def test_optimize_feasibility_consistent():
@@ -192,6 +220,16 @@ def test_sweep_endpoints_are_exact():
         assert last.q1 == tail
 
 
+def large_swarm_params(mean_shift):
+    """M = 10^5 with the exit-count mean at thr + mean_shift * n."""
+    M = 100_000
+    n, thr = M // 2 - 1, M // 2 + 1
+    return SwarmParams(
+        M=M, drone_value=1500.0, lambda_a=1.0, delta0=2.0, delta=1.0,
+        expected_nu=thr + mean_shift * n - 1.0,
+    )
+
+
 @pytest.mark.parametrize("mean_shift, index", [(0.0, 1), (0.37, 37)])
 def test_large_swarm_curve(mean_shift, index):
     """M = 10^5: 50 000 binomial terms per rho, evaluated in row blocks.
@@ -199,25 +237,30 @@ def test_large_swarm_curve(mean_shift, index):
     The exit-count mean sits at thr + mean_shift * n, so q1 at grid
     point ``index`` is strictly between 0 and 1 (with mean_shift = 0 the
     total there is not pinned by p_prior = 0 either).  The log binomial
-    coefficients are sums of gammaln values near 5e5, whose ulp is 6e-11:
-    the scalar path carries that error (measured 5e-11), while the curve's
-    normalization by the weight mass leaves about 1e-12.
+    coefficients are sums of gammaln values near 5e5, whose ulp is 6e-11;
+    the curve and the scalar path both divide by the weight mass, which
+    cancels that shared rounding and leaves about 1e-12.
     """
-    M = 100_000
-    n, thr = M // 2 - 1, M // 2 + 1
-    p = SwarmParams(
-        M=M, drone_value=1500.0, lambda_a=1.0, delta0=2.0, delta=1.0,
-        expected_nu=thr + mean_shift * n - 1.0,
-    )
+    p = large_swarm_params(mean_shift)
     curve = sweep(p, 101)
     result = optimize(p)
     assert [point.total for point in result.curve] == [point.total for point in curve]
     assert result.cost_star <= min(point.total for point in curve)
-    for i, rel in ((0, 0.0), (index, 1e-10), (100, 0.0)):
+    for i, rel in ((0, 0.0), (index, 1e-12), (100, 0.0)):
         point, scalar = curve[i], total_cost(p, i / 100)
         assert point.rho == scalar.rho
         assert point.q1 == pytest.approx(scalar.q1, rel=rel, abs=0.0)
         assert point.total == pytest.approx(scalar.total, rel=rel, abs=0.0)
     assert 0.0 < curve[index].q1 < 1.0
-    ref = mp_q1(M, exit_mean_count(p), index / 100)
+    ref = mp_q1(p.M, exit_mean_count(p), index / 100)
     assert curve[index].q1 == pytest.approx(float(ref), rel=5e-12)
+
+
+@pytest.mark.parametrize("rho", [0.2, 0.37])
+def test_scalar_burst_prob_safety_matches_mpmath_at_large_swarm(rho):
+    """Without dividing by the weight mass, rho = 0.2 read 1 + 4.6e-11."""
+    p = large_swarm_params(0.37)
+    q1 = burst_prob_safety(p, rho)
+    assert q1 <= 1.0
+    ref = mp_q1(p.M, exit_mean_count(p), rho)
+    assert q1 == pytest.approx(float(ref), rel=1e-12)
