@@ -8,8 +8,8 @@ are rejected with the offending key and line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Union, get_type_hints
 
 from .model import SwarmParams
 
@@ -61,40 +61,21 @@ class RunConfig:
                     "expected_nu is 'auto'; resolve it before building params"
                 )
             nu = float(self.expected_nu)
-        return SwarmParams(
-            M=self.M,
-            drone_value=self.drone_value,
-            lambda_a=self.lambda_a,
-            lambda_h=self.lambda_h,
-            delta0=self.delta0,
-            delta=self.delta,
-            expected_nu=nu,
-            ally_unit_cost=self.ally_unit_cost,
-        )
-
-
-_REQUIRED = ("M", "drone_value", "lambda_a", "delta0", "delta")
+        values = {f.name: getattr(self, f.name) for f in fields(SwarmParams)}
+        return SwarmParams(**{**values, "expected_nu": nu})
 
 
 def _expected_nu(value: str) -> Union[float, str]:
     return "auto" if value == "auto" else float(value)
 
 
+# One parser per RunConfig field, by its annotation; keys with no default
+# are required.
 _PARSERS = {
-    "M": int,
-    "drone_value": float,
-    "lambda_a": float,
-    "lambda_h": float,
-    "delta0": float,
-    "delta": float,
-    "expected_nu": _expected_nu,
-    "ally_unit_cost": float,
-    "rho": float,
-    "episodes": int,
-    "seed": int,
-    "grid_size": int,
-    "tolerance": float,
+    key: _expected_nu if key == "expected_nu" else kind
+    for key, kind in get_type_hints(RunConfig).items()
 }
+_REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -11,12 +11,14 @@ i.e. at least floor(M/2) + 1 captured nodes.  This single convention is
 applied everywhere so that the Safety strategy with rho = 0 degenerates
 exactly to the Regular strategy.
 
-``total_cost`` is the single-point definition.  A cost curve (many rho
-for one configuration) goes through ``_CostCurve``, which computes the
-rho-free parts once and every q1 of the curve in one matrix product.
+``total_cost`` is the single-point reference: the library's one-rho API
+and the tests' oracle.  The CLI computes every cost, ``analyze``'s one
+rho included, through ``_CostCurve``, which computes the rho-free parts
+once and every q1 of a curve in one matrix product.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -70,6 +72,11 @@ class SwarmParams:
     def __post_init__(self) -> None:
         if self.M < 4:
             raise ValueError(f"M must be at least 4, got {self.M}")
+        # Money and thresholds take M to float; compared exactly, as an int.
+        if self.M > sys.float_info.max:
+            raise ValueError(
+                f"M must be at most the largest float, {sys.float_info.max}"
+            )
         for name in (
             "drone_value",
             "lambda_a",

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,50 @@ def test_analyze_matches_library(config_path, capsys):
     breakdown = total_cost(params, 0.5)
     assert f"total      = {breakdown.total:.12g}" in out
     assert f"q1         = {breakdown.q1:.12g}" in out
+
+
+def test_analyze_full_output(config_path, capsys):
+    assert run(["analyze", "--config", config_path, "--rho", "0.5"]) == 0
+    assert capsys.readouterr().out == (
+        "rho        = 0.5\n"
+        "ally_cost  = 13.5\n"
+        "p_prior    = 0.99889751187\n"
+        "q0         = 0.000292336950647\n"
+        "q1         = 3.71874613428e-06\n"
+        "total      = 13.6062247386\n"
+    )
+
+
+def _seeded_configs():
+    # At M = 447, rho = 0.86 the scalar total_cost prints a q1 whose 12th
+    # digit differs from the sweep row's.
+    yield (
+        "M = 447\ndrone_value = 1\nlambda_a = 1.9008263895987287\n"
+        "delta0 = 2.3713255986994977\ndelta = 2.1787487402747976\n"
+        "expected_nu = 50.03223197063953\n"
+    )
+    rng = random.Random(8)
+    for M, nu in ((1999, 140.5), (640, "auto"), (33, 2.5)):
+        la, d0, d, lh = (rng.uniform(0.2, 3.0) for _ in range(4))
+        yield (
+            f"M = {M}\ndrone_value = 2500\nlambda_a = {la!r}\nlambda_h = {lh!r}\n"
+            f"delta0 = {d0!r}\ndelta = {d!r}\nexpected_nu = {nu}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "text", list(_seeded_configs()), ids=lambda text: text.split("\n")[0]
+)
+def test_analyze_matches_sweep_rows(tmp_path, capsys, text):
+    cfg, out = tmp_path / "seeded.cfg", tmp_path / "curve.csv"
+    cfg.write_text(text)
+    assert run(["sweep", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    for row in out.read_text().splitlines()[1:]:
+        fields = row.split(",")
+        assert run(["analyze", "--config", cfg, "--rho", fields[0]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[1] for line in lines] == fields
 
 
 def test_sweep_no_threat_csv(config_path, tmp_path, capsys):
@@ -112,6 +158,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
     bad.write_text("M = 3\n")
     assert run(["analyze", "--config", bad]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_int_m_beyond_float_range_exits_2(config_path, capsys):
+    huge = config_path.read_text().replace("M = 20", "M = 1" + "0" * 400)
+    config_path.write_text(huge)
+    assert run(["analyze", "--config", config_path]) == 2
+    captured = capsys.readouterr()
+    assert "error: M must be at most the largest float" in captured.err
+    assert captured.out == ""
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

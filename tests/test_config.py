@@ -39,6 +39,11 @@ def test_small_swarm_rejected():
         parse_config(TABLE_CONFIG.replace("M = 20", "M = 3"))
 
 
+def test_int_m_beyond_float_range_rejected():
+    with pytest.raises(ConfigError, match="M must be at most the largest float"):
+        parse_config(TABLE_CONFIG.replace("M = 20", "M = 1" + "0" * 400))
+
+
 def test_unknown_key_names_key_and_line():
     with pytest.raises(ConfigError, match=r"line 7.*'warp_speed'"):
         parse_config(TABLE_CONFIG + "warp_speed = 9\n")
