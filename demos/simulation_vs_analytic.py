@@ -6,7 +6,10 @@ simulator instead plays out every observation epoch. This demo runs both
 and prints the pieces side by side, so the difference in conventions is
 visible rather than hidden: the simulated exit is *defined* by crossing
 the majority threshold, while the analytic burst probability asks how
-often an unconditioned Poisson count would cross it.
+often an unconditioned Poisson count would cross it.  Next to each
+simulated rate it prints the exact probability of the simulator's own
+event (``pathwise_events``; E[nu] from ``expected_exit_index``), which
+the rate estimates.
 """
 
 from swarmgame import (
@@ -16,6 +19,8 @@ from swarmgame import (
     burst_prob_regular,
     burst_prob_safety,
     estimate,
+    expected_exit_index,
+    pathwise_events,
     prior_safe_prob,
 )
 
@@ -28,11 +33,29 @@ def main():
 
     regular = estimate(params, REGULAR, episodes=episodes, seed=7)
     safety = estimate(params, SAFETY, episodes=episodes, seed=7, rho=0.5)
+    exact = pathwise_events(params, 0.5)
     print(f"{episodes} episodes, M = {params.M}, lambda_a = {params.lambda_a:g}")
-    print(f"simulated mean exit epoch     : {regular.mean_nu:.3f}")
-    print(f"simulated burst rate, Regular : {regular.burst_rate:.4f}")
-    print(f"simulated burst rate, Safety  : {safety.burst_rate:.4f}")
-    print(f"simulated prior-safe rate     : {regular.prior_safe_rate:.4f}")
+    print("                                simulated   exact pathwise")
+    print(
+        f"mean exit epoch               : {regular.mean_nu:9.3f}"
+        f"   {expected_exit_index(params):9.3f}"
+    )
+    print(
+        f"mean exit count               : {regular.mean_a_exit:9.3f}"
+        f"   {exact.mean_exit_count:9.3f}"
+    )
+    print(
+        f"burst rate, Regular           : {regular.burst_rate:9.4f}"
+        f"   {exact.burst_regular:9.4f}"
+    )
+    print(
+        f"burst rate, Safety            : {safety.burst_rate:9.4f}"
+        f"   {exact.burst_safety:9.4f}"
+    )
+    print(
+        f"prior-safe rate               : {regular.prior_safe_rate:9.4f}"
+        f"   {exact.prior_safe:9.4f}"
+    )
 
     calibrated = SwarmParams(
         M=params.M,

@@ -8,10 +8,12 @@ and a cost-minimizing ally-reservation optimizer.
 
 from .config import ConfigError, RunConfig, parse_config
 from .fluctuation import (
+    PathwiseEvents,
     TransformPoint,
     exit_index_pgf,
     expected_exit_index,
     interval_transform,
+    pathwise_events,
     phi,
     sigma_transform,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "CostMatrix",
     "EpisodeOutcome",
     "OptimalRho",
+    "PathwiseEvents",
     "REGULAR",
     "RunConfig",
     "SAFETY",
@@ -65,6 +68,7 @@ __all__ = [
     "min_allies",
     "optimize",
     "parse_config",
+    "pathwise_events",
     "phi",
     "pois_cdf",
     "pois_pmf",

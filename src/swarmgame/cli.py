@@ -129,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=f"worker threads for simulate, one {CHUNK}-episode chunk each at a "
-        "time (output is the same for any count); 2 workers on 2 idle cores "
-        "measured 1.5-1.7x the episodes/s of 1 at M = 20 and 120",
+        "time (output is the same for any count); 2 workers on 2 cores "
+        "measured 0.9-1.15x the episodes/s of 1 at M = 20 and 120",
     )
     return parser
 

@@ -9,8 +9,9 @@ functional of the exit index nu (the first observation at which the
 attacker holds a strict majority), the pre-exit and exit counts and the
 ally discount; the exit-index PGF; and E[nu] exactly, as one plus the
 expected number of pre-exit epochs (Kemeny & Snell, Finite Markov Chains,
-1960).  ``_phi_series`` keeps the truncated power-series form of the
-joint functional as a reference.
+1960).  ``pathwise_events`` gives the exact probabilities of the
+simulator's own events from the same chain.  ``_phi_series`` keeps the
+truncated power-series form of the joint functional as a reference.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from .kernels import binom_pmf
 from .model import SwarmParams, majority_threshold
 from .series import TruncSeries, d_operator
 
@@ -32,6 +34,8 @@ __all__ = [
     "phi",
     "exit_index_pgf",
     "expected_exit_index",
+    "PathwiseEvents",
+    "pathwise_events",
 ]
 
 
@@ -174,6 +178,116 @@ def expected_exit_index(params: SwarmParams) -> float:
         return math.inf
     h = _pre_exit_mass(1.0, 1.0, 1.0, params, majority_threshold(params.M))
     return 1.0 + float(h.sum())
+
+
+@dataclass(frozen=True)
+class PathwiseEvents:
+    """Exact probabilities of the simulator's events, with no horizon.
+
+    With A_k, H_k the attacker and honest counts at epoch k, nu the exit
+    index, thr the strict-majority threshold and B ~ Binomial(candidates,
+    rho) the allies:
+
+    burst_regular    P{H_nu < thr}, the attacker exits first
+    burst_safety     P{A_nu - B >= thr, H_nu < thr}
+    prior_safe       P{A_(nu-1) < M/2}, with A_0 = 0
+    mean_exit_count  E[A_nu]
+    """
+
+    burst_regular: float
+    burst_safety: float
+    prior_safe: float
+    mean_exit_count: float
+
+
+def pathwise_events(params: SwarmParams, rho: float = 0.0) -> PathwiseEvents:
+    """The simulator's burst, prior-safe and exit-count moments, exactly.
+
+    prior_safe needs only the attacker: the epoch-1 jump reaches thr with
+    probability r0^thr, and a later one from pre-exit level i with
+    probability r^(thr - i), r = lambda_a d / (1 + lambda_a d), where h_i
+    of ``_pre_exit_mass`` weighs level i.  E[A_nu] is Wald's identity,
+    lambda_a (delta0 + (E[nu] - 1) delta).  With lambda_h = 0 every exit
+    bursts in Regular; the overshoot past thr is geometric with the ratio
+    of the crossing epoch (memoryless), so Safety is the binomial PGF at
+    r0 or r.  With lambda_h > 0 ``_honest_race`` runs the (attacker,
+    honest) chain.  With lambda_a = 0 nothing exits and, as censored
+    episodes do in the simulator, A_(nu-1) reads 0.
+    """
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    la, d0, d = params.lambda_a, params.delta0, params.delta
+    if la == 0.0:
+        return PathwiseEvents(0.0, 0.0, 1.0, math.nan)
+    thr, n = majority_threshold(params.M), params.candidates
+    r0, r = la * d0 / (1.0 + la * d0), la * d / (1.0 + la * d)
+
+    h = _pre_exit_mass(1.0, 1.0, 1.0, params, thr)
+    levels = np.arange(thr)
+    last = h * r ** (thr - levels)  # P{A_(nu-1) = i, nu > 1}
+    last[0] += r0**thr
+    prior_safe = float(last[levels < params.M / 2].sum())
+    # Wald, with E[nu] - 1 = sum of h as in expected_exit_index
+    mean_exit_count = la * (d0 + float(h.sum()) * d)
+
+    if params.lambda_h == 0.0:
+        first = r0**thr
+        regular = 1.0
+        safety = first * (1.0 - rho + rho * r0) ** n + (1.0 - first) * (
+            1.0 - rho + rho * r
+        ) ** n
+    else:
+        tails = _honest_race(params, thr, n)
+        weights = np.array([binom_pmf(j, n, rho) for j in range(n + 1)])
+        regular, safety = float(tails[0]), float(weights @ tails)
+    return PathwiseEvents(regular, safety, prior_safe, mean_exit_count)
+
+
+def _honest_race(params: SwarmParams, thr: int, n: int) -> np.ndarray:
+    """P{A_nu >= thr + j, H_nu < thr} for j = 0..n, with lambda_h > 0.
+
+    An epoch of mean d is a run of events, each the attacker's with
+    probability a = lambda_a d / (1 + m), honest with b = lambda_h d /
+    (1 + m), or the epoch's end with c = 1 / (1 + m), m = (lambda_a +
+    lambda_h) d; so P{x = i, z = j} = C(i + j, i) a^i b^j c.  Let F(A, H)
+    be the epoch-1 law, W(A, H) the mass later epochs bring to (A, H), and
+    G = F + W the pre-exit mass below thr (G = 0 from thr on).  As
+    generating functions F = c0 / (1 - a0 u - b0 v) and W = c G / (1 - a u
+    - b v), so each attacker row follows from the one before by a
+    first-order recurrence in H:
+        F(A, H) = a0 F(A - 1, H) + b0 F(A, H - 1)
+        W(A, H) = c G(A, H) + a W(A - 1, H) + b W(A, H - 1),
+    which below thr reads (a + b) W = c F + a W(A - 1, .) + b W(., H - 1).
+    Counts never decrease and H >= thr leaves the race, so one pass over
+    the rows A < thr + n, H < thr gives the exit mass F + W of rows thr to
+    thr + n - 1; summing the recurrences over the rows beyond gives the
+    rest in closed form.
+    """
+    la, lh = params.lambda_a, params.lambda_h
+
+    def step(d):
+        """End, attacker and honest event probabilities of one epoch."""
+        m = 1.0 + (la + lh) * d
+        return 1.0 / m, la * d / m, lh * d / m
+
+    c0, a0, b0 = step(params.delta0)
+    c, a, b = step(params.delta)
+    first = c0 * b0 ** np.arange(thr)
+    later = np.zeros(thr)
+    exit_mass = []
+    for row in range(thr + n):
+        if row:
+            first = lfilter([a0], [1.0, -b0], first)
+        if row < thr:
+            later = lfilter([1.0], [a + b, -b], c * first + a * later)
+        else:
+            later = lfilter([a], [1.0, -b], later)
+            exit_mass.append(first.sum() + later.sum())
+    # S(H), the sum of F(A, H) over the rows beyond the last, satisfies
+    # (1 - a0) S(H) - b0 S(H - 1) = a0 F(last, H); likewise for W.
+    beyond = lfilter([a0], [c0 + b0, -b0], first).sum()
+    beyond += lfilter([a], [c + b, -b], later).sum()
+    return beyond + np.cumsum((exit_mass + [0.0])[::-1])[::-1]
 
 
 def _phi_series(point: TransformPoint, params: SwarmParams, rho: float) -> float:

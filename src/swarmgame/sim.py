@@ -3,7 +3,10 @@
 Observation epochs are exponentially spaced; attacker and honest node
 counts accumulate as Poisson processes between epochs.  An episode ends
 when the attacker first holds a strict majority (the exit index nu) or
-when the epoch horizon is reached.
+when the epoch horizon is reached.  Each epoch's counts are drawn from
+their exact joint law, with no interval length: the epoch total is
+geometric and splits binomially between attacker and honest (Poisson
+thinning).  Only episodes still live draw; finished ones leave the loop.
 
 One kernel, ``_chunk``, runs the epoch loop for a chunk of episodes
 driven by its own counter-based random stream keyed on (seed, chunk
@@ -41,6 +44,9 @@ SAFETY = "Safety"
 
 DEFAULT_HORIZON = 10_000
 CHUNK = 4096
+# Largest mean count per epoch: an exponential draw times it must stay
+# far inside int64 when cast to a count.
+MAX_EPOCH_MEAN = 1e15
 
 
 def _plan(strategy: str, rho: float, episodes: int) -> tuple[str, list[int]]:
@@ -95,10 +101,18 @@ class SimStats:
 
 
 def _streams(seed: int, chunk: int):
-    """Process and ally generators for one chunk, keyed on (seed, chunk)."""
+    """Process and ally generators for one chunk, keyed on (seed, chunk).
+
+    The key is built as uint64, so every seed modulo 2**64 is its own
+    stream; a plain int list would turn keys >= 2**63 into float64.
+    """
     base = seed % (1 << 64)
-    process = np.random.Generator(np.random.Philox(key=[base, 2 * chunk]))
-    allies = np.random.Generator(np.random.Philox(key=[base, 2 * chunk + 1]))
+    process = np.random.Generator(
+        np.random.Philox(key=np.array([base, 2 * chunk], dtype=np.uint64))
+    )
+    allies = np.random.Generator(
+        np.random.Philox(key=np.array([base, 2 * chunk + 1], dtype=np.uint64))
+    )
     return process, allies
 
 
@@ -115,43 +129,81 @@ def _chunk(
 
     Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
     a_prior, a_exit, allies, burst, censored, with 0 in nu/mu for a
-    threshold not reached.  mu is tracked only while the episode is
-    active, as the honest count at its exit epoch decides the burst.
+    threshold not reached.
+
+    Only live episodes draw.  ``live`` indexes the chunk rows still below
+    the attacker threshold; their attacker count, honest count and mu are
+    kept compacted beside it.  Each epoch draws the total count y of the
+    epoch from its exact law P{y = k} = (1 - r) r^k, r = m / (1 + m),
+    m = (lambda_a + lambda_h) d, d = delta0 at epoch 1 and delta after: a
+    Poisson count over an exponential interval of mean d is geometric.  It
+    is drawn by inversion, y = floor(E / log(1 + 1/m)) with E ~ Exp(1),
+    so P{y >= k} = r^k.  The attacker share is x ~ Binomial(y, lambda_a /
+    (lambda_a + lambda_h)) and the honest share y - x: each point of the
+    merged Poisson process is the attacker's with that probability,
+    independently of the interval (thinning), so the split holds given y.
+    A row that crosses writes its outcome and leaves ``live``; rows still
+    live at the horizon are censored, with a_prior = a_exit = their count.
+    mu is tracked only while the episode is live, as the honest count at
+    its exit epoch decides the burst.
     """
     rng, ally_rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
+    rate = params.lambda_a + params.lambda_h
+    epoch_mean = rate * max(params.delta0, params.delta)
+    if epoch_mean > MAX_EPOCH_MEAN:
+        raise ValueError(
+            "(lambda_a + lambda_h) * max(delta0, delta) must be at most "
+            f"{MAX_EPOCH_MEAN:g} for the simulator, got {epoch_mean:g}"
+        )
+    share = params.lambda_a / rate if rate > 0 else 0.0
 
-    attacker = np.zeros(size, dtype=np.int64)
-    honest = np.zeros(size, dtype=np.int64)
     nu = np.zeros(size, dtype=np.int64)
     mu = np.zeros(size, dtype=np.int64)
     a_prior = np.zeros(size, dtype=np.int64)
-    active = np.ones(size, dtype=bool)
+    a_exit = np.zeros(size, dtype=np.int64)
+    # Rows of the live episodes, and their attacker, honest and mu values.
+    live = np.arange(size)
+    attacker = np.zeros(size, dtype=np.int64)
+    honest = np.zeros(size, dtype=np.int64)
+    live_mu = np.zeros(size, dtype=np.int64)
 
     k = 0
-    while active.any() and k < horizon:
+    while live.size and k < horizon:
         k += 1
-        mean = params.delta0 if k == 1 else params.delta
-        dt = rng.exponential(mean, size=size)
-        x = rng.poisson(params.lambda_a * dt)
-        z = rng.poisson(params.lambda_h * dt)
-        honest += z
-        mu[active & (mu == 0) & (honest >= threshold)] = k
-        np.copyto(a_prior, attacker, where=active)
-        np.add(attacker, x, out=attacker, where=active)
-        crossing = active & (attacker >= threshold)
-        nu[crossing] = k
-        active &= ~crossing
+        m = rate * (params.delta0 if k == 1 else params.delta)
+        scale = math.log1p(1.0 / m) if m > 0 else math.inf
+        y = (rng.standard_exponential(live.size) / scale).astype(np.int64)
+        if params.lambda_h > 0:
+            x = rng.binomial(y, share)
+            honest += y - x
+            live_mu[(live_mu == 0) & (honest >= threshold)] = k
+        else:
+            x = y
+        attacker += x
+        crossing = attacker >= threshold
+        if crossing.any():
+            rows = live[crossing]
+            nu[rows] = k
+            mu[rows] = live_mu[crossing]
+            a_exit[rows] = attacker[crossing]
+            a_prior[rows] = a_exit[rows] - x[crossing]
+            stay = ~crossing
+            live, attacker, honest, live_mu = (
+                live[stay], attacker[stay], honest[stay], live_mu[stay]
+            )
 
-    censored = active
-    a_prior[censored] = attacker[censored]
+    censored = np.zeros(size, dtype=bool)
+    censored[live] = True
+    mu[live] = live_mu
+    a_prior[live] = a_exit[live] = attacker
     if strategy == SAFETY:
         allies = ally_rng.binomial(params.candidates, rho, size=size)
     else:
         allies = np.zeros(size, dtype=np.int64)
     # mu never exceeds nu once set, so nu < mu reduces to mu unset.
-    burst = ~censored & (attacker - allies >= threshold) & (mu == 0)
-    return nu, mu, a_prior, attacker, allies, burst, censored
+    burst = ~censored & (a_exit - allies >= threshold) & (mu == 0)
+    return nu, mu, a_prior, a_exit, allies, burst, censored
 
 
 def simulate_episode(

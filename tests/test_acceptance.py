@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 
 from swarmgame.cli import main as cli_main
-from swarmgame.fluctuation import exit_index_pgf, expected_exit_index
+from swarmgame.fluctuation import exit_index_pgf, expected_exit_index, pathwise_events
 from swarmgame.model import (
     SwarmParams,
     ally_cost,
@@ -103,15 +103,14 @@ def test_criterion_3_analytic_vs_monte_carlo():
     ok = True
 
     # 1. Simulator vs the exact probability of its own event.  The count
-    # over one exponential interval is geometric, P{X >= k} = g**k with
-    # g = m / (1 + m), m = lambda_a * delta (delta0 = delta here), so the
-    # overshoot is geometric too and P{overshoot >= Binom(n, rho)} is the
-    # binomial PGF at g.
+    # over one exponential interval is geometric, so the overshoot is
+    # geometric too and P{overshoot >= Binom(n, rho)} is the binomial PGF
+    # at the crossing epoch's ratio; pathwise_events computes it.
     m = p.lambda_a * p.delta
-    g = m / (1 + m)
-    exact1 = (1 - rho + rho * g) ** n
+    exact = pathwise_events(p, rho)
+    exact0, exact1 = exact.burst_regular, exact.burst_safety
     assert regular.censored_count == 0 and safety.censored_count == 0
-    ok &= regular.burst_rate == 1.0
+    ok &= regular.burst_rate == exact0 == 1.0
     ok &= abs(safety.burst_rate - exact1) <= 3 * safety.burst_se
 
     # 2. Closed form vs Monte Carlo of its own event.
@@ -137,11 +136,11 @@ def test_criterion_3_analytic_vs_monte_carlo():
         "analytic vs Monte Carlo",
         bool(ok),
         f"q0 {q0:.4f} vs its MC {mc0:.4f}; q1 {q1:.4f} vs its MC {mc1:.4f}; "
-        f"sim Regular {regular.burst_rate:.4f} vs exact 1; "
+        f"sim Regular {regular.burst_rate:.4f} vs exact {exact0:.4f}; "
         f"sim Safety {safety.burst_rate:.5f} vs exact {exact1:.5f}; "
         f"Wald E[A_exit] {regular.mean_a_exit:.4f} vs {mean:.4f}"
         f" ({wald_dev:+.2f} SE); "
-        f"gap closed form - pathwise {q0 - 1.0:+.3f} Regular, "
+        f"gap closed form - pathwise {q0 - exact0:+.3f} Regular, "
         f"{q1 - exact1:+.3f} Safety",
     )
 

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,19 @@ def test_simulate_seed_changes_output(config_path, capsys):
     assert run(["simulate", "--config", config_path, "--seed", "2"]) == 0
     second = capsys.readouterr().out
     assert first != second
+
+
+def test_simulate_negative_seed(config_path, capsys):
+    # Negative seeds are their own streams, with no float64 key warning.
+    outputs = []
+    for seed in ("-1", "-2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["simulate", "--config", config_path, "--seed", seed]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] != outputs[1]
 
 
 def test_optimize_matches_library(config_path, tmp_path, capsys):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from swarmgame.fluctuation import (
+    PathwiseEvents,
     TransformPoint,
     _phi_series,
     exit_index_pgf,
     expected_exit_index,
     interval_transform,
+    pathwise_events,
     phi,
     sigma_transform,
 )
+from swarmgame.kernels import binom_pmf
 from swarmgame.model import SwarmParams, majority_threshold
 from swarmgame.sim import sample_exit_indices
 
@@ -183,3 +186,111 @@ def test_phi_matches_series_reference():
         assert phi(point, p, rho) == pytest.approx(
             _phi_series(point, p, rho), abs=1e-9
         )
+
+
+def dense_chain_events(p, rho, cap=150):
+    """PathwiseEvents by a dense solve over the (attacker, honest) states.
+
+    Pre-exit states are (a, h) with a, h < thr; the step law
+    P{x = i, z = j} = C(i + j, i) a^i b^j c is tabulated term by term, with
+    attacker jumps cut at ``cap`` past thr + candidates.  The fundamental
+    matrix (I - Q)^-1 weighs each pre-exit state by its expected visits.
+    prior_safe and E[A_nu] come from the attacker alone.
+    """
+    thr, n = majority_threshold(p.M), p.candidates
+    la, lh = p.lambda_a, p.lambda_h
+
+    def table(d):
+        """law[i, j] = P{x = i, z = j} and tail[k, j] = P{x >= k, z = j}."""
+        m = 1.0 + (la + lh) * d
+        c, a, b = 1.0 / m, la * d / m, lh * d / m
+        law = np.array([[math.comb(i + j, i) * a**i * b**j * c for j in range(thr)]
+                        for i in range(thr + n + cap)])
+        return law, np.cumsum(law[::-1], axis=0)[::-1]
+
+    (first, first_tail), (later, later_tail) = table(p.delta0), table(p.delta)
+    states = [(a, h) for a in range(thr) for h in range(thr)]
+    Q = np.array([[later[a2 - a, h2 - h] if a2 >= a and h2 >= h else 0.0
+                   for a2, h2 in states] for a, h in states])
+    visits = np.array([first[a, h] for a, h in states]) @ np.linalg.inv(
+        np.eye(len(states)) - Q
+    )
+    # P{an epoch takes (a, h) to A >= thr + allies, H < thr}
+    burst = [
+        first_tail[thr + allies].sum()
+        + sum(v * later_tail[thr - a + allies, : thr - h].sum()
+              for v, (a, h) in zip(visits, states))
+        for allies in range(n + 1)
+    ]
+    weights = [binom_pmf(j, n, rho) for j in range(n + 1)]
+
+    c0, c = 1.0 / (1.0 + la * p.delta0), 1.0 / (1.0 + la * p.delta)
+    r0, r = 1.0 - c0, 1.0 - c
+    Q1 = np.array([[c * r ** (j - i) if j >= i else 0.0 for j in range(thr)]
+                   for i in range(thr)])
+    level = np.array([c0 * r0**i for i in range(thr)]) @ np.linalg.inv(
+        np.eye(thr) - Q1
+    )
+    last = [level[i] * r ** (thr - i) + (r0**thr if i == 0 else 0.0)
+            for i in range(thr)]
+    # The overshoot past thr is geometric with the crossing epoch's ratio.
+    mean_exit = thr + r0**thr * la * p.delta0 + (1.0 - r0**thr) * la * p.delta
+    return PathwiseEvents(
+        burst[0],
+        float(np.dot(weights, burst)),
+        sum(last[i] for i in range(thr) if i < p.M / 2),
+        mean_exit,
+    )
+
+
+@pytest.mark.parametrize("M", [4, 7, 20])
+@pytest.mark.parametrize("lambda_h", [0.0, 0.5, 2.0])
+def test_pathwise_events_match_dense_chain(M, lambda_h):
+    for la, d0, d in ((1.0, 2.0, 0.5), (0.6, 0.4, 1.5), (3.0, 1.0, 1.0)):
+        p = params(M=M, lambda_a=la, lambda_h=lambda_h, delta0=d0, delta=d)
+        for rho in (0.0, 0.3, 1.0):
+            got = pathwise_events(p, rho)
+            want = dense_chain_events(p, rho)
+            for field in PathwiseEvents.__dataclass_fields__:
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-10, abs=1e-13
+                ), field
+
+
+@pytest.mark.parametrize("M", [20, 121, 1000])
+def test_pathwise_events_honest_chain_meets_closed_form(M):
+    # As lambda_h -> 0 the (attacker, honest) chain tends to the
+    # lambda_h = 0 closed form r0^thr g(r0) + (1 - r0^thr) g(r), g the
+    # ally-count PGF; the two burst paths share no code.
+    for rho in (0.2, 0.5, 0.9):
+        p = params(M=M, lambda_a=1.0, delta0=2.0, delta=0.5)
+        closed = pathwise_events(p, rho)
+        chain = pathwise_events(params(M=M, lambda_a=1.0, lambda_h=1e-12,
+                                       delta0=2.0, delta=0.5), rho)
+        assert closed.burst_regular == 1.0
+        assert chain.burst_regular == pytest.approx(1.0, abs=1e-9)
+        assert chain.burst_safety == pytest.approx(closed.burst_safety, rel=1e-9)
+        thr, n = majority_threshold(M), p.candidates
+        r0, r = 2.0 / 3.0, 1.0 / 3.0
+        expected = r0**thr * (1 - rho + rho * r0) ** n + (1 - r0**thr) * (
+            1 - rho + rho * r
+        ) ** n
+        assert closed.burst_safety == pytest.approx(expected, rel=1e-12)
+
+
+def test_pathwise_events_edges():
+    quiet = pathwise_events(params(lambda_a=0.0, lambda_h=2.0), 0.5)
+    assert quiet.burst_regular == quiet.burst_safety == 0.0
+    assert quiet.prior_safe == 1.0
+    assert math.isnan(quiet.mean_exit_count)
+    p = params(lambda_h=1.0, delta0=2.0, delta=0.5)
+    # Wald: E[A_nu] = lambda_a (delta0 + (E[nu] - 1) delta)
+    assert pathwise_events(p).mean_exit_count == pytest.approx(
+        p.lambda_a * (p.delta0 + (expected_exit_index(p) - 1.0) * p.delta), rel=1e-15
+    )
+    # rho = 0 brings no allies, so Safety is Regular
+    events = pathwise_events(p, 0.0)
+    assert events.burst_safety == pytest.approx(events.burst_regular, rel=1e-14)
+    for rho in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            pathwise_events(p, rho)

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import pytest
 
+from swarmgame.fluctuation import pathwise_events
 from swarmgame.model import SwarmParams, majority_threshold
 from swarmgame.sim import (
     REGULAR,
@@ -90,6 +92,14 @@ def test_estimate_no_attacker():
     assert math.isnan(stats.mean_nu)
 
 
+def test_estimate_rejects_epoch_means_beyond_int64_counts():
+    for la in (1e16, 1e300):
+        with pytest.raises(ValueError, match="at most"):
+            estimate(params(lambda_a=la), REGULAR, episodes=10, seed=1)
+    with pytest.raises(ValueError, match="at most"):
+        simulate_episode(params(lambda_a=1.0, lambda_h=1e16), REGULAR, seed=1)
+
+
 def test_estimate_single_episode_se():
     stats = estimate(params(), REGULAR, episodes=1, seed=1)
     assert stats.mean_nu_se == 0.0
@@ -132,28 +142,30 @@ def test_safety_allies_lower_burst_rate():
 
 # Golden values: simulator outputs pinned bit for bit, so a change to the
 # epoch loop or the stream layout cannot pass unseen.  They were recorded
-# before the three epoch loops were folded into one chunk kernel.
+# when the epoch loop began to draw only for live episodes, each epoch's
+# counts from their exact geometric-binomial law; the pathwise_events
+# checks below pin the law these draws follow.
 
 GOLDEN_EPISODES = [
     # (lambda_h, strategy, rho, seed, outcome)
-    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(7, None, 6, 11, 6, False, False)),
-    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(9, None, 9, 11, 2, False, False)),
-    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(12, None, 10, 11, 6, False, False)),
-    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(10, None, 9, 15, 2, True, False)),
-    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(7, 6, 9, 12, 6, False, False)),
-    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(8, 3, 9, 12, 5, False, False)),
-    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(7, 6, 9, 12, 0, False, False)),
+    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(5, None, 3, 11, 6, False, False)),
+    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(6, None, 9, 14, 2, True, False)),
+    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(9, None, 10, 14, 6, False, False)),
+    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(13, None, 9, 14, 2, True, False)),
+    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(8, 5, 9, 17, 6, False, False)),
+    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(20, 6, 10, 13, 5, False, False)),
+    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(8, 5, 9, 17, 0, False, False)),
 ]
 
 REGULAR_STATS = SimStats(
     episodes=10000,
-    burst_rate=0.9227,
-    burst_se=0.002670668642868299,
-    prior_safe_rate=0.5045,
-    prior_safe_se=0.004999797495899209,
-    mean_nu=11.9511,
-    mean_nu_se=0.04708641926288299,
-    mean_a_exit=12.0141,
+    burst_rate=0.9214,
+    burst_se=0.0026911343333248902,
+    prior_safe_rate=0.4994,
+    prior_safe_se=0.004999996399998704,
+    mean_nu=11.9794,
+    mean_nu_se=0.04701124933460074,
+    mean_a_exit=12.0035,
     censored_count=0,
 )
 GOLDEN_STATS = [
@@ -163,13 +175,13 @@ GOLDEN_STATS = [
         0.5,
         SimStats(
             episodes=10000,
-            burst_rate=0.0694,
-            burst_se=0.0025413311472533445,
-            prior_safe_rate=0.5045,
-            prior_safe_se=0.004999797495899209,
-            mean_nu=11.9511,
-            mean_nu_se=0.04708641926288299,
-            mean_a_exit=12.0141,
+            burst_rate=0.0628,
+            burst_se=0.0024260288539092027,
+            prior_safe_rate=0.4994,
+            prior_safe_se=0.004999996399998704,
+            mean_nu=11.9794,
+            mean_nu_se=0.04701124933460074,
+            mean_a_exit=12.0035,
             censored_count=0,
         ),
     ),
@@ -201,7 +213,7 @@ def test_golden_estimate(strategy, rho, stats, workers):
 
 def test_golden_exit_indices():
     nu, censored = sample_exit_indices(params(lambda_h=0.5), 10_000, seed=11)
-    assert (int(nu.sum()), len(nu), censored) == (119511, 10000, 0)
+    assert (int(nu.sum()), len(nu), censored) == (119794, 10000, 0)
     assert nu.mean() == REGULAR_STATS.mean_nu
 
 
@@ -216,3 +228,83 @@ def test_episode_is_first_episode_of_estimate_and_exit_indices():
             assert stats.mean_a_exit == episode.a_exit
         nu, censored = sample_exit_indices(p, 1, seed=seed)
         assert (nu.tolist(), censored) == ([episode.nu], 0)
+
+
+@pytest.mark.parametrize("lambda_h", [0.0, 0.5, 2.0])
+def test_estimate_matches_pathwise_events(lambda_h):
+    # The simulator's own events against their exact probabilities, at
+    # 3 SE of the exact value, with delta0 != delta.
+    p = params(lambda_h=lambda_h, delta0=2.0, delta=0.5)
+    episodes, rho = 200_000, 0.5
+    exact = pathwise_events(p, rho)
+    regular = estimate(p, REGULAR, episodes=episodes, seed=2026)
+    safety = estimate(p, SAFETY, episodes=episodes, seed=2026, rho=rho)
+    assert regular.censored_count == safety.censored_count == 0
+
+    def within(got, want):
+        return abs(got - want) <= 3 * math.sqrt(want * (1 - want) / episodes)
+
+    assert within(regular.burst_rate, exact.burst_regular)
+    assert within(safety.burst_rate, exact.burst_safety)
+    assert within(regular.prior_safe_rate, exact.prior_safe)
+    if lambda_h == 0.0:
+        assert regular.burst_rate == exact.burst_regular == 1.0
+    # A_exit - thr is geometric with mean lambda_a d of the crossing epoch,
+    # so its variance is that of a two-part geometric mixture.
+    thr, la = majority_threshold(p.M), p.lambda_a
+    first = (la * p.delta0 / (1 + la * p.delta0)) ** thr
+    means = (la * p.delta0, la * p.delta)
+    square = first * (means[0] + 2 * means[0] ** 2) + (1 - first) * (
+        means[1] + 2 * means[1] ** 2
+    )
+    variance = square - (exact.mean_exit_count - thr) ** 2
+    assert abs(regular.mean_a_exit - exact.mean_exit_count) <= 3 * math.sqrt(
+        variance / episodes
+    )
+
+
+def test_seeds_past_int64_are_distinct_streams():
+    # Seeds are taken modulo 2**64 into a uint64 Philox key; negative seeds
+    # and seeds >= 2**63 used to collapse onto one float64 key.
+    p = params()
+    seeds = (0, -1, -2, -1000, 2**63, 2**63 + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        means = [estimate(p, REGULAR, episodes=2000, seed=s).mean_nu for s in seeds]
+    assert len(set(means)) == len(seeds)
+    # seed and seed + 2**64 name the same key
+    assert simulate_episode(p, SAFETY, seed=-1, rho=0.5) == simulate_episode(
+        p, SAFETY, seed=2**64 - 1, rho=0.5
+    )
+
+
+def test_compacted_live_set_bookkeeping():
+    # Three chunks (4096, 4096, 808) stopped by a short horizon while many
+    # episodes are still live, with an honest race under way.
+    p = params(lambda_h=1.0, delta0=2.0, delta=0.5)
+    episodes, horizon = 9000, 15
+    runs = [
+        estimate(p, SAFETY, episodes, seed=31, rho=0.5, horizon=horizon, workers=w)
+        for w in (1, 2, 4)
+    ]
+    assert runs[0] == runs[1] == runs[2]
+    stats = runs[0]
+    assert 0 < stats.censored_count < episodes
+    nu, censored = sample_exit_indices(p, episodes, seed=31, horizon=horizon)
+    assert censored == stats.censored_count
+    done = episodes - censored
+    assert len(nu) == done and nu.max() <= horizon
+    assert int(nu.sum()) == round(stats.mean_nu * done)
+    assert nu.mean() == stats.mean_nu
+    outcomes = [
+        simulate_episode(p, SAFETY, seed=seed, rho=0.5, horizon=horizon)
+        for seed in range(60)
+    ]
+    cut = [o for o in outcomes if o.censored]
+    assert cut and len(cut) < len(outcomes)
+    for o in cut:
+        assert o.nu is None and not o.burst
+        assert o.a_prior == o.a_exit < majority_threshold(p.M)
+    for o in outcomes:
+        if o.mu is not None:
+            assert o.mu <= (o.nu or horizon)
