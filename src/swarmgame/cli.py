@@ -35,6 +35,18 @@ def _csv_rows(curve) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def _write_csv(path: str, curve) -> int:
+    """Write the curve's CSV rows; exit code 2 if the path is unwritable."""
+    out = Path(path)
+    try:
+        out.write_text(_csv_rows(curve))
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {len(curve)} grid points to {out}")
+    return 0
+
+
 def _resolve_params(config: RunConfig) -> SwarmParams:
     """Build SwarmParams, running the exit-index transform in auto mode."""
     if config.expected_nu != "auto":
@@ -85,11 +97,7 @@ def _cmd_simulate(config: RunConfig, args) -> int:
 
 def _cmd_sweep(config: RunConfig, args) -> int:
     params = _resolve_params(config)
-    curve = sweep_curve(params, config.grid_size)
-    out = Path(args.out or "sweep.csv")
-    out.write_text(_csv_rows(curve))
-    print(f"wrote {len(curve)} grid points to {out}")
-    return 0
+    return _write_csv(args.out or "sweep.csv", sweep_curve(params, config.grid_size))
 
 
 def _cmd_optimize(config: RunConfig, args) -> int:
@@ -99,10 +107,7 @@ def _cmd_optimize(config: RunConfig, args) -> int:
     print(f"cost_star  = {_fmt(result.cost_star)}")
     print(f"feasible   = {result.feasible}")
     print(f"n_required = {result.n_required}")
-    out = Path(args.out or "optimize.csv")
-    out.write_text(_csv_rows(result.curve))
-    print(f"wrote {len(result.curve)} grid points to {out}")
-    return 0
+    return _write_csv(args.out or "optimize.csv", result.curve)
 
 
 _COMMANDS = {

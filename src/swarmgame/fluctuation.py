@@ -10,21 +10,22 @@ attacker holds a strict majority), the pre-exit and exit counts and the
 ally discount; the exit-index PGF; and E[nu] exactly, as one plus the
 expected number of pre-exit epochs (Kemeny & Snell, Finite Markov Chains,
 1960).  ``pathwise_events`` gives the exact probabilities of the
-simulator's own events from the same chain.  ``_phi_series`` keeps the
-truncated power-series form of the joint functional as a reference.
+simulator's own events from the same chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .kernels import binom_pmf
 from .model import SwarmParams, majority_threshold
-from .series import TruncSeries, d_operator
+from .series import TruncSeries
+# Not called here: the benchmark's tracer patches d_operator and
+# interval_transform_series by name (ROADMAP item 1).
+from .series import d_operator  # noqa: F401
 
 __all__ = [
     "TransformPoint",
@@ -117,9 +118,12 @@ def _pre_exit_mass(
     c = interval_transform(0, z, d) and r = lambda_a d c y, so h_i is the
     coefficient of u^i in H(u) = c0 (1 - r u) / ((1 - r0 u)(1 - xi c - r u)),
     where c0, r0 belong to the first interval (mean delta0).  Its first
-    factor is expanded directly and the rest by one first-order filter, so
-    the pole r / (1 - xi c) stays exactly 1 at xi = y = z = 1; rounded
-    second-order coefficients would move it and lose about thr ulps.
+    factor is expanded directly and the rest by one first-order recurrence,
+    so the pole r / (1 - xi c) stays exactly 1 at xi = y = z = 1; rounded
+    second-order coefficients would move it and lose about thr ulps.  The
+    recurrence is scipy's lfilter([1, -r], [a0, -r], first) in lfilter's
+    own operation order (coefficients divided by a0, then direct form II
+    transposed), so h is bitwise the filter's.
     """
     la, lh = params.lambda_a, params.lambda_h
     d0, d = params.delta0, params.delta
@@ -129,7 +133,13 @@ def _pre_exit_mass(
     # 1 - xi c, written without the cancellation near xi c = 1
     a0 = c * (1.0 - xi + la * d + lh * d * (1.0 - z))
     first = c0 * (la * d0 * c0 * y) ** np.arange(size)
-    return lfilter([1.0, -r], [a0, -r], first)
+    b0, b1 = 1.0 / a0, -r / a0  # b1 is also the normalized a1
+    h, state = [], 0.0
+    for x in first.tolist():
+        out = state + b0 * x
+        state = x * b1 - out * b1
+        h.append(out)
+    return np.array(h)
 
 
 def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
@@ -263,6 +273,8 @@ def _honest_race(params: SwarmParams, thr: int, n: int) -> np.ndarray:
     thr + n - 1; summing the recurrences over the rows beyond gives the
     rest in closed form.
     """
+    from scipy.signal import lfilter  # off the import path: only this uses it
+
     la, lh = params.lambda_a, params.lambda_h
 
     def step(d):
@@ -289,35 +301,3 @@ def _honest_race(params: SwarmParams, thr: int, n: int) -> np.ndarray:
     beyond += lfilter([a], [c + b, -b], later).sum()
     return beyond + np.cumsum((exit_mass + [0.0])[::-1])[::-1]
 
-
-def _phi_series(point: TransformPoint, params: SwarmParams, rho: float) -> float:
-    """``phi`` by trivariate truncated power-series algebra; a test reference."""
-    la, lh = params.lambda_a, params.lambda_h
-    if la == 0.0:
-        return 1.0 if point.xi == 1.0 else 0.0
-
-    m = majority_threshold(params.M) - 1
-    degrees = (m, m, m)
-
-    def transform(mean, g_scalar, g_exponents, z_scalar):
-        return interval_transform_series(
-            degrees, mean, la, lh, g_scalar, g_exponents, z_scalar
-        )
-
-    xi, g0, g1, b, z0, z1 = astuple(point)
-    d0, d = params.delta0, params.delta
-    # Pre-exit increments are marked in both q and r; the exit increment in
-    # q only.  The honest side enters through the scalar z-arguments.
-    theta = transform(d, g0 * g1 * b, (1, 1, 0), z0 * z1)
-    theta0 = transform(d0, g0 * g1 * b, (1, 1, 0), z0 * z1)
-    gamma = transform(d, g1 * b, (1, 0, 0), z1)
-    gamma0 = transform(d0, g1 * b, (1, 0, 0), z1)
-    gamma_1 = transform(d, g1 * b, (0, 0, 0), z1)
-    gamma0_1 = transform(d0, g1 * b, (0, 0, 0), z1)
-
-    one = TruncSeries.constant(1.0, degrees)
-    lam = xi * (gamma0_1 - gamma0) + ((xi * xi) * theta0 / (one - xi * theta)) * (
-        gamma_1 - gamma
-    )
-    sigma = sigma_transform(b, rho, params.candidates)
-    return sigma * d_operator(lam)

@@ -4,7 +4,9 @@ A ``TruncSeries`` holds a dense coefficient array indexed by the
 exponents of (q, r, s), closed under ring arithmetic at fixed maximum
 degrees: any product term whose exponent exceeds the truncation in some
 variable is discarded.  At the degrees this package uses (about 11 per
-variable) dense storage beats sparse by a wide margin.
+variable) dense storage beats sparse by a wide margin.  Products go through
+``scipy.signal.fftconvolve``, which is imported on the first product, not
+with the module.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 __all__ = ["TruncSeries", "d_operator"]
 
@@ -97,6 +98,8 @@ class TruncSeries:
 
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Cauchy product truncated to the common degrees."""
+    from scipy.signal import fftconvolve  # loaded on the first product only
+
     a._check_degrees(b)
     nq, nr, ns = a.coefficients.shape
     full = fftconvolve(a.coefficients, b.coefficients)

@@ -1,13 +1,23 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import warnings
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swarmgame.cli import main
+from swarmgame.fluctuation import PathwiseEvents, pathwise_events
 from swarmgame.kernels import pois_tail
 from swarmgame.model import SwarmParams, total_cost
 from swarmgame.optimize import optimize
+from tests.test_fluctuation import dense_chain_events
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -186,6 +196,59 @@ def test_int_m_beyond_float_range_exits_2(config_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert run(["analyze", "--config", tmp_path / "nope.cfg"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_unwritable_out_exits_2(config_path, tmp_path, capsys, command):
+    for out in (tmp_path / "missing" / "curve.csv", tmp_path):
+        assert run([command, "--config", config_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert str(out) in err
+        assert "Traceback" not in err
+
+
+# Runs in a fresh interpreter: the analytic commands must not load
+# scipy.signal, and pathwise_events must load it on demand.
+FRESH_IMPORT = """\
+import json, sys
+from dataclasses import astuple
+from swarmgame import cli, pathwise_events
+from swarmgame.model import SwarmParams
+cfg, out = sys.argv[1:]
+codes = [cli.main([c, "--config", cfg, "--out", out])
+         for c in ("analyze", "sweep", "optimize")]
+loaded = "scipy.signal" in sys.modules
+p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, lambda_h=0.5,
+                delta0=2.0, delta=0.5)
+print(json.dumps([codes, loaded, astuple(pathwise_events(p, 0.3))]))
+"""
+
+
+def test_analytic_commands_leave_scipy_signal_unloaded(tmp_path):
+    cfg = tmp_path / "auto.cfg"
+    cfg.write_text(
+        "M = 1000\ndrone_value = 1500\nlambda_a = 1\ndelta0 = 2\ndelta = 0.5\n"
+        "expected_nu = auto\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT, str(cfg), str(tmp_path / "c.csv")],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    codes, loaded, events = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert not loaded
+    p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, lambda_h=0.5,
+                    delta0=2.0, delta=0.5)
+    assert events == list(astuple(pathwise_events(p, 0.3)))
+    want = dense_chain_events(p, 0.3)
+    for field, got in zip(PathwiseEvents.__dataclass_fields__, events):
+        assert got == pytest.approx(getattr(want, field), rel=1e-10, abs=1e-13), field
 
 
 def test_auto_mode_with_no_attacker_exits_nonzero(tmp_path, capsys):

@@ -1,21 +1,25 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from swarmgame.fluctuation import (
     PathwiseEvents,
     TransformPoint,
-    _phi_series,
+    _pre_exit_mass,
     exit_index_pgf,
     expected_exit_index,
     interval_transform,
+    interval_transform_series,
     pathwise_events,
     phi,
     sigma_transform,
 )
 from swarmgame.kernels import binom_pmf
 from swarmgame.model import SwarmParams, majority_threshold
+from swarmgame.series import TruncSeries, d_operator
 from swarmgame.sim import sample_exit_indices
 
 
@@ -165,6 +169,65 @@ def test_pgf_matches_negative_binomial(M):
         # alternating terms cancel for xi < 0, so compare absolutely
         for xi in np.linspace(-1.0, -0.05, 20):
             assert exit_index_pgf(xi, p) == pytest.approx(exact(xi), abs=1e-12)
+
+
+def _phi_series(point, params, rho):
+    """``phi`` by trivariate truncated power-series algebra; the reference."""
+    la, lh = params.lambda_a, params.lambda_h
+    if la == 0.0:
+        return 1.0 if point.xi == 1.0 else 0.0
+
+    m = majority_threshold(params.M) - 1
+    degrees = (m, m, m)
+
+    def transform(mean, g_scalar, g_exponents, z_scalar):
+        return interval_transform_series(
+            degrees, mean, la, lh, g_scalar, g_exponents, z_scalar
+        )
+
+    xi, g0, g1, b, z0, z1 = astuple(point)
+    d0, d = params.delta0, params.delta
+    # Pre-exit increments are marked in both q and r; the exit increment in
+    # q only.  The honest side enters through the scalar z-arguments.
+    theta = transform(d, g0 * g1 * b, (1, 1, 0), z0 * z1)
+    theta0 = transform(d0, g0 * g1 * b, (1, 1, 0), z0 * z1)
+    gamma = transform(d, g1 * b, (1, 0, 0), z1)
+    gamma0 = transform(d0, g1 * b, (1, 0, 0), z1)
+    gamma_1 = transform(d, g1 * b, (0, 0, 0), z1)
+    gamma0_1 = transform(d0, g1 * b, (0, 0, 0), z1)
+
+    one = TruncSeries.constant(1.0, degrees)
+    lam = xi * (gamma0_1 - gamma0) + ((xi * xi) * theta0 / (one - xi * theta)) * (
+        gamma_1 - gamma
+    )
+    sigma = sigma_transform(b, rho, params.candidates)
+    return sigma * d_operator(lam)
+
+
+def test_pre_exit_mass_is_bitwise_lfilter():
+    # The recurrence must reproduce scipy's first-order filter bit for bit,
+    # so that E[nu], phi and the PGF keep their exact values.
+    rng = np.random.default_rng(10)
+    for case in range(400):
+        M = 5000 if case < 10 else int(rng.integers(4, 5001))
+        p = params(
+            M=M,
+            lambda_a=rng.uniform(0.05, 4.0),
+            lambda_h=rng.uniform(0.01, 3.0) if case % 4 else 0.0,
+            delta0=rng.uniform(0.2, 3.0),
+            delta=rng.uniform(0.2, 3.0),
+        )
+        assert p.delta0 != p.delta
+        xi, y, z = (1.0, 1.0, 1.0) if case % 5 == 0 else rng.uniform(-1.0, 1.0, 3)
+        la, lh, d0, d = p.lambda_a, p.lambda_h, p.delta0, p.delta
+        c0 = interval_transform(0.0, z, d0, la, lh)
+        c = interval_transform(0.0, z, d, la, lh)
+        r = la * d * c * y
+        a0 = c * (1.0 - xi + la * d + lh * d * (1.0 - z))
+        thr = majority_threshold(M)
+        first = c0 * (la * d0 * c0 * y) ** np.arange(thr)
+        want = lfilter([1.0, -r], [a0, -r], first)
+        assert np.array_equal(_pre_exit_mass(xi, y, z, p, thr), want), case
 
 
 def test_phi_matches_series_reference():
