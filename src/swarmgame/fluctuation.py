@@ -148,7 +148,8 @@ def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
     Pre-exit intervals carry the marks y = g0 g1 b and z = z0 z1, the exit
     interval y = g1 b and z = z1.  The ally-acceptance probability rho
     enters only through the factor E[b^-B]; at b = 1 (in particular for
-    the exit-index marginal) it has no effect.
+    the exit-index marginal) it has no effect.  Where that factor exceeds
+    1 it is folded into the capture marks, so it cannot overflow.
     """
     la, lh = params.lambda_a, params.lambda_h
     if la == 0.0:
@@ -156,21 +157,38 @@ def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
         # for |xi| < 1 while the normalization at xi = 1 is preserved.
         return 1.0 if point.xi == 1.0 else 0.0
 
-    thr = majority_threshold(params.M)
-    xi, y, z = point.xi, point.g1 * point.b, point.z1
+    thr, n = majority_threshold(params.M), params.candidates
+    xi, b, y, z = point.xi, point.b, point.g1 * point.b, point.z1
 
-    def exit_weight(mean, short):
+    def exit_weight(mean, short, s):
         """Weight of an exit interval that brings at least `short` captures."""
-        r = la * mean * interval_transform(0.0, z, mean, la, lh) * y
+        r = la * mean * interval_transform(0.0, z, mean, la, lh) * s
         return interval_transform(y, z, mean, la, lh) * r**short
 
-    h = _pre_exit_mass(xi, point.g0 * y, point.z0 * z, params, thr)
-    # The attacker crosses in the very first interval, or at a later epoch
-    # after a run of pre-exit epochs that leaves it at level i < thr.
-    lam = xi * exit_weight(params.delta0, thr) + xi * xi * float(
-        h @ exit_weight(params.delta, thr - np.arange(thr))
-    )
-    return sigma_transform(point.b, rho, params.candidates) * lam
+    def exit_mass(s):
+        """The functional without the allies, each capture marked by s."""
+        h = _pre_exit_mass(xi, point.g0 * s, point.z0 * z, params, thr)
+        # The attacker crosses in the very first interval, or at a later
+        # epoch after a run of pre-exit epochs that leaves it at level i < thr.
+        return xi * exit_weight(params.delta0, thr, s) + xi * xi * float(
+            h @ exit_weight(params.delta, thr - np.arange(thr), s)
+        )
+
+    try:
+        # As Python floats, an overflowing power raises rather than warns.
+        sigma = sigma_transform(float(b), float(rho), n)
+    except OverflowError:
+        sigma = math.inf
+    if abs(sigma) <= 1.0:
+        return sigma * exit_mass(y)
+    # E[b^-B] grows like |b|^-n, while every one of the at least thr
+    # captures carries a factor y = g1 b, so the mass underflows where the
+    # product does not (M = 5000, b = 1/2, rho = 0.9, lambda_a = 1: sigma
+    # overflows, the product is about 4e-57).  The mass is homogeneous of
+    # degree thr in the capture mark, and sigma b^thr =
+    # ((1 - rho) b + rho)^n b^(thr - n) has no factor above 1 in magnitude.
+    scale = ((1.0 - rho) * b + rho) ** n * b ** (thr - n) * point.g1**thr
+    return scale * exit_mass(1.0)
 
 
 def exit_index_pgf(xi: float, params: SwarmParams) -> float:

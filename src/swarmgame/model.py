@@ -14,7 +14,7 @@ exactly to the Regular strategy.
 ``total_cost`` is the single-point reference: the library's one-rho API
 and the tests' oracle.  The CLI computes every cost, ``analyze``'s one
 rho included, through ``_CostCurve``, which computes the rho-free parts
-once and every q1 of a curve in one matrix product.
+once and every q1 of a curve in one vectorized pass.
 """
 
 import math
@@ -263,13 +263,14 @@ class _CostCurve:
     p_prior, q0 and the tails P{X >= thr + j}, j = 0..n, do not depend on
     rho, so they are computed once, the tails with the ufunc that
     ``pois_tail`` calls.  For interior rho the binomial weights come from
-    log space, and one product with the columns (tails, ones) gives each
-    row's tail sum and weight mass.  q1 is their ratio: dividing by the
-    mass cancels the rounding that the log binomial coefficients share,
-    which leaves q1 within about 1e-12 of exact at M = 10^5, where
-    ``burst_prob_safety`` is about 5e-11 off.  At rho = 0 and rho = 1 the
-    single weight is exact, so q1 = q0 at rho = 0.  ally_cost and the
-    total keep ``total_cost``'s formulas.
+    log space, and each row is reduced on its own to its weighted tail sum
+    and its weight mass, so a rho's q1 does not depend on the other rho of
+    its curve.  q1 is their ratio: dividing by the mass cancels the
+    rounding that the log binomial coefficients share, which leaves q1
+    within about 1e-12 of exact at M = 10^5, where ``burst_prob_safety``
+    is about 5e-11 off.  At rho = 0 and rho = 1 the single weight is
+    exact, so q1 = q0 at rho = 0.  ally_cost and the total keep
+    ``total_cost``'s formulas.
     """
 
     def __init__(self, params: SwarmParams) -> None:
@@ -280,14 +281,13 @@ class _CostCurve:
         j = np.arange(n + 1)
         self._j = j
         self._log_coef = gammaln(n + 1) - gammaln(j + 1) - gammaln(n + 1 - j)
-        tails = pdtrc(majority_threshold(params.M) - 1 + j, exit_mean_count(params))
-        self._tails_ones = np.column_stack([tails, np.ones(n + 1)])
+        thr = majority_threshold(params.M)
+        self._tails = pdtrc(thr - 1 + j, exit_mean_count(params))
 
     def q1(self, rho: np.ndarray) -> np.ndarray:
         """burst_prob_safety at each rho of a 1-D array in [0, 1]."""
-        tails = self._tails_ones[:, 0]
         # Rows at rho = 0 and rho = 1 hold one weight, exactly 1.
-        q1 = np.where(rho == 0.0, tails[0], tails[-1])
+        q1 = np.where(rho == 0.0, self._tails[0], self._tails[-1])
         inner = np.flatnonzero((rho > 0.0) & (rho < 1.0))
         n = self._j[-1]
         rows = max(1, _BLOCK_ELEMENTS // (n + 1))
@@ -296,8 +296,8 @@ class _CostCurve:
             log_w = np.multiply.outer(np.log(rho[block]), self._j)
             log_w += np.multiply.outer(np.log1p(-rho[block]), n - self._j)
             log_w += self._log_coef
-            tail_sum, mass = (np.exp(log_w) @ self._tails_ones).T
-            q1[block] = tail_sum / mass
+            w = np.exp(log_w, out=log_w)
+            q1[block] = (w * self._tails).sum(axis=1) / w.sum(axis=1)
         return q1
 
     def breakdowns(self, rho: Sequence[float]) -> list[CostBreakdown]:

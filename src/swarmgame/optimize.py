@@ -8,7 +8,7 @@ diminishing it rises and then falls: the cost has at most one interior
 local minimum, and re-gridding the bracket around the best grid point
 finds it.  Grid and refinement evaluate the curve through one
 ``model._CostCurve`` (rho-free quantities once per curve, each grid in
-one matrix product).  Feasibility of the reservation (the minimal ally
+one vectorized pass).  Feasibility of the reservation (the minimal ally
 count for it to pay off) is reported at the optimum, never used to
 restrict the search.
 """

@@ -9,9 +9,11 @@ geometric and splits binomially between attacker and honest (Poisson
 thinning).  Only episodes still live draw; finished ones leave the loop.
 
 One kernel, ``_chunk``, runs the epoch loop for a chunk of episodes
-driven by its own counter-based random stream keyed on (seed, chunk
-index), and returns per-episode arrays.  ``estimate`` reduces chunks to
-integer sums, ``sample_exit_indices`` keeps their exit indices, and
+driven by its own counter-based random streams keyed on (seed, chunk
+index), and returns per-episode arrays, both strategies' bursts among
+them: Regular is Safety with no allies, facing the same attack, so one
+pass serves both.  ``estimate`` reduces chunks to integer sums,
+``sample_exit_indices`` keeps their exit indices, and
 ``simulate_episode`` is chunk 0 at size 1.  So results are bitwise
 reproducible, independent of how chunks are scheduled across workers,
 and ``simulate_episode(seed)`` is the single episode
@@ -49,19 +51,13 @@ CHUNK = 4096
 MAX_EPOCH_MEAN = 1e15
 
 
-def _plan(strategy: str, rho: float, episodes: int) -> tuple[str, list[int]]:
-    """Validate inputs; return the strategy name and the chunk sizes.
-
-    The chunk layout depends only on the episode count.
-    """
-    name = strategy.capitalize()
-    if name not in (REGULAR, SAFETY):
-        raise ValueError(f"unknown strategy {strategy!r}; expected Regular or Safety")
+def _plan(rho: float, episodes: int) -> list[int]:
+    """Validate inputs; return the chunk sizes, which depend only on episodes."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    return name, [min(CHUNK, episodes - start) for start in range(0, episodes, CHUNK)]
+    return [min(CHUNK, episodes - start) for start in range(0, episodes, CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,8 @@ class EpisodeOutcome:
     """One simulated game.
 
     nu/mu are None when the corresponding threshold was not reached by
-    the time the episode ended (exit or horizon).
+    the time the episode ended (exit or horizon).  burst_safety is
+    burst_regular (the attacker exits first) net of the allies.
     """
 
     nu: Optional[int]
@@ -77,7 +74,8 @@ class EpisodeOutcome:
     a_prior: int
     a_exit: int
     allies: int
-    burst: bool
+    burst_regular: bool
+    burst_safety: bool
     censored: bool
 
 
@@ -90,8 +88,10 @@ class SimStats:
     """
 
     episodes: int
-    burst_rate: float
-    burst_se: float
+    burst_regular: float
+    burst_regular_se: float
+    burst_safety: float
+    burst_safety_se: float
     prior_safe_rate: float
     prior_safe_se: float
     mean_nu: float
@@ -118,7 +118,6 @@ def _streams(seed: int, chunk: int):
 
 def _chunk(
     params: SwarmParams,
-    strategy: str,
     rho: float,
     seed: int,
     index: int,
@@ -128,8 +127,8 @@ def _chunk(
     """Simulate chunk ``index`` of ``size`` episodes: the one epoch loop.
 
     Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
-    a_prior, a_exit, allies, burst, censored, with 0 in nu/mu for a
-    threshold not reached.
+    a_prior, a_exit, allies, burst_regular, burst_safety, censored, with
+    0 in nu/mu for a threshold not reached.
 
     Only live episodes draw.  ``live`` indexes the chunk rows still below
     the attacker threshold; their attacker count, honest count and mu are
@@ -145,7 +144,8 @@ def _chunk(
     A row that crosses writes its outcome and leaves ``live``; rows still
     live at the horizon are censored, with a_prior = a_exit = their count.
     mu is tracked only while the episode is live, as the honest count at
-    its exit epoch decides the burst.
+    its exit epoch decides the burst.  The allies have their own stream,
+    so rho changes nothing else, and at rho = 0 Safety is Regular.
     """
     rng, ally_rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
@@ -197,25 +197,22 @@ def _chunk(
     censored[live] = True
     mu[live] = live_mu
     a_prior[live] = a_exit[live] = attacker
-    if strategy == SAFETY:
-        allies = ally_rng.binomial(params.candidates, rho, size=size)
-    else:
-        allies = np.zeros(size, dtype=np.int64)
+    allies = ally_rng.binomial(params.candidates, rho, size=size)
     # mu never exceeds nu once set, so nu < mu reduces to mu unset.
-    burst = ~censored & (a_exit - allies >= threshold) & (mu == 0)
-    return nu, mu, a_prior, a_exit, allies, burst, censored
+    regular = ~censored & (mu == 0)
+    safety = regular & (a_exit - allies >= threshold)
+    return nu, mu, a_prior, a_exit, allies, regular, safety, censored
 
 
 def simulate_episode(
     params: SwarmParams,
-    strategy: str,
     seed: int,
     rho: float = 0.0,
     horizon: int = DEFAULT_HORIZON,
 ) -> EpisodeOutcome:
     """Simulate one game, deterministically in the seed: chunk 0 at size 1."""
-    strategy, _ = _plan(strategy, rho, 1)
-    arrays = _chunk(params, strategy, rho, seed, 0, 1, horizon)
+    _plan(rho, 1)
+    arrays = _chunk(params, rho, seed, 0, 1, horizon)
     nu, mu, *rest = (a[0].item() for a in arrays)
     return EpisodeOutcome(nu or None, mu or None, *rest)
 
@@ -228,14 +225,13 @@ def sample_exit_indices(
 ) -> tuple[np.ndarray, int]:
     """Exit indices of non-censored episodes, plus the censored count.
 
-    Runs the chunks of ``estimate`` with the Regular strategy, so
-    episode i here is episode i there.
+    Runs the chunks of ``estimate``, so episode i here is episode i there.
     """
-    strategy, sizes = _plan(REGULAR, 0.0, episodes)
+    sizes = _plan(0.0, episodes)
     collected = []
     censored_total = 0
     for index, size in enumerate(sizes):
-        nu, *_, censored = _chunk(params, strategy, 0.0, seed, index, size, horizon)
+        nu, *_, censored = _chunk(params, 0.0, seed, index, size, horizon)
         censored_total += int(censored.sum())
         collected.append(nu[~censored])
     return np.concatenate(collected), censored_total
@@ -243,29 +239,29 @@ def sample_exit_indices(
 
 def estimate(
     params: SwarmParams,
-    strategy: str,
     episodes: int,
     seed: int,
     rho: float = 0.0,
     horizon: int = DEFAULT_HORIZON,
     workers: int = 1,
 ) -> SimStats:
-    """Aggregate independent episodes into SimStats.
+    """Aggregate independent episodes into SimStats, both strategies at once.
 
     Each chunk is reduced to integer sums as soon as it is simulated,
     and the sums are folded in chunk order, so the outcome is identical
     for any worker count.
     """
-    strategy, sizes = _plan(strategy, rho, episodes)
+    sizes = _plan(rho, episodes)
     half = params.M / 2
 
     def run(index: int) -> tuple[int, ...]:
-        nu, _, a_prior, a_exit, _, burst, censored = _chunk(
-            params, strategy, rho, seed, index, sizes[index], horizon
+        nu, _, a_prior, a_exit, _, regular, safety, censored = _chunk(
+            params, rho, seed, index, sizes[index], horizon
         )
         done = ~censored
         return (
-            int(burst.sum()),
+            int(regular.sum()),
+            int(safety.sum()),
             int((a_prior < half).sum()),
             int(nu[done].sum()),
             int((nu[done] ** 2).sum()),
@@ -276,26 +272,28 @@ def estimate(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, range(len(sizes))))
-    burst, safe, nu_sum, nu_sq, exit_sum, censored, done = map(sum, zip(*results))
+    sums = map(sum, zip(*results))
+    regular, safety, safe, nu_sum, nu_sq, a_sum, censored, done = sums
 
-    n = episodes
-    burst_rate = burst / n
-    safe_rate = safe / n
+    def rate(count: int) -> tuple[float, float]:
+        """A share of the episodes and its binomial standard error."""
+        share = count / episodes
+        return share, math.sqrt(share * (1.0 - share) / episodes)
+
     if done > 0:
         mean_nu = nu_sum / done
         var_nu = max(nu_sq / done - mean_nu**2, 0.0)
         mean_nu_se = math.sqrt(var_nu / done)
-        mean_a_exit = exit_sum / done
+        mean_a_exit = a_sum / done
     else:
         mean_nu = math.nan
         mean_nu_se = 0.0
         mean_a_exit = math.nan
     return SimStats(
-        episodes=n,
-        burst_rate=burst_rate,
-        burst_se=math.sqrt(burst_rate * (1.0 - burst_rate) / n),
-        prior_safe_rate=safe_rate,
-        prior_safe_se=math.sqrt(safe_rate * (1.0 - safe_rate) / n),
+        episodes,
+        *rate(regular),
+        *rate(safety),
+        *rate(safe),
         mean_nu=mean_nu,
         mean_nu_se=mean_nu_se,
         mean_a_exit=mean_a_exit,

@@ -20,7 +20,7 @@ from swarmgame.model import (
 )
 from swarmgame.optimize import optimize
 from swarmgame.series import TruncSeries, d_operator, series_div
-from swarmgame.sim import REGULAR, SAFETY, estimate, sample_exit_indices
+from swarmgame.sim import estimate, sample_exit_indices
 
 mpmath.mp.dps = 50
 
@@ -95,9 +95,8 @@ def test_criterion_3_analytic_vs_monte_carlo():
     episodes = 1_000_000
     rho = 0.5
     p = params()
-    regular = estimate(p, REGULAR, episodes=episodes, seed=2024)
-    safety = estimate(p, SAFETY, episodes=episodes, seed=2024, rho=rho)
-    calibrated = params(expected_nu=regular.mean_nu)
+    sim = estimate(p, episodes=episodes, seed=2024, rho=rho)
+    calibrated = params(expected_nu=sim.mean_nu)
     mean = exit_mean_count(calibrated)
     thr, n = p.M // 2 + 1, p.candidates
     ok = True
@@ -109,9 +108,12 @@ def test_criterion_3_analytic_vs_monte_carlo():
     m = p.lambda_a * p.delta
     exact = pathwise_events(p, rho)
     exact0, exact1 = exact.burst_regular, exact.burst_safety
-    assert regular.censored_count == 0 and safety.censored_count == 0
-    ok &= regular.burst_rate == exact0 == 1.0
-    ok &= abs(safety.burst_rate - exact1) <= 3 * safety.burst_se
+    assert sim.censored_count == 0
+    ok &= exact0 == 1.0
+    # At a rate of 1 the SE is 0, so the Regular check is exact.
+    for field in ("burst_regular", "burst_safety"):
+        got, se = getattr(sim, field), getattr(sim, field + "_se")
+        ok &= abs(got - getattr(exact, field)) <= 3 * se
 
     # 2. Closed form vs Monte Carlo of its own event.
     q0 = burst_prob_regular(calibrated)
@@ -127,8 +129,8 @@ def test_criterion_3_analytic_vs_monte_carlo():
 
     # 3. Wald's identity, E[A_exit] = m * E[nu], against the simulator; the
     # SE is Wald's second identity, Var(A_exit - m * nu) = m (1 + m) E[nu].
-    wald_se = math.sqrt(m * (1 + m) * regular.mean_nu / episodes)
-    wald_dev = (regular.mean_a_exit - mean) / wald_se
+    wald_se = math.sqrt(m * (1 + m) * sim.mean_nu / episodes)
+    wald_dev = (sim.mean_a_exit - mean) / wald_se
     ok &= abs(wald_dev) <= 3
 
     assert verdict(
@@ -136,9 +138,9 @@ def test_criterion_3_analytic_vs_monte_carlo():
         "analytic vs Monte Carlo",
         bool(ok),
         f"q0 {q0:.4f} vs its MC {mc0:.4f}; q1 {q1:.4f} vs its MC {mc1:.4f}; "
-        f"sim Regular {regular.burst_rate:.4f} vs exact {exact0:.4f}; "
-        f"sim Safety {safety.burst_rate:.5f} vs exact {exact1:.5f}; "
-        f"Wald E[A_exit] {regular.mean_a_exit:.4f} vs {mean:.4f}"
+        f"sim Regular {sim.burst_regular:.4f} vs exact {exact0:.4f}; "
+        f"sim Safety {sim.burst_safety:.5f} vs exact {exact1:.5f}; "
+        f"Wald E[A_exit] {sim.mean_a_exit:.4f} vs {mean:.4f}"
         f" ({wald_dev:+.2f} SE); "
         f"gap closed form - pathwise {q0 - exact0:+.3f} Regular, "
         f"{q1 - exact1:+.3f} Safety",

@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swarmgame import cli
 from swarmgame.cli import main
 from swarmgame.fluctuation import PathwiseEvents, pathwise_events
 from swarmgame.kernels import pois_tail
 from swarmgame.model import SwarmParams, total_cost
 from swarmgame.optimize import optimize
+from swarmgame.sim import estimate
 from tests.test_fluctuation import dense_chain_events
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,6 +141,39 @@ def test_simulate_negative_seed(config_path, capsys):
         assert captured.err == ""
         outputs.append(captured.out)
     assert outputs[0] != outputs[1]
+
+
+def test_simulate_runs_the_simulator_once(config_path, monkeypatch, capsys):
+    # One pass of estimate gives both the Regular and the Safety block.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate", counted)
+    assert run(["simulate", "--config", config_path, "--rho", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert "[Regular]" in out and "[Safety]" in out
+
+
+def test_simulate_leaves_auto_nu_unresolved(tmp_path, capsys):
+    # The simulator never reads expected_nu, so with no attacker "auto"
+    # does not fail the way analyze does; the output is that of a fixed nu.
+    outputs = []
+    for nu in ("auto", "3"):
+        cfg = tmp_path / f"{nu}.cfg"
+        cfg.write_text(
+            "M = 20\ndrone_value = 1500\nlambda_a = 0\nlambda_h = 1\n"
+            f"delta0 = 1\ndelta = 1\nexpected_nu = {nu}\nepisodes = 50\n"
+        )
+        assert run(["simulate", "--config", cfg, "--rho", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert "censored        = 50" in outputs[0]
 
 
 def test_optimize_matches_library(config_path, tmp_path, capsys):

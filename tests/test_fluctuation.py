@@ -1,6 +1,7 @@
 import math
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -249,6 +250,75 @@ def test_phi_matches_series_reference():
         assert phi(point, p, rho) == pytest.approx(
             _phi_series(point, p, rho), abs=1e-9
         )
+
+
+def mp_phi(point, p, rho):
+    """``phi`` at 40 digits, with no exponent range to overflow or underflow.
+
+    The pre-exit mass is expanded in closed form rather than by the
+    recurrence: with a0 = 1 - xi c and t = r / a0, the coefficient of u^i
+    in c0 (1 - r u) / ((1 - r0 u)(a0 - r u)) is
+    c0 (r0^i / a0 + (xi c / a0) sum_{j=1..i} r0^(i - j) t^j).
+    """
+    with mpmath.workdps(40):
+        rates = (p.lambda_a, p.lambda_h, p.delta0, p.delta)
+        la, lh, d0, d = (mpmath.mpf(v) for v in rates)
+        xi, g0, g1, b, z0, z1 = (mpmath.mpf(v) for v in astuple(point))
+        thr, n = majority_threshold(p.M), p.candidates
+        y, yp, zp = g1 * b, g0 * g1 * b, z0 * z1
+
+        def transform(g, z, mean):
+            return 1 / (1 + la * mean * (1 - g) + lh * mean * (1 - z))
+
+        c0, c = transform(0, zp, d0), transform(0, zp, d)
+        r0, r = la * d0 * c0 * yp, la * d * c * yp
+        a0 = 1 - xi * c
+        t = r / a0
+        partial, t_power, h = mpmath.mpf(0), mpmath.mpf(1), []
+        for i in range(thr):
+            if i:
+                t_power *= t
+                partial = r0 * partial + t_power
+            h.append(c0 * (r0**i / a0 + xi * c / a0 * partial))
+
+        def exit_weight(mean, short):
+            ratio = la * mean * transform(0, z1, mean) * y
+            return transform(y, z1, mean) * ratio**short
+
+        lam = xi * exit_weight(d0, thr) + xi**2 * mpmath.fsum(
+            h[i] * exit_weight(d, thr - i) for i in range(thr)
+        )
+        return (1 - mpmath.mpf(rho) + mpmath.mpf(rho) / b) ** n * lam
+
+
+def test_phi_matches_mpmath_at_large_swarm():
+    # E[b^-B] grows like |b|^-n; at M = 5000, b = 1/2, rho = 0.9 it
+    # overflows, and near M = 2150 the mass it multiplies underflows to 0,
+    # although their product is far inside the float range.
+    rng = np.random.default_rng(31)
+    cases = [(5000, 0.5, 0.9), (2150, 0.5, 0.9), (5000, -0.5, 0.9), (5000, 1.0, 0.9)]
+    for _ in range(16):
+        b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)
+        cases.append((int(rng.integers(4, 5001)), b, rng.uniform()))
+    for case, (M, b, rho) in enumerate(cases):
+        p = params(
+            M=M,
+            lambda_a=rng.uniform(0.2, 3.0),
+            lambda_h=rng.uniform(0.0, 2.0) if case % 2 else 0.0,
+            delta0=rng.uniform(0.2, 3.0),
+            delta=rng.uniform(0.2, 3.0),
+        )
+        # Positive marks keep the terms of one sign, so the functional is
+        # compared relatively, at any magnitude; near 1 at large M, each mark
+        # raised to about M/2 stays far from underflow.
+        marks = rng.uniform(0.5, 1.0, 5) ** min(1.0, 50 / M)
+        point = TransformPoint(*marks[:3], b, *marks[3:])
+        want = mp_phi(point, p, rho)
+        got = phi(point, p, rho)
+        if abs(want) > 1e-290:
+            assert got == pytest.approx(float(want), rel=1e-11), case
+        else:  # below the normal range: it may only underflow
+            assert abs(got) <= 1e-290, case
 
 
 def dense_chain_events(p, rho, cap=150):

@@ -7,6 +7,7 @@ import pytest
 from swarmgame.kernels import pois_tail
 from swarmgame.model import (
     SwarmParams,
+    _CostCurve,
     ally_cost,
     burst_prob_regular,
     burst_prob_safety,
@@ -218,6 +219,18 @@ def test_sweep_endpoints_are_exact():
         assert first.total == p.swarm_value * first.q0
         tail = pois_tail(majority_threshold(p.M) + p.candidates, exit_mean_count(p))
         assert last.q1 == tail
+
+
+def test_one_rho_is_bitwise_its_curve_row():
+    # analyze prices one rho, sweep a grid of them: each rho's row must not
+    # depend on which other rho share its curve, so the two print alike.
+    rng = random.Random(11)
+    configs = random_configs(count=6, seed=7) + [large_swarm_params(0.37)]
+    for p in configs:
+        curve = _CostCurve(p)
+        rho = sorted(rng.random() for _ in range(60)) + [0.0, 0.5, 1.0]
+        for r, row in zip(rho, curve.breakdowns(rho)):
+            assert curve.breakdowns([r])[0] == row, (p.M, r)
 
 
 def large_swarm_params(mean_shift):
