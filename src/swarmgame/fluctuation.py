@@ -174,13 +174,9 @@ def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
             h @ exit_weight(params.delta, thr - np.arange(thr), s)
         )
 
-    try:
-        # As Python floats, an overflowing power raises rather than warns.
-        sigma = sigma_transform(float(b), float(rho), n)
-    except OverflowError:
-        sigma = math.inf
-    if abs(sigma) <= 1.0:
-        return sigma * exit_mass(y)
+    # |E[b^-B]| <= 1 exactly when its base is, and then the power is finite.
+    if abs(1.0 - rho + rho / b) <= 1.0:
+        return sigma_transform(b, rho, n) * exit_mass(y)
     # E[b^-B] grows like |b|^-n, while every one of the at least thr
     # captures carries a factor y = g1 b, so the mass underflows where the
     # product does not (M = 5000, b = 1/2, rho = 0.9, lambda_a = 1: sigma

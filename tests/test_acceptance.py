@@ -109,11 +109,8 @@ def test_criterion_3_analytic_vs_monte_carlo():
     exact = pathwise_events(p, rho)
     exact0, exact1 = exact.burst_regular, exact.burst_safety
     assert sim.censored_count == 0
-    ok &= exact0 == 1.0
-    # At a rate of 1 the SE is 0, so the Regular check is exact.
-    for field in ("burst_regular", "burst_safety"):
-        got, se = getattr(sim, field), getattr(sim, field + "_se")
-        ok &= abs(got - getattr(exact, field)) <= 3 * se
+    ok &= sim.burst_regular == exact0 == 1.0
+    ok &= abs(sim.burst_safety - exact1) <= 3 * sim.burst_safety_se
 
     # 2. Closed form vs Monte Carlo of its own event.
     q0 = burst_prob_regular(calibrated)
