@@ -20,7 +20,7 @@ from .model import SwarmParams, _CostCurve
 from .model import total_cost  # noqa: F401
 from .optimize import optimize as optimize_rho
 from .optimize import sweep as sweep_curve
-from .sim import CHUNK, REGULAR, SAFETY, SimStats, estimate
+from .sim import REGULAR, SAFETY, SimStats, estimate
 
 # Column order of the CSV rows and of analyze's printout.
 COLUMNS = ("rho", "ally_cost", "p_prior", "q0", "q1", "total")
@@ -48,16 +48,17 @@ def _write_csv(path: str, curve) -> int:
 
 
 def _resolve_params(config: RunConfig) -> SwarmParams:
-    """Build SwarmParams, running the exit-index transform in auto mode."""
-    if config.expected_nu != "auto":
-        return config.to_params()
-    nu = expected_exit_index(config.to_params(expected_nu=3.0))
+    """Build SwarmParams; the exit-index transform sets an unset expected_nu."""
+    params = config.to_params()
+    if params.expected_nu is not None:
+        return params
+    nu = expected_exit_index(params)
     if not math.isfinite(nu):
         raise RuntimeError(
             "auto expected_nu failed: the exit-index transform is singular "
             "(lambda_a = 0 means the attacker never exits)"
         )
-    return config.to_params(expected_nu=nu)
+    return replace(params, expected_nu=nu)
 
 
 def _print_stats(label: str, stats: SimStats, burst: float, burst_se: float) -> None:
@@ -82,13 +83,12 @@ def _cmd_analyze(config: RunConfig, args) -> int:
 
 def _cmd_simulate(config: RunConfig, args) -> int:
     # The simulator never reads expected_nu, so "auto" is left unresolved.
-    stats = estimate(
-        config.to_params(expected_nu=1.0),
-        episodes=config.episodes,
-        seed=config.seed,
-        rho=config.rho,
-        workers=args.workers,
-    )
+    try:
+        stats = estimate(config.to_params(), episodes=config.episodes,
+                         seed=config.seed, rho=config.rho, workers=args.workers)
+    except ValueError as exc:  # the simulator's bounds, checked before any chunk
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _print_stats(REGULAR, stats, stats.burst_regular, stats.burst_regular_se)
     _print_stats(SAFETY, stats, stats.burst_safety, stats.burst_safety_se)
     return 0
@@ -132,9 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help=f"worker threads for simulate, one {CHUNK}-episode chunk each at a "
-        "time (output is the same for any count); 2 workers on 2 cores "
-        "measured 0.73-1.25x the episodes/s of 1 at M = 20 and 120",
+        help="worker threads for simulate (output is the same for any count)",
     )
     return parser
 
@@ -160,8 +158,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _COMMANDS[args.command](config, args)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:
+        cause = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {cause}{exc}", file=sys.stderr)
         return 1
 
 

@@ -48,19 +48,13 @@ class RunConfig:
             raise ConfigError(f"key 'rho' must lie in [0, 1], got {self.rho}")
         # SwarmParams invariants, surfaced as config errors with the key name.
         try:
-            self.to_params(expected_nu=3.0 if self.expected_nu == "auto" else None)
+            self.to_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def to_params(self, expected_nu: float | None = None) -> SwarmParams:
-        """Build SwarmParams; expected_nu overrides the "auto" marker."""
-        nu = expected_nu
-        if nu is None:
-            if self.expected_nu == "auto":
-                raise ConfigError(
-                    "expected_nu is 'auto'; resolve it before building params"
-                )
-            nu = float(self.expected_nu)
+    def to_params(self) -> SwarmParams:
+        """Build SwarmParams; "auto" leaves expected_nu unset (None)."""
+        nu = None if self.expected_nu == "auto" else float(self.expected_nu)
         values = {f.name: getattr(self, f.name) for f in fields(SwarmParams)}
         return SwarmParams(**{**values, "expected_nu": nu})
 

@@ -1,11 +1,11 @@
 """Numerically stable Poisson and binomial probability kernels.
 
-Everything downstream (burst probabilities, cost curves, ally weighting)
-reduces to these four functions.  pmf evaluation happens in log space so
-that node counts in the hundreds cannot overflow a float; the cdf and the
-tail are regularized incomplete gamma functions (``scipy.special.pdtr``
-and ``pdtrc``), which neither underflow at large means nor cancel to zero
-in the far tail.
+The single-rho burst probabilities and ally weights reduce to these four
+functions; ``model._CostCurve`` calls ``pdtrc`` and ``gammaln`` on arrays
+itself.  pmf evaluation happens in log space so that node counts in the
+hundreds cannot overflow a float; the cdf and the tail are regularized
+incomplete gamma functions (``scipy.special.pdtr`` and ``pdtrc``), which
+neither underflow at large means nor cancel to zero in the far tail.
 """
 
 import math

@@ -55,8 +55,9 @@ class SwarmParams:
     lambda_h     honest accumulation rate (events per unit time)
     delta0       mean of the first observation interval
     delta        mean of every subsequent observation interval
-    expected_nu  expected exit index E[nu] (>= 1); fixed input or computed
-                 by the fluctuation module
+    expected_nu  expected exit index E[nu] (>= 1) the closed form prices the
+                 burst at, or None: unset, as "auto" is until an analytic
+                 command resolves it (simulate never reads or resolves it)
     ally_unit_cost  currency per ally candidate per unit rho
     """
 
@@ -66,7 +67,7 @@ class SwarmParams:
     lambda_h: float = 0.0
     delta0: float = 1.0
     delta: float = 1.0
-    expected_nu: float = 3.0
+    expected_nu: Optional[float] = 3.0
     ally_unit_cost: float = 3.0
 
     def __post_init__(self) -> None:
@@ -86,8 +87,9 @@ class SwarmParams:
             "expected_nu",
             "ally_unit_cost",
         ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.drone_value < 0:
             raise ValueError(f"drone_value must be nonnegative, got {self.drone_value}")
         if self.lambda_a < 0:
@@ -98,7 +100,7 @@ class SwarmParams:
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.expected_nu < 1:
+        if self.expected_nu is not None and self.expected_nu < 1:
             raise ValueError(f"expected_nu must be >= 1, got {self.expected_nu}")
         if self.ally_unit_cost < 0:
             raise ValueError(
@@ -184,9 +186,11 @@ def exit_mean_count(params: SwarmParams) -> float:
     """Mean attacker count at the exit epoch: lambda_a * E[time to exit].
 
     The exit time spans one first interval plus E[nu] - 1 subsequent ones.
+    The closed form reads E[nu] only here, which raises if it is unset.
     """
-    extra = max(params.expected_nu - 1.0, 0.0)
-    return params.lambda_a * (params.delta0 + extra * params.delta)
+    if params.expected_nu is None:
+        raise ValueError("expected_nu is unset; resolve it with expected_exit_index")
+    return params.lambda_a * (params.delta0 + (params.expected_nu - 1.0) * params.delta)
 
 
 def prior_safe_prob(params: SwarmParams) -> float:

@@ -51,12 +51,18 @@ CHUNK = 4096
 MAX_EPOCH_MEAN = 1e15
 
 
-def _plan(rho: float, episodes: int) -> list[int]:
-    """Validate inputs; return the chunk sizes, which depend only on episodes."""
+def _plan(params: SwarmParams, rho: float, episodes: int) -> list[int]:
+    """Validate inputs before any chunk runs; return the chunks' sizes."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
+    epoch_mean = (params.lambda_a + params.lambda_h) * max(params.delta0, params.delta)
+    if epoch_mean > MAX_EPOCH_MEAN:
+        raise ValueError(
+            "(lambda_a + lambda_h) * max(delta0, delta) must be at most "
+            f"{MAX_EPOCH_MEAN:g} for the simulator, got {epoch_mean:g}"
+        )
     return [min(CHUNK, episodes - start) for start in range(0, episodes, CHUNK)]
 
 
@@ -150,12 +156,6 @@ def _chunk(
     rng, ally_rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
     rate = params.lambda_a + params.lambda_h
-    epoch_mean = rate * max(params.delta0, params.delta)
-    if epoch_mean > MAX_EPOCH_MEAN:
-        raise ValueError(
-            "(lambda_a + lambda_h) * max(delta0, delta) must be at most "
-            f"{MAX_EPOCH_MEAN:g} for the simulator, got {epoch_mean:g}"
-        )
     share = params.lambda_a / rate if rate > 0 else 0.0
 
     nu = np.zeros(size, dtype=np.int64)
@@ -211,7 +211,7 @@ def simulate_episode(
     horizon: int = DEFAULT_HORIZON,
 ) -> EpisodeOutcome:
     """Simulate one game, deterministically in the seed: chunk 0 at size 1."""
-    _plan(rho, 1)
+    _plan(params, rho, 1)
     arrays = _chunk(params, rho, seed, 0, 1, horizon)
     nu, mu, *rest = (a[0].item() for a in arrays)
     return EpisodeOutcome(nu or None, mu or None, *rest)
@@ -227,7 +227,7 @@ def sample_exit_indices(
 
     Runs the chunks of ``estimate``, so episode i here is episode i there.
     """
-    sizes = _plan(0.0, episodes)
+    sizes = _plan(params, 0.0, episodes)
     collected = []
     censored_total = 0
     for index, size in enumerate(sizes):
@@ -251,7 +251,7 @@ def estimate(
     and the sums are folded in chunk order, so the outcome is identical
     for any worker count.
     """
-    sizes = _plan(rho, episodes)
+    sizes = _plan(params, rho, episodes)
     half = params.M / 2
 
     def run(index: int) -> tuple[int, ...]:

@@ -176,6 +176,34 @@ def test_simulate_leaves_auto_nu_unresolved(tmp_path, capsys):
     assert "censored        = 50" in outputs[0]
 
 
+def test_simulate_rate_beyond_simulator_bound_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(
+        "M = 20\ndrone_value = 1500\nlambda_a = 1e300\ndelta0 = 1\ndelta = 1\n"
+    )
+    assert run(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "must be at most 1e+15 for the simulator" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("nu", ["3", "auto"])
+def test_swarm_too_large_for_memory_exits_1(tmp_path, capsys, nu):
+    # numpy refuses the 364 TiB allocation at once, beyond any address space.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        "M = 100000000000000\ndrone_value = 1\nlambda_a = 1\ndelta0 = 1\n"
+        f"delta = 1\nexpected_nu = {nu}\n"
+    )
+    assert run(["analyze", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_optimize_matches_library(config_path, tmp_path, capsys):
     out = tmp_path / "opt.csv"
     assert run(["optimize", "--config", config_path, "--out", out]) == 0
@@ -267,7 +295,8 @@ def test_analytic_commands_leave_scipy_signal_unloaded(tmp_path):
         "expected_nu = auto\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", FRESH_IMPORT, str(cfg), str(tmp_path / "c.csv")],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", FRESH_IMPORT,
+         str(cfg), str(tmp_path / "c.csv")],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,

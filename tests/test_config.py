@@ -65,11 +65,10 @@ def test_missing_equals_rejected():
 
 
 def test_expected_nu_auto():
+    # "auto" leaves nu unset; the analytic commands resolve it.
     config = parse_config(TABLE_CONFIG + "expected_nu = auto\n")
     assert config.expected_nu == "auto"
-    with pytest.raises(ConfigError):
-        config.to_params()
-    assert config.to_params(expected_nu=5.0).expected_nu == 5.0
+    assert config.to_params().expected_nu is None
 
 
 def test_expected_nu_number():

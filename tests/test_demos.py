@@ -1,4 +1,5 @@
-"""Each demo runs from a checkout with ``PYTHONPATH=src``, as the README shows."""
+"""Each demo runs from a checkout with ``PYTHONPATH=src``, as the README shows,
+and a ``RuntimeWarning`` fails it, as it fails the suite's own process."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -21,7 +21,7 @@ from swarmgame.fluctuation import (
 from swarmgame.kernels import binom_pmf
 from swarmgame.model import SwarmParams, majority_threshold
 from swarmgame.series import TruncSeries, d_operator
-from swarmgame.sim import sample_exit_indices
+from swarmgame.sim import estimate, sample_exit_indices
 
 
 def params(**overrides):
@@ -102,6 +102,19 @@ def test_pgf_matches_monte_carlo():
         samples = xi ** nu.astype(float)
         se = samples.std() / math.sqrt(len(samples))
         assert abs(exit_index_pgf(xi, p) - samples.mean()) <= 3 * se + 1e-12
+
+
+def test_nu_free_layers_ignore_an_unset_nu():
+    # The transform, the exact events and the simulator never read nu.
+    unset, fixed = params(lambda_h=0.5, expected_nu=None), params(lambda_h=0.5)
+    point = TransformPoint(xi=0.7, g0=0.9, g1=0.8, b=0.6, z1=0.9)
+    for layer in (
+        lambda p: astuple(estimate(p, episodes=5000, seed=4, rho=0.5)),
+        expected_exit_index,
+        lambda p: astuple(pathwise_events(p, 0.5)),
+        lambda p: phi(point, p, 0.5),
+    ):
+        assert layer(unset) == layer(fixed)
 
 
 def test_expected_exit_index_at_least_one():

@@ -7,6 +7,7 @@ from swarmgame.kernels import binom_pmf, pois_cdf, pois_tail
 from swarmgame.model import (
     CostMatrix,
     SwarmParams,
+    _CostCurve,
     ally_cost,
     burst_prob_regular,
     burst_prob_safety,
@@ -63,6 +64,13 @@ def test_exit_mean_count():
     assert exit_mean_count(
         table_params(expected_nu=1.0, delta0=2.0, lambda_a=5.0)
     ) == pytest.approx(10.0)
+
+
+def test_unset_expected_nu_fails_where_read():
+    p = table_params(expected_nu=None)
+    for read in (exit_mean_count, lambda q: total_cost(q, 0.5), _CostCurve):
+        with pytest.raises(ValueError, match="expected_nu"):
+            read(p)
 
 
 def test_prior_safe_prob():

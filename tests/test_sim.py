@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from swarmgame import sim
 from swarmgame.fluctuation import pathwise_events
 from swarmgame.model import SwarmParams, majority_threshold
 from swarmgame.sim import (
@@ -95,6 +96,15 @@ def test_estimate_rejects_epoch_means_beyond_int64_counts():
             estimate(params(lambda_a=la), episodes=10, seed=1)
     with pytest.raises(ValueError, match="at most"):
         simulate_episode(params(lambda_a=1.0, lambda_h=1e16), seed=1)
+
+
+def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(sim, "_chunk", no_chunk)
+    with pytest.raises(ValueError, match="at most"):
+        estimate(params(lambda_a=1e300), episodes=10_000, seed=1, workers=2)
 
 
 def test_estimate_single_episode_se():
