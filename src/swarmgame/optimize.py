@@ -27,9 +27,10 @@ from .model import total_cost  # noqa: F401
 __all__ = ["OptimalRho", "sweep", "optimize"]
 
 # Refinement offsets in grid spacings; the spacing then shrinks _SIDE-fold.
-# Offset 0 is exact, so the best point is evaluated again and never lost.
+# Offsets 0 and +-1 are the best point and the bracket ends, held from
+# the step before, so only the points strictly between them are new.
 _SIDE = 5
-_REFINE = np.arange(-_SIDE, _SIDE + 1) / _SIDE
+_REFINE = np.array([k for k in range(1 - _SIDE, _SIDE) if k]) / _SIDE
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,21 @@ def sweep(params: SwarmParams, grid_size: int) -> list[CostBreakdown]:
     return _CostCurve(params).breakdowns(_grid(grid_size))
 
 
+def _bracket(points: list[CostBreakdown]) -> tuple[CostBreakdown, list[CostBreakdown]]:
+    """The least-total point of a rho-ordered list (ties to the smaller
+    rho), and the bracket it sits in: itself and its neighbours."""
+    i = min(range(len(points)), key=lambda k: points[k].total)
+    return points[i], points[max(i - 1, 0) : i + 2]
+
+
 def optimize(
     params: SwarmParams, tolerance: float = 1e-5, grid_size: int = 101
 ) -> OptimalRho:
     """Minimize the total defense cost over rho.
 
-    Re-grids the bracket around the best point, keeping that point,
-    until a re-gridded bracket is no wider than tolerance or stops
+    Re-grids the bracket around the best point, evaluating only the
+    points strictly inside it and keeping the best point and the bracket
+    ends, until a re-gridded bracket is no wider than tolerance or stops
     shrinking in floating point.  Ties go to the smaller rho, so a flat
     cost gives rho = 0; a boundary optimum is a valid result.
     """
@@ -66,12 +75,12 @@ def optimize(
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     engine = _CostCurve(params)
     curve = engine.breakdowns(_grid(grid_size))
-    best = min(curve, key=lambda point: point.total)
+    best, held = _bracket(curve)
     step = 1.0 / (grid_size - 1)
     while best.rho + step > best.rho:
         rho = best.rho + step * _REFINE
-        points = engine.breakdowns(rho[(rho >= 0.0) & (rho <= 1.0)])
-        best = min(points, key=lambda point: point.total)
+        points = held + engine.breakdowns(rho[(rho >= 0.0) & (rho <= 1.0)])
+        best, held = _bracket(sorted(points, key=lambda point: point.rho))
         if 2.0 * step <= tolerance:
             break
         step /= _SIDE

@@ -3,21 +3,25 @@
 Observation epochs are exponentially spaced; attacker and honest node
 counts accumulate as Poisson processes between epochs.  An episode ends
 when the attacker first holds a strict majority (the exit index nu) or
-when the epoch horizon is reached.  Each epoch's counts are drawn from
-their exact joint law, with no interval length: the epoch total is
-geometric and splits binomially between attacker and honest (Poisson
-thinning).  Only episodes still live draw; finished ones leave the loop.
+when the epoch horizon is reached.
 
-One kernel, ``_chunk``, runs the epoch loop for a chunk of episodes
-driven by its own counter-based random streams keyed on (seed, chunk
-index), and returns per-episode arrays, both strategies' bursts among
-them: Regular is Safety with no allies, facing the same attack, so one
-pass serves both.  ``estimate`` reduces chunks to integer sums,
-``sample_exit_indices`` keeps their exit indices, and
-``simulate_episode`` is chunk 0 at size 1.  So results are bitwise
-reproducible, independent of how chunks are scheduled across workers,
-and ``simulate_episode(seed)`` is the single episode
-``estimate(episodes=1, seed=seed)`` aggregates.
+No epoch is stepped.  Epoch 1's counts are drawn from their exact law;
+after it, epoch ends, captures and honest arrivals are independent
+Poisson processes, so each outcome is drawn from a few laws of their
+arrival times (gamma) and of the counts between them (binomial, as a
+Poisson process's points given their count on an interval are uniform
+there).  A chunk costs a dozen numpy calls whatever M, the exit index
+or the horizon; ``_chunk`` states the laws.
+
+One kernel, ``_chunk``, draws a chunk of episodes from its own
+counter-based random streams keyed on (seed, chunk index), and returns
+per-episode arrays, both strategies' bursts among them: Regular is
+Safety with no allies, facing the same attack, so one pass serves both.
+``estimate`` reduces chunks to integer sums, ``sample_exit_indices``
+keeps their exit indices, and ``simulate_episode`` is chunk 0 at size
+1.  So results are bitwise reproducible, independent of how chunks are
+scheduled across workers, and ``simulate_episode(seed)`` is the single
+episode ``estimate(episodes=1, seed=seed)`` aggregates.
 """
 
 from __future__ import annotations
@@ -46,17 +50,20 @@ SAFETY = "Safety"
 
 DEFAULT_HORIZON = 10_000
 CHUNK = 4096
-# Largest mean count per epoch: an exponential draw times it must stay
-# far inside int64 when cast to a count.
+# Largest mean count per epoch: epoch 1's count and the exit epoch's
+# overshoot, about an exponential draw times it, must stay far inside
+# int64.
 MAX_EPOCH_MEAN = 1e15
 
 
-def _plan(params: SwarmParams, rho: float, episodes: int) -> list[int]:
+def _plan(params: SwarmParams, rho: float, episodes: int, horizon: int) -> list[int]:
     """Validate inputs before any chunk runs; return the chunks' sizes."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     epoch_mean = (params.lambda_a + params.lambda_h) * max(params.delta0, params.delta)
     if epoch_mean > MAX_EPOCH_MEAN:
         raise ValueError(
@@ -122,6 +129,32 @@ def _streams(seed: int, chunk: int):
     return process, allies
 
 
+def _geometric(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
+    """Counts with P{y >= k} = r^k, r = mean / (1 + mean), by inversion.
+
+    floor(E / log(1 + 1/mean)) with E ~ Exp(1); all 0 at mean 0.
+    """
+    scale = math.log1p(1.0 / mean) if mean > 0 else math.inf
+    return (rng.standard_exponential(size) / scale).astype(np.int64)
+
+
+def _arrival(rng: np.random.Generator, count: np.ndarray, rate: float) -> np.ndarray:
+    """Time of the count-th point of a rate-``rate`` Poisson process.
+
+    A Gamma(count) draw over the rate; inf (never) at rate 0, and where
+    the time overflows the float range, as it may at tiny rates.
+    """
+    if rate == 0:
+        return np.full(count.shape, np.inf)
+    with np.errstate(over="ignore"):
+        return rng.standard_gamma(count) / rate
+
+
+def _share(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """part / whole as a probability: 0 where whole is 0."""
+    return np.divide(part, whole, out=np.zeros(part.shape), where=whole > 0)
+
+
 def _chunk(
     params: SwarmParams,
     rho: float,
@@ -130,73 +163,108 @@ def _chunk(
     size: int,
     horizon: int,
 ) -> tuple[np.ndarray, ...]:
-    """Simulate chunk ``index`` of ``size`` episodes: the one epoch loop.
+    """Simulate chunk ``index`` of ``size`` episodes from their path laws.
 
     Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
     a_prior, a_exit, allies, burst_regular, burst_safety, censored, with
     0 in nu/mu for a threshold not reached.
 
-    Only live episodes draw.  ``live`` indexes the chunk rows still below
-    the attacker threshold; their attacker count, honest count and mu are
-    kept compacted beside it.  Each epoch draws the total count y of the
-    epoch from its exact law P{y = k} = (1 - r) r^k, r = m / (1 + m),
-    m = (lambda_a + lambda_h) d, d = delta0 at epoch 1 and delta after: a
-    Poisson count over an exponential interval of mean d is geometric.  It
-    is drawn by inversion, y = floor(E / log(1 + 1/m)) with E ~ Exp(1),
-    so P{y >= k} = r^k.  The attacker share is x ~ Binomial(y, lambda_a /
-    (lambda_a + lambda_h)) and the honest share y - x: each point of the
-    merged Poisson process is the attacker's with that probability,
-    independently of the interval (thinning), so the split holds given y.
-    A row that crosses writes its outcome and leaves ``live``; rows still
-    live at the horizon are censored, with a_prior = a_exit = their count.
-    mu is tracked only while the episode is live, as the honest count at
-    its exit epoch decides the burst.  The allies have their own stream,
-    so rho changes nothing else, and at rho = 0 Safety is Regular.
+    Epoch 1 is drawn as a count: its total y is geometric, P{y >= k} =
+    r^k with r = m / (1 + m), m = (lambda_a + lambda_h) delta0, by
+    inversion, and splits as A1 ~ Binomial(y, lambda_a / (lambda_a +
+    lambda_h)) and H1 = y - A1 (thinning).  If A1 >= thr the episode
+    exits there: nu = 1, a_prior = 0, a_exit = A1, mu = 1 iff H1 >= thr.
+    After epoch 1, time runs in units of delta, so epoch ends, captures
+    and honest arrivals are independent Poisson processes of rates 1, a
+    = lambda_a delta and h = lambda_h delta, and the laws below follow
+    with s = thr - A1, t = thr - H1:
+
+    - the s-th capture at X ~ Gamma(s) / a, the t-th honest arrival at
+      Y ~ Gamma(t) / h, and the end of epoch ``horizon`` (the
+      horizon - 1-th end) at T ~ Gamma(horizon - 1); the episode exits
+      iff X < T, else it is censored;
+    - exit: the ends before X number F ~ Binomial(horizon - 2, X / T),
+      as the horizon - 2 ends before T are uniform on [0, T]; unbounded
+      this is NegBin(s, a / (1 + a)); nu = F + 2;
+    - the last of those F ends, uniform on [0, X], sits at X B with B ~
+      Beta(F, 1), and of the s - 1 earlier captures, uniform on [0, X],
+      Binomial(s - 1, B) precede it: a_prior = A1 + that count;
+    - after X, captures and ends form one Poisson stream of rate 1 + a
+      whose points are captures with probability a / (1 + a), apart from
+      their times: the exit epoch holds O captures after X, P{O >= j} =
+      (a / (1 + a))^j, so a_exit = thr + O, and ends at X + D, D ~
+      Gamma(O + 1) / (1 + a);
+    - censored: the s - 1 captures before X are uniform on [0, X], so
+      Binomial(s - 1, T / X) precede T: a_prior = a_exit = A1 + that;
+    - mu: the honest side reaches thr by the exit epoch's end X + D
+      (censored: by T) iff Y precedes it.  Then mu - 2 counts the ends
+      before Y: Binomial(F - 1, Y / (X B)) if Y < X B, as the F - 1
+      ends before X B are uniform on it, else F (Y falls in the exit
+      epoch); censored, Binomial(horizon - 2, Y / T).  mu = 1 if
+      H1 >= thr.
+
+    Given a Poisson process's count on an interval, its points are
+    uniform there, and given its k-th point, its first k - 1 points are
+    uniform before it: that is why every split above is binomial, and
+    why the processes' order within an epoch need not be drawn.  Every
+    count is bounded by the horizon or by s, so a = 0 or a tiny a delta
+    (X = inf) simply censors, with no epoch stepped.  The allies have
+    their own stream, so rho changes nothing else, and at rho = 0 Safety
+    is Regular.
     """
     rng, ally_rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
     rate = params.lambda_a + params.lambda_h
     share = params.lambda_a / rate if rate > 0 else 0.0
+    a = params.lambda_a * params.delta
 
-    nu = np.zeros(size, dtype=np.int64)
-    mu = np.zeros(size, dtype=np.int64)
-    a_prior = np.zeros(size, dtype=np.int64)
-    a_exit = np.zeros(size, dtype=np.int64)
-    # Rows of the live episodes, and their attacker, honest and mu values.
-    live = np.arange(size)
-    attacker = np.zeros(size, dtype=np.int64)
-    honest = np.zeros(size, dtype=np.int64)
-    live_mu = np.zeros(size, dtype=np.int64)
+    # Epoch 1: a geometric total split by thinning.
+    y = _geometric(rng, rate * params.delta0, size)
+    a1 = rng.binomial(y, share) if params.lambda_h > 0 else y
+    h1 = y - a1
+    exited = a1 >= threshold
 
-    k = 0
-    while live.size and k < horizon:
-        k += 1
-        m = rate * (params.delta0 if k == 1 else params.delta)
-        scale = math.log1p(1.0 / m) if m > 0 else math.inf
-        y = (rng.standard_exponential(live.size) / scale).astype(np.int64)
-        if params.lambda_h > 0:
-            x = rng.binomial(y, share)
-            honest += y - x
-            live_mu[(live_mu == 0) & (honest >= threshold)] = k
-        else:
-            x = y
-        attacker += x
-        crossing = attacker >= threshold
-        if crossing.any():
-            rows = live[crossing]
-            nu[rows] = k
-            mu[rows] = live_mu[crossing]
-            a_exit[rows] = attacker[crossing]
-            a_prior[rows] = a_exit[rows] - x[crossing]
-            stay = ~crossing
-            live, attacker, honest, live_mu = (
-                live[stay], attacker[stay], honest[stay], live_mu[stay]
-            )
+    # X, Y and T: the s-th capture, the t-th honest arrival, the close.
+    s = np.maximum(threshold - a1, 1)
+    close = rng.standard_gamma(horizon - 1, size)
+    cross = _arrival(rng, s, a)
+    race = _arrival(rng, np.maximum(threshold - h1, 1), params.lambda_h * params.delta)
+    done = ~exited & (cross < close)
+    censored = ~exited & ~done
 
-    censored = np.zeros(size, dtype=bool)
-    censored[live] = True
-    mu[live] = live_mu
-    a_prior[live] = a_exit[live] = attacker
+    # F, the ends before the crossing, or the captures before the close.
+    split = rng.binomial(
+        np.where(done, horizon - 2, np.where(censored, s - 1, 0)),
+        np.where(done, _share(cross, close), np.where(censored, _share(close, cross), 0.0)),
+    )
+    ends = np.where(done, split, 0)
+    # B, the last of the F ends as a share of X (0 if none), and O.
+    frac = rng.random(size) ** (1.0 / np.maximum(ends, 1))
+    frac[ends == 0] = 0.0
+    last = np.where(done, cross, 0.0) * frac
+    before = rng.binomial(np.where(done, s - 1, 0), frac)
+    over = _geometric(rng, a, size)
+
+    # The honest race, settled by the exit epoch's end or the close; the
+    # ends before ``mark`` are uniform on [0, mark].
+    if params.lambda_h > 0:
+        end = cross + rng.standard_gamma(over + 1) / (1.0 + a)
+    else:
+        end = cross  # race is inf: never settled
+    settled = ~exited & (race < np.where(done, end, close))
+    mark = np.where(done, last, close)
+    inside = settled & (race < mark)
+    race_ends = rng.binomial(
+        np.where(inside, np.where(done, ends - 1, horizon - 2), 0),
+        np.where(inside, _share(race, mark), 0.0),
+    )
+    mu = np.where(settled, np.where(inside, race_ends, ends) + 2, 0)
+    mu[h1 >= threshold] = 1
+
+    nu = np.where(exited, 1, np.where(done, ends + 2, 0))
+    stopped = a1 + np.where(censored, split, 0)
+    a_exit = np.where(exited, a1, np.where(done, threshold + over, stopped))
+    a_prior = np.where(exited, 0, np.where(done, a1 + before, stopped))
     allies = ally_rng.binomial(params.candidates, rho, size=size)
     # mu never exceeds nu once set, so nu < mu reduces to mu unset.
     regular = ~censored & (mu == 0)
@@ -211,7 +279,7 @@ def simulate_episode(
     horizon: int = DEFAULT_HORIZON,
 ) -> EpisodeOutcome:
     """Simulate one game, deterministically in the seed: chunk 0 at size 1."""
-    _plan(params, rho, 1)
+    _plan(params, rho, 1, horizon)
     arrays = _chunk(params, rho, seed, 0, 1, horizon)
     nu, mu, *rest = (a[0].item() for a in arrays)
     return EpisodeOutcome(nu or None, mu or None, *rest)
@@ -227,7 +295,7 @@ def sample_exit_indices(
 
     Runs the chunks of ``estimate``, so episode i here is episode i there.
     """
-    sizes = _plan(params, 0.0, episodes)
+    sizes = _plan(params, 0.0, episodes, horizon)
     collected = []
     censored_total = 0
     for index, size in enumerate(sizes):
@@ -251,7 +319,7 @@ def estimate(
     and the sums are folded in chunk order, so the outcome is identical
     for any worker count.
     """
-    sizes = _plan(params, rho, episodes)
+    sizes = _plan(params, rho, episodes, horizon)
     half = params.M / 2
 
     def run(index: int) -> tuple[int, ...]:

@@ -1,7 +1,9 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from sim_reference import reference_chunk
 
 from swarmgame import sim
 from swarmgame.fluctuation import pathwise_events
@@ -150,35 +152,37 @@ def test_safety_allies_lower_burst_rate():
 
 
 # Golden values: simulator outputs pinned bit for bit, so a change to the
-# epoch loop or the stream layout cannot pass unseen.  They were recorded
-# when the epoch loop began to draw only for live episodes, each epoch's
-# counts from their exact geometric-binomial law; the pathwise_events
-# checks below pin the law these draws follow.  Each row's label names the
-# strategy it was first pinned for, when the simulator ran one strategy
-# per pass: Regular rows sit at rho = 0, where the two bursts agree.
+# sampler or the stream layout cannot pass unseen.  They were recorded
+# when the epoch loop gave way to the path-level sampler, which draws each
+# episode's outcome from a few arrival-time and count laws; the
+# pathwise_events checks and the comparisons with the epoch loop
+# (sim_reference) pin the law these draws follow.  Each row's label names
+# the strategy it was first pinned for, when the simulator ran one
+# strategy per pass: Regular rows sit at rho = 0, where the two bursts
+# agree.
 
 GOLDEN_EPISODES = [
     # (lambda_h, label, rho, seed, outcome)
-    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(5, None, 3, 11, 6, True, False, False)),
-    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(6, None, 9, 14, 2, True, True, False)),
-    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(9, None, 10, 14, 6, True, False, False)),
-    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(13, None, 9, 14, 2, True, True, False)),
-    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(8, 5, 9, 17, 6, False, False, False)),
-    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(20, 6, 10, 13, 5, False, False, False)),
-    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(8, 5, 9, 17, 0, False, False, False)),
+    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(27, None, 10, 14, 6, True, False, False)),
+    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(12, None, 10, 12, 2, True, False, False)),
+    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(9, None, 9, 13, 6, True, False, False)),
+    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, None, 10, 16, 2, True, True, False)),
+    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(27, 8, 10, 14, 6, False, False, False)),
+    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(11, 2, 10, 11, 5, False, False, False)),
+    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(27, 8, 10, 14, 0, False, False, False)),
 ]
 
 REGULAR_STATS = SimStats(
     episodes=10000,
-    burst_regular=0.9214,
-    burst_regular_se=0.0026911343333248902,
-    burst_safety=0.9214,
-    burst_safety_se=0.0026911343333248902,
-    prior_safe_rate=0.4994,
-    prior_safe_se=0.004999996399998704,
-    mean_nu=11.9794,
-    mean_nu_se=0.04701124933460074,
-    mean_a_exit=12.0035,
+    burst_regular=0.919,
+    burst_regular_se=0.0027283511504203406,
+    burst_safety=0.919,
+    burst_safety_se=0.0027283511504203406,
+    prior_safe_rate=0.4879,
+    prior_safe_se=0.004998535685578327,
+    mean_nu=12.0066,
+    mean_nu_se=0.0475049012629223,
+    mean_a_exit=11.9979,
     censored_count=0,
 )
 GOLDEN_STATS = [
@@ -188,15 +192,15 @@ GOLDEN_STATS = [
         0.5,
         SimStats(
             episodes=10000,
-            burst_regular=0.9214,
-            burst_regular_se=0.0026911343333248902,
-            burst_safety=0.0628,
-            burst_safety_se=0.0024260288539092027,
-            prior_safe_rate=0.4994,
-            prior_safe_se=0.004999996399998704,
-            mean_nu=11.9794,
-            mean_nu_se=0.04701124933460074,
-            mean_a_exit=12.0035,
+            burst_regular=0.919,
+            burst_regular_se=0.0027283511504203406,
+            burst_safety=0.065,
+            burst_safety_se=0.00246525860712421,
+            prior_safe_rate=0.4879,
+            prior_safe_se=0.004998535685578327,
+            mean_nu=12.0066,
+            mean_nu_se=0.0475049012629223,
+            mean_a_exit=11.9979,
             censored_count=0,
         ),
     ),
@@ -218,7 +222,7 @@ def test_golden_episode(lambda_h, label, rho, seed, outcome):
 def test_golden_censored_episode():
     p = params(lambda_a=0.0, lambda_h=2.0)
     got = simulate_episode(p, seed=5, horizon=50)
-    assert got == EpisodeOutcome(None, 8, 0, 0, 0, False, False, True)
+    assert got == EpisodeOutcome(None, 11, 0, 0, 0, False, False, True)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -230,7 +234,7 @@ def test_golden_estimate(label, rho, stats, workers):
 
 def test_golden_exit_indices():
     nu, censored = sample_exit_indices(params(lambda_h=0.5), 10_000, seed=11)
-    assert (int(nu.sum()), len(nu), censored) == (119794, 10000, 0)
+    assert (int(nu.sum()), len(nu), censored) == (120066, 10000, 0)
     assert nu.mean() == REGULAR_STATS.mean_nu
 
 
@@ -295,9 +299,9 @@ def test_seeds_past_int64_are_distinct_streams():
     )
 
 
-def test_compacted_live_set_bookkeeping():
-    # Three chunks (4096, 4096, 808) stopped by a short horizon while many
-    # episodes are still live, with an honest race under way.
+def test_short_horizon_bookkeeping():
+    # Three chunks (4096, 4096, 808) under a short horizon that censors
+    # many episodes, with an honest race under way.
     p = params(lambda_h=1.0, delta0=2.0, delta=0.5)
     episodes, horizon = 9000, 15
     runs = [
@@ -325,3 +329,105 @@ def test_compacted_live_set_bookkeeping():
     for o in outcomes:
         if o.mu is not None:
             assert o.mu <= (o.nu or horizon)
+
+
+# The path-level sampler against the epoch loop it replaced
+# (``sim_reference``), in law: two independent samples of 200 000
+# episodes each, every statistic's means within 4 SE of their
+# difference.  The bound is 4 rather than 3 SE because each case compares
+# 15 statistics; the cross moments check the joint law of (nu, mu,
+# a_prior, a_exit, censored), not only its margins.
+
+
+def _outcomes(chunk, p, seed, horizon, episodes, rho=0.5):
+    """Episodes of ``estimate``'s chunks drawn by ``chunk``, as float arrays."""
+    sizes = [min(sim.CHUNK, episodes - i) for i in range(0, episodes, sim.CHUNK)]
+    parts = [chunk(p, rho, seed, i, size, horizon) for i, size in enumerate(sizes)]
+    return [np.concatenate(column).astype(float) for column in zip(*parts)]
+
+
+def _statistics(outcomes):
+    nu, mu, a_prior, a_exit, _, regular, safety, censored = outcomes
+    return {
+        "nu": nu,
+        "mu": mu,
+        "a_prior": a_prior,
+        "a_exit": a_exit,
+        "censored": censored,
+        "burst_regular": regular,
+        "burst_safety": safety,
+        "mu set": mu > 0,
+        "nu^2": nu**2,
+        "a_exit^2": a_exit**2,
+        "mu a_prior": mu * a_prior,
+        "nu a_prior": nu * a_prior,
+        "mu nu": mu * nu,
+        "mu censored": mu * censored,
+        "a_prior censored": a_prior * censored,
+    }
+
+
+def assert_same_law(p, horizon=sim.DEFAULT_HORIZON, episodes=200_000):
+    got = _statistics(_outcomes(sim._chunk, p, 1, horizon, episodes))
+    want = _statistics(_outcomes(reference_chunk, p, 2, horizon, episodes))
+    for name, sample in got.items():
+        se = math.sqrt((sample.var() + want[name].var()) / episodes)
+        diff = abs(sample.mean() - want[name].mean())
+        assert diff <= 4 * se, f"{name}: {sample.mean()} vs {want[name].mean()}, SE {se}"
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 15, sim.DEFAULT_HORIZON])
+@pytest.mark.parametrize("lambda_h", [0.0, 0.5, 2.0])
+def test_sampler_matches_epoch_loop(lambda_h, horizon):
+    assert_same_law(params(lambda_h=lambda_h, delta0=2.0, delta=0.5), horizon)
+
+
+def test_sampler_matches_epoch_loop_without_attacker():
+    # Every episode is censored; only the honest race and mu are random.
+    assert_same_law(params(lambda_a=0.0, lambda_h=2.0), horizon=50)
+
+
+def test_sampler_matches_epoch_loop_at_the_epoch_mean_bound():
+    # lambda_a * delta at MAX_EPOCH_MEAN: epoch 1 is short, epoch 2 exits
+    # with an overshoot of about 10^15.
+    p = params(lambda_a=sim.MAX_EPOCH_MEAN, delta0=1e-16, delta=1.0)
+    assert_same_law(p)
+
+
+def test_sampler_matches_epoch_loop_at_tiny_epoch_means():
+    # After epoch 1 nothing arrives: delta = 1e-300.
+    assert_same_law(params(lambda_h=0.5, delta=1e-300), horizon=30, episodes=20_000)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(lambda_a=0.0, lambda_h=2.0),
+        dict(lambda_h=0.5, delta=1e-300),
+        dict(lambda_a=5e-324, lambda_h=0.5),
+        dict(lambda_a=5e-324, lambda_h=5e-324),
+    ],
+)
+def test_tiny_rates_censor_without_warnings(overrides):
+    # No exception and no RuntimeWarning (the test suite makes those
+    # errors) at the default horizon; past epoch 1 nothing can cross.
+    p = params(**overrides)
+    nu, mu, a_prior, a_exit, *_, censored = sim._chunk(
+        p, 0.5, 3, 0, sim.CHUNK, sim.DEFAULT_HORIZON
+    )
+    assert set(nu.tolist()) <= {0, 1}
+    assert ((nu == 0) == censored).all()
+    assert (a_prior[censored] == a_exit[censored]).all()
+    assert (a_exit[censored] < majority_threshold(p.M)).all()
+    if p.lambda_h * p.delta < 1e-100:
+        assert set(mu.tolist()) <= {0, 1}
+
+
+def test_horizon_one_is_epoch_one():
+    p = params(lambda_h=2.0)
+    stats = estimate(p, episodes=20_000, seed=5, rho=0.5, horizon=1)
+    nu, censored = sample_exit_indices(p, 20_000, seed=5, horizon=1)
+    assert censored == stats.censored_count > 0
+    assert set(nu.tolist()) == {1}
+    with pytest.raises(ValueError, match="horizon"):
+        estimate(p, episodes=10, seed=5, horizon=0)
