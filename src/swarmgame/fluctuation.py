@@ -206,7 +206,8 @@ def expected_exit_index(params: SwarmParams) -> float:
 
 @dataclass(frozen=True)
 class PathwiseEvents:
-    """Exact probabilities of the simulator's events, with no horizon.
+    """Exact probabilities of the simulator's events; on both sides
+    nothing caps the exit index.
 
     With A_k, H_k the attacker and honest counts at epoch k, nu the exit
     index, thr the strict-majority threshold and B ~ Binomial(candidates,

@@ -2,24 +2,26 @@
 
 Observation epochs are exponentially spaced; attacker and honest node
 counts accumulate as Poisson processes between epochs.  An episode ends
-when the attacker first holds a strict majority (the exit index nu) or
-when the epoch horizon is reached.
+when the attacker first holds a strict majority, at the exit index nu,
+which nothing caps.
 
 No epoch is stepped.  Epoch 1's counts are drawn from their exact law;
 after it, epoch ends, captures and honest arrivals are independent
 Poisson processes, so each outcome is drawn from a few laws of their
-arrival times (gamma) and of the counts between them (binomial, as a
-Poisson process's points given their count on an interval are uniform
-there).  A chunk costs a dozen numpy calls whatever M, the exit index
-or the horizon; ``_chunk`` states the laws.
+arrival times (gamma) and of the counts around them (Poisson, or
+binomial, as a Poisson process's points given their count on an
+interval are uniform there).  A chunk costs a dozen numpy calls
+whatever M or the exit index; ``_chunk`` states the laws.  Only a
+crossing at or past ``MAX_EXIT_TIME``, which keeps every count inside
+int64, censors an episode.
 
 One kernel, ``_chunk``, draws a chunk of episodes from its own
 counter-based random streams keyed on (seed, chunk index), and returns
 per-episode arrays, both strategies' bursts among them: Regular is
 Safety with no allies, facing the same attack, so one pass serves both.
-``estimate`` reduces chunks to integer sums, ``sample_exit_indices``
-keeps their exit indices, and ``simulate_episode`` is chunk 0 at size
-1.  So results are bitwise reproducible, independent of how chunks are
+``estimate`` reduces chunks to sums, ``sample_exit_indices`` keeps
+their exit indices, and ``simulate_episode`` is chunk 0 at size 1.  So
+results are bitwise reproducible, independent of how chunks are
 scheduled across workers, and ``simulate_episode(seed)`` is the single
 episode ``estimate(episodes=1, seed=seed)`` aggregates.
 """
@@ -48,22 +50,25 @@ __all__ = [
 REGULAR = "Regular"
 SAFETY = "Safety"
 
-DEFAULT_HORIZON = 10_000
 CHUNK = 4096
 # Largest mean count per epoch: epoch 1's count and the exit epoch's
 # overshoot, about an exponential draw times it, must stay far inside
 # int64.
 MAX_EPOCH_MEAN = 1e15
+# Latest crossing time after epoch 1, in units of delta, at which an
+# episode exits; a later crossing censors it.  The counts drawn up to
+# this time are Poisson with means below it, far under numpy's limit of
+# about 9.2e18, so nu stays near 2**50 at most and a CHUNK of them sums
+# to about 2**62, inside int64.
+MAX_EXIT_TIME = 2.0**50
 
 
-def _plan(params: SwarmParams, rho: float, episodes: int, horizon: int) -> list[int]:
+def _plan(params: SwarmParams, rho: float, episodes: int) -> list[int]:
     """Validate inputs before any chunk runs; return the chunks' sizes."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     epoch_mean = (params.lambda_a + params.lambda_h) * max(params.delta0, params.delta)
     if epoch_mean > MAX_EPOCH_MEAN:
         raise ValueError(
@@ -78,7 +83,8 @@ class EpisodeOutcome:
     """One simulated game.
 
     nu/mu are None when the corresponding threshold was not reached by
-    the time the episode ended (exit or horizon).  burst_safety is
+    the time the episode ended: its exit, or for a censored episode
+    ``MAX_EXIT_TIME``, at which its counts are taken.  burst_safety is
     burst_regular (the attacker exits first) net of the allies.
     """
 
@@ -161,7 +167,6 @@ def _chunk(
     seed: int,
     index: int,
     size: int,
-    horizon: int,
 ) -> tuple[np.ndarray, ...]:
     """Simulate chunk ``index`` of ``size`` episodes from their path laws.
 
@@ -179,13 +184,11 @@ def _chunk(
     = lambda_a delta and h = lambda_h delta, and the laws below follow
     with s = thr - A1, t = thr - H1:
 
-    - the s-th capture at X ~ Gamma(s) / a, the t-th honest arrival at
-      Y ~ Gamma(t) / h, and the end of epoch ``horizon`` (the
-      horizon - 1-th end) at T ~ Gamma(horizon - 1); the episode exits
-      iff X < T, else it is censored;
-    - exit: the ends before X number F ~ Binomial(horizon - 2, X / T),
-      as the horizon - 2 ends before T are uniform on [0, T]; unbounded
-      this is NegBin(s, a / (1 + a)); nu = F + 2;
+    - the s-th capture at X ~ Gamma(s) / a and the t-th honest arrival
+      at Y ~ Gamma(t) / h; the episode exits iff X < MAX_EXIT_TIME, else
+      it is censored and its counts are those at MAX_EXIT_TIME;
+    - exit: the ends before X, a rate-1 Poisson process independent of
+      X, number F ~ Poisson(X); nu = F + 2;
     - the last of those F ends, uniform on [0, X], sits at X B with B ~
       Beta(F, 1), and of the s - 1 earlier captures, uniform on [0, X],
       Binomial(s - 1, B) precede it: a_prior = A1 + that count;
@@ -194,23 +197,23 @@ def _chunk(
       their times: the exit epoch holds O captures after X, P{O >= j} =
       (a / (1 + a))^j, so a_exit = thr + O, and ends at X + D, D ~
       Gamma(O + 1) / (1 + a);
-    - censored: the s - 1 captures before X are uniform on [0, X], so
-      Binomial(s - 1, T / X) precede T: a_prior = a_exit = A1 + that;
+    - censored: of the s - 1 captures before X, uniform on [0, X],
+      Binomial(s - 1, MAX_EXIT_TIME / X) precede MAX_EXIT_TIME: a_prior
+      = a_exit = A1 + that;
     - mu: the honest side reaches thr by the exit epoch's end X + D
-      (censored: by T) iff Y precedes it.  Then mu - 2 counts the ends
-      before Y: Binomial(F - 1, Y / (X B)) if Y < X B, as the F - 1
-      ends before X B are uniform on it, else F (Y falls in the exit
-      epoch); censored, Binomial(horizon - 2, Y / T).  mu = 1 if
-      H1 >= thr.
+      (censored: by MAX_EXIT_TIME) iff Y precedes it.  Then mu - 2
+      counts the ends before Y: Binomial(F - 1, Y / (X B)) if Y < X B,
+      as the F - 1 ends before X B are uniform on it, else F (Y falls in
+      the exit epoch); censored, Poisson(Y).  mu = 1 if H1 >= thr.
 
     Given a Poisson process's count on an interval, its points are
     uniform there, and given its k-th point, its first k - 1 points are
-    uniform before it: that is why every split above is binomial, and
+    uniform before it: that is why the splits above are binomial, and
     why the processes' order within an epoch need not be drawn.  Every
-    count is bounded by the horizon or by s, so a = 0 or a tiny a delta
-    (X = inf) simply censors, with no epoch stepped.  The allies have
-    their own stream, so rho changes nothing else, and at rho = 0 Safety
-    is Regular.
+    Poisson mean is below MAX_EXIT_TIME, so a = 0 or a tiny a delta (X =
+    inf) simply censors, with no epoch stepped.  The allies have their
+    own stream, so rho changes nothing else, and at rho = 0 Safety is
+    Regular.
     """
     rng, ally_rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
@@ -224,47 +227,45 @@ def _chunk(
     h1 = y - a1
     exited = a1 >= threshold
 
-    # X, Y and T: the s-th capture, the t-th honest arrival, the close.
+    # X and Y: the s-th capture, the t-th honest arrival.
     s = np.maximum(threshold - a1, 1)
-    close = rng.standard_gamma(horizon - 1, size)
     cross = _arrival(rng, s, a)
     race = _arrival(rng, np.maximum(threshold - h1, 1), params.lambda_h * params.delta)
-    done = ~exited & (cross < close)
+    done = ~exited & (cross < MAX_EXIT_TIME)
     censored = ~exited & ~done
 
-    # F, the ends before the crossing, or the captures before the close.
-    split = rng.binomial(
-        np.where(done, horizon - 2, np.where(censored, s - 1, 0)),
-        np.where(done, _share(cross, close), np.where(censored, _share(close, cross), 0.0)),
-    )
-    ends = np.where(done, split, 0)
-    # B, the last of the F ends as a share of X (0 if none), and O.
-    frac = rng.random(size) ** (1.0 / np.maximum(ends, 1))
-    frac[ends == 0] = 0.0
-    last = np.where(done, cross, 0.0) * frac
-    before = rng.binomial(np.where(done, s - 1, 0), frac)
+    # O, and the honest race, settled by the exit epoch's end or the bound.
     over = _geometric(rng, a, size)
-
-    # The honest race, settled by the exit epoch's end or the close; the
-    # ends before ``mark`` are uniform on [0, mark].
     if params.lambda_h > 0:
         end = cross + rng.standard_gamma(over + 1) / (1.0 + a)
     else:
         end = cross  # race is inf: never settled
-    settled = ~exited & (race < np.where(done, end, close))
-    mark = np.where(done, last, close)
-    inside = settled & (race < mark)
-    race_ends = rng.binomial(
-        np.where(inside, np.where(done, ends - 1, horizon - 2), 0),
-        np.where(inside, _share(race, mark), 0.0),
+    settled = ~exited & (race < np.where(done, end, MAX_EXIT_TIME))
+
+    # F, the ends before X; censored, the ends before a settled Y.
+    counts = rng.poisson(np.where(done, cross, np.where(settled, race, 0.0)))
+    ends = np.where(done, counts, 0)
+    # B, the last of the F ends as a share of X (0 if none).
+    frac = rng.random(size) ** (1.0 / np.maximum(ends, 1))
+    frac[ends == 0] = 0.0
+    last = np.where(done, cross, 0.0) * frac
+    # The captures before X B, or censored, before the bound.
+    before = rng.binomial(
+        np.where(exited, 0, s - 1),
+        np.where(done, frac, MAX_EXIT_TIME / np.maximum(cross, MAX_EXIT_TIME)),
     )
-    mu = np.where(settled, np.where(inside, race_ends, ends) + 2, 0)
+
+    # The ends before Y when it precedes X B: uniform on [0, X B].
+    inside = done & settled & (race < last)
+    race_ends = rng.binomial(
+        np.where(inside, ends - 1, 0), np.where(inside, _share(race, last), 0.0)
+    )
+    mu = np.where(settled, np.where(inside, race_ends, counts) + 2, 0)
     mu[h1 >= threshold] = 1
 
     nu = np.where(exited, 1, np.where(done, ends + 2, 0))
-    stopped = a1 + np.where(censored, split, 0)
-    a_exit = np.where(exited, a1, np.where(done, threshold + over, stopped))
-    a_prior = np.where(exited, 0, np.where(done, a1 + before, stopped))
+    a_exit = np.where(done, threshold + over, a1 + before)
+    a_prior = np.where(exited, 0, a1 + before)
     allies = ally_rng.binomial(params.candidates, rho, size=size)
     # mu never exceeds nu once set, so nu < mu reduces to mu unset.
     regular = ~censored & (mu == 0)
@@ -273,33 +274,27 @@ def _chunk(
 
 
 def simulate_episode(
-    params: SwarmParams,
-    seed: int,
-    rho: float = 0.0,
-    horizon: int = DEFAULT_HORIZON,
+    params: SwarmParams, seed: int, rho: float = 0.0
 ) -> EpisodeOutcome:
     """Simulate one game, deterministically in the seed: chunk 0 at size 1."""
-    _plan(params, rho, 1, horizon)
-    arrays = _chunk(params, rho, seed, 0, 1, horizon)
+    _plan(params, rho, 1)
+    arrays = _chunk(params, rho, seed, 0, 1)
     nu, mu, *rest = (a[0].item() for a in arrays)
     return EpisodeOutcome(nu or None, mu or None, *rest)
 
 
 def sample_exit_indices(
-    params: SwarmParams,
-    episodes: int,
-    seed: int,
-    horizon: int = DEFAULT_HORIZON,
+    params: SwarmParams, episodes: int, seed: int
 ) -> tuple[np.ndarray, int]:
     """Exit indices of non-censored episodes, plus the censored count.
 
     Runs the chunks of ``estimate``, so episode i here is episode i there.
     """
-    sizes = _plan(params, 0.0, episodes, horizon)
+    sizes = _plan(params, 0.0, episodes)
     collected = []
     censored_total = 0
     for index, size in enumerate(sizes):
-        nu, *_, censored = _chunk(params, 0.0, seed, index, size, horizon)
+        nu, *_, censored = _chunk(params, 0.0, seed, index, size)
         censored_total += int(censored.sum())
         collected.append(nu[~censored])
     return np.concatenate(collected), censored_total
@@ -310,21 +305,22 @@ def estimate(
     episodes: int,
     seed: int,
     rho: float = 0.0,
-    horizon: int = DEFAULT_HORIZON,
     workers: int = 1,
 ) -> SimStats:
     """Aggregate independent episodes into SimStats, both strategies at once.
 
-    Each chunk is reduced to integer sums as soon as it is simulated,
-    and the sums are folded in chunk order, so the outcome is identical
-    for any worker count.
+    Each chunk is reduced to sums as soon as it is simulated, and the
+    sums are folded in chunk order, so the outcome is identical for any
+    worker count.  The sums are exact integers but for that of nu^2,
+    which is taken in float64: a chunk's int64 sum of it would wrap once
+    nu passes about 4.7e7.
     """
-    sizes = _plan(params, rho, episodes, horizon)
+    sizes = _plan(params, rho, episodes)
     half = params.M / 2
 
-    def run(index: int) -> tuple[int, ...]:
+    def run(index: int) -> tuple[int | float, ...]:
         nu, _, a_prior, a_exit, _, regular, safety, censored = _chunk(
-            params, rho, seed, index, sizes[index], horizon
+            params, rho, seed, index, sizes[index]
         )
         done = ~censored
         return (
@@ -332,7 +328,7 @@ def estimate(
             int(safety.sum()),
             int((a_prior < half).sum()),
             int(nu[done].sum()),
-            int((nu[done] ** 2).sum()),
+            float((nu[done].astype(np.float64) ** 2).sum()),
             int(a_exit[done].sum()),
             int(censored.sum()),
             int(done.sum()),

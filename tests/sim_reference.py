@@ -1,16 +1,16 @@
 """Reference sampler for the simulator's tests: the epoch loop, one epoch at a time.
 
-``reference_chunk`` has the signature and outputs of ``sim._chunk`` but
-steps the epochs one by one, drawing each epoch's counts for the
-episodes still live: the epoch total y is geometric, P{y = k} =
-(1 - r) r^k with r = m / (1 + m), m = (lambda_a + lambda_h) d, d =
-delta0 at epoch 1 and delta after (a Poisson count over an exponential
-interval of mean d), drawn by inversion, and it splits as x ~
-Binomial(y, lambda_a / (lambda_a + lambda_h)) attacker and y - x honest
-(Poisson thinning).  It costs one round of numpy calls per epoch, so
-it serves only as an independent oracle for the path-level sampler:
-the two share the stream keys but not the draws, so they agree in law,
-not episode by episode.
+``reference_chunk`` has the arguments and outputs of ``sim._chunk``, plus
+a ``horizon`` after which it censors the episodes still live, but steps
+the epochs one by one, drawing each epoch's counts for the episodes
+still live: the epoch total y is geometric, P{y = k} = (1 - r) r^k with
+r = m / (1 + m), m = (lambda_a + lambda_h) d, d = delta0 at epoch 1 and
+delta after (a Poisson count over an exponential interval of mean d),
+drawn by inversion, and it splits as x ~ Binomial(y, lambda_a /
+(lambda_a + lambda_h)) attacker and y - x honest (Poisson thinning).
+It costs one round of numpy calls per epoch, so it serves only as an
+independent oracle for the path-level sampler: the two share the stream
+keys but not the draws, so they agree in law, not episode by episode.
 """
 
 from __future__ import annotations

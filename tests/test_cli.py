@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -174,6 +175,23 @@ def test_simulate_leaves_auto_nu_unresolved(tmp_path, capsys):
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
     assert "censored        = 50" in outputs[0]
+
+
+def test_simulate_large_swarm_censors_nothing(tmp_path, capsys):
+    # E[nu] = 15 002 epochs: every episode exits, and mean_nu is within
+    # 3 SE of it.
+    cfg = tmp_path / "large.cfg"
+    cfg.write_text(
+        "M = 30000\ndrone_value = 1500\nlambda_a = 1\ndelta0 = 1\ndelta = 1\n"
+        "episodes = 20000\n"
+    )
+    assert run(["simulate", "--config", cfg, "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("censored        = 0\n") == 2
+    means = re.findall(r"mean_nu += (\S+) \(se (\S+)\)", out)
+    assert len(means) == 2
+    for mean, se in means:
+        assert abs(float(mean) - 15_002) <= 3 * float(se)
 
 
 def test_simulate_rate_beyond_simulator_bound_exits_2(tmp_path, capsys):

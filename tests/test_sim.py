@@ -1,12 +1,13 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from sim_reference import reference_chunk
 
 from swarmgame import sim
-from swarmgame.fluctuation import pathwise_events
+from swarmgame.fluctuation import expected_exit_index, pathwise_events
 from swarmgame.model import SwarmParams, majority_threshold
 from swarmgame.sim import (
     REGULAR,
@@ -34,11 +35,11 @@ def test_episode_determinism():
 
 def test_episode_no_attacker_censors():
     p = params(lambda_a=0.0, lambda_h=2.0)
-    outcome = simulate_episode(p, seed=5, horizon=50)
+    outcome = simulate_episode(p, seed=5)
     assert outcome.censored
     assert not outcome.burst_regular and not outcome.burst_safety
     assert outcome.nu is None
-    assert outcome.mu is not None  # honest side crossed well within 50 epochs
+    assert outcome.mu is not None  # the honest side still reaches thr
 
 
 def test_episode_coupling_rho_zero():
@@ -85,7 +86,7 @@ def test_estimate_determinism_and_worker_independence():
 
 def test_estimate_no_attacker():
     p = params(lambda_a=0.0)
-    stats = estimate(p, episodes=500, seed=3, rho=0.5, horizon=200)
+    stats = estimate(p, episodes=500, seed=3, rho=0.5)
     assert stats.burst_regular == stats.burst_safety == 0.0
     assert stats.prior_safe_rate == 1.0
     assert stats.censored_count == 500
@@ -113,6 +114,20 @@ def test_estimate_single_episode_se():
     stats = estimate(params(), episodes=1, seed=1)
     assert stats.mean_nu_se == 0.0
     assert stats.episodes == 1
+
+
+def test_estimate_mean_nu_se_at_huge_exit_indices():
+    # lambda_a = 1e-9: nu is about 1e10, so a chunk's sum of nu^2 is far
+    # past int64, yet every episode exits.
+    p = params(lambda_a=1e-9)
+    episodes = 20_000
+    runs = [estimate(p, episodes, seed=12, workers=w) for w in (1, 2)]
+    assert runs[0] == runs[1]
+    nu, censored = sample_exit_indices(p, episodes, seed=12)
+    assert censored == runs[0].censored_count == 0
+    assert sum(nu.tolist()) / episodes == runs[0].mean_nu
+    se = nu.astype(float).std() / math.sqrt(episodes)
+    assert runs[0].mean_nu_se == pytest.approx(se, rel=1e-9, abs=0.0)
 
 
 def test_estimate_mean_nu_sane():
@@ -152,10 +167,9 @@ def test_safety_allies_lower_burst_rate():
 
 
 # Golden values: simulator outputs pinned bit for bit, so a change to the
-# sampler or the stream layout cannot pass unseen.  They were recorded
-# when the epoch loop gave way to the path-level sampler, which draws each
-# episode's outcome from a few arrival-time and count laws; the
-# pathwise_events checks and the comparisons with the epoch loop
+# sampler or the stream layout cannot pass unseen.  The path-level
+# sampler draws each episode's outcome from a few arrival-time and count
+# laws; the pathwise_events checks and the comparisons with the epoch loop
 # (sim_reference) pin the law these draws follow.  Each row's label names
 # the strategy it was first pinned for, when the simulator ran one
 # strategy per pass: Regular rows sit at rho = 0, where the two bursts
@@ -163,26 +177,26 @@ def test_safety_allies_lower_burst_rate():
 
 GOLDEN_EPISODES = [
     # (lambda_h, label, rho, seed, outcome)
-    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(27, None, 10, 14, 6, True, False, False)),
-    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(12, None, 10, 12, 2, True, False, False)),
-    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(9, None, 9, 13, 6, True, False, False)),
-    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, None, 10, 16, 2, True, True, False)),
-    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(27, 8, 10, 14, 6, False, False, False)),
-    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(11, 2, 10, 11, 5, False, False, False)),
-    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(27, 8, 10, 14, 0, False, False, False)),
+    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(6, None, 6, 13, 6, True, False, False)),
+    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(12, None, 9, 11, 2, True, False, False)),
+    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(16, None, 9, 11, 6, True, False, False)),
+    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, None, 7, 12, 2, True, False, False)),
+    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(6, None, 6, 13, 6, True, False, False)),
+    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(11, 6, 10, 11, 5, False, False, False)),
+    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(6, None, 6, 13, 0, True, True, False)),
 ]
 
 REGULAR_STATS = SimStats(
     episodes=10000,
-    burst_regular=0.919,
-    burst_regular_se=0.0027283511504203406,
-    burst_safety=0.919,
-    burst_safety_se=0.0027283511504203406,
-    prior_safe_rate=0.4879,
-    prior_safe_se=0.004998535685578327,
-    mean_nu=12.0066,
-    mean_nu_se=0.0475049012629223,
-    mean_a_exit=11.9979,
+    burst_regular=0.9226,
+    burst_regular_se=0.002672250736738602,
+    burst_safety=0.9226,
+    burst_safety_se=0.002672250736738602,
+    prior_safe_rate=0.495,
+    prior_safe_se=0.004999749993749687,
+    mean_nu=12.0082,
+    mean_nu_se=0.0478097613045704,
+    mean_a_exit=12.0195,
     censored_count=0,
 )
 GOLDEN_STATS = [
@@ -192,15 +206,15 @@ GOLDEN_STATS = [
         0.5,
         SimStats(
             episodes=10000,
-            burst_regular=0.919,
-            burst_regular_se=0.0027283511504203406,
-            burst_safety=0.065,
-            burst_safety_se=0.00246525860712421,
-            prior_safe_rate=0.4879,
-            prior_safe_se=0.004998535685578327,
-            mean_nu=12.0066,
-            mean_nu_se=0.0475049012629223,
-            mean_a_exit=11.9979,
+            burst_regular=0.9226,
+            burst_regular_se=0.002672250736738602,
+            burst_safety=0.07,
+            burst_safety_se=0.002551470164434615,
+            prior_safe_rate=0.495,
+            prior_safe_se=0.004999749993749687,
+            mean_nu=12.0082,
+            mean_nu_se=0.0478097613045704,
+            mean_a_exit=12.0195,
             censored_count=0,
         ),
     ),
@@ -221,8 +235,8 @@ def test_golden_episode(lambda_h, label, rho, seed, outcome):
 
 def test_golden_censored_episode():
     p = params(lambda_a=0.0, lambda_h=2.0)
-    got = simulate_episode(p, seed=5, horizon=50)
-    assert got == EpisodeOutcome(None, 11, 0, 0, 0, False, False, True)
+    got = simulate_episode(p, seed=5)
+    assert got == EpisodeOutcome(None, 7, 0, 0, 0, False, False, True)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -234,7 +248,7 @@ def test_golden_estimate(label, rho, stats, workers):
 
 def test_golden_exit_indices():
     nu, censored = sample_exit_indices(params(lambda_h=0.5), 10_000, seed=11)
-    assert (int(nu.sum()), len(nu), censored) == (120066, 10000, 0)
+    assert (int(nu.sum()), len(nu), censored) == (120082, 10000, 0)
     assert nu.mean() == REGULAR_STATS.mean_nu
 
 
@@ -252,12 +266,22 @@ def test_episode_is_first_episode_of_estimate_and_exit_indices():
         assert (nu.tolist(), censored) == ([episode.nu], 0)
 
 
-@pytest.mark.parametrize("lambda_h", [0.0, 0.5, 2.0])
-def test_estimate_matches_pathwise_events(lambda_h):
+@pytest.mark.parametrize(
+    "overrides, rho",
+    [
+        *(
+            pytest.param(dict(lambda_h=lh, delta0=2.0, delta=0.5), 0.5, id=str(lh))
+            for lh in (0.0, 0.5, 2.0)
+        ),
+        # E[nu] = 15 002 epochs; rho = 1e-4 puts the Safety burst near 0.47.
+        pytest.param(dict(M=30_000), 1e-4, id="M=30000"),
+    ],
+)
+def test_estimate_matches_pathwise_events(overrides, rho):
     # The simulator's own events against their exact probabilities, at
-    # 3 SE of the exact value, with delta0 != delta.
-    p = params(lambda_h=lambda_h, delta0=2.0, delta=0.5)
-    episodes, rho = 200_000, 0.5
+    # 3 SE of the exact value, with delta0 != delta and at large M.
+    p = params(**overrides)
+    episodes = 200_000
     exact = pathwise_events(p, rho)
     stats = estimate(p, episodes=episodes, seed=2026, rho=rho)
     assert stats.censored_count == 0
@@ -268,8 +292,9 @@ def test_estimate_matches_pathwise_events(lambda_h):
     for field in ("burst_regular", "burst_safety"):
         assert within(getattr(stats, field), getattr(exact, field)), field
     assert within(stats.prior_safe_rate, exact.prior_safe)
-    if lambda_h == 0.0:
+    if p.lambda_h == 0.0:
         assert stats.burst_regular == exact.burst_regular == 1.0
+    assert abs(stats.mean_nu - expected_exit_index(p)) <= 3 * stats.mean_nu_se
     # A_exit - thr is geometric with mean lambda_a d of the crossing epoch,
     # so its variance is that of a two-part geometric mixture.
     thr, la = majority_threshold(p.M), p.lambda_a
@@ -300,27 +325,26 @@ def test_seeds_past_int64_are_distinct_streams():
 
 
 def test_short_horizon_bookkeeping():
-    # Three chunks (4096, 4096, 808) under a short horizon that censors
-    # many episodes, with an honest race under way.
-    p = params(lambda_h=1.0, delta0=2.0, delta=0.5)
-    episodes, horizon = 9000, 15
-    runs = [
-        estimate(p, episodes, seed=31, rho=0.5, horizon=horizon, workers=w)
-        for w in (1, 2, 4)
-    ]
+    # Three chunks (4096, 4096, 808) with an honest race under way, where
+    # lambda_a delta = lambda_h delta = 8 / MAX_EXIT_TIME puts about 60% of
+    # the crossings past MAX_EXIT_TIME: the rest exit with nu up to about
+    # 2**50, so sums of nu are far past float64's 2**53.
+    p = params(lambda_h=1.0, delta0=2.0, delta=8 / sim.MAX_EXIT_TIME)
+    episodes = 9000
+    runs = [estimate(p, episodes, seed=31, rho=0.5, workers=w) for w in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2]
     stats = runs[0]
     assert 0 < stats.censored_count < episodes
-    nu, censored = sample_exit_indices(p, episodes, seed=31, horizon=horizon)
+    nu, censored = sample_exit_indices(p, episodes, seed=31)
     assert censored == stats.censored_count
     done = episodes - censored
-    assert len(nu) == done and nu.max() <= horizon
-    assert int(nu.sum()) == round(stats.mean_nu * done)
-    assert nu.mean() == stats.mean_nu
-    outcomes = [
-        simulate_episode(p, seed=seed, rho=0.5, horizon=horizon)
-        for seed in range(60)
-    ]
+    # nu - 2 and mu - 2 are Poisson counts with means below MAX_EXIT_TIME.
+    limit = 2 * sim.MAX_EXIT_TIME
+    assert len(nu) == done and nu.max() <= limit
+    # estimate's exact integer sum, divided as estimate divides it: here
+    # mean_nu * done need not round back to the sum.
+    assert sum(nu.tolist()) / done == stats.mean_nu
+    outcomes = [simulate_episode(p, seed=seed, rho=0.5) for seed in range(60)]
     cut = [o for o in outcomes if o.censored]
     assert cut and len(cut) < len(outcomes)
     for o in cut:
@@ -328,7 +352,7 @@ def test_short_horizon_bookkeeping():
         assert o.a_prior == o.a_exit < majority_threshold(p.M)
     for o in outcomes:
         if o.mu is not None:
-            assert o.mu <= (o.nu or horizon)
+            assert o.mu <= (o.nu or limit)
 
 
 # The path-level sampler against the epoch loop it replaced
@@ -339,10 +363,10 @@ def test_short_horizon_bookkeeping():
 # a_prior, a_exit, censored), not only its margins.
 
 
-def _outcomes(chunk, p, seed, horizon, episodes, rho=0.5):
+def _outcomes(chunk, p, seed, episodes, rho=0.5):
     """Episodes of ``estimate``'s chunks drawn by ``chunk``, as float arrays."""
     sizes = [min(sim.CHUNK, episodes - i) for i in range(0, episodes, sim.CHUNK)]
-    parts = [chunk(p, rho, seed, i, size, horizon) for i, size in enumerate(sizes)]
+    parts = [chunk(p, rho, seed, i, size) for i, size in enumerate(sizes)]
     return [np.concatenate(column).astype(float) for column in zip(*parts)]
 
 
@@ -367,16 +391,24 @@ def _statistics(outcomes):
     }
 
 
-def assert_same_law(p, horizon=sim.DEFAULT_HORIZON, episodes=200_000):
-    got = _statistics(_outcomes(sim._chunk, p, 1, horizon, episodes))
-    want = _statistics(_outcomes(reference_chunk, p, 2, horizon, episodes))
+def assert_same_law(p, horizon=10_000, episodes=200_000):
+    """The sampler against the epoch loop stopped at epoch ``horizon``.
+
+    Where captures still arrive after epoch 1, the loop's horizon must
+    censor no episode, as the sampler has none.
+    """
+    got = _statistics(_outcomes(sim._chunk, p, 1, episodes))
+    reference = partial(reference_chunk, horizon=horizon)
+    want = _statistics(_outcomes(reference, p, 2, episodes))
+    if p.lambda_a * p.delta > 1e-100:
+        assert not want["censored"].any()
     for name, sample in got.items():
         se = math.sqrt((sample.var() + want[name].var()) / episodes)
         diff = abs(sample.mean() - want[name].mean())
         assert diff <= 4 * se, f"{name}: {sample.mean()} vs {want[name].mean()}, SE {se}"
 
 
-@pytest.mark.parametrize("horizon", [1, 3, 15, sim.DEFAULT_HORIZON])
+@pytest.mark.parametrize("horizon", [10_000])
 @pytest.mark.parametrize("lambda_h", [0.0, 0.5, 2.0])
 def test_sampler_matches_epoch_loop(lambda_h, horizon):
     assert_same_law(params(lambda_h=lambda_h, delta0=2.0, delta=0.5), horizon)
@@ -406,28 +438,26 @@ def test_sampler_matches_epoch_loop_at_tiny_epoch_means():
         dict(lambda_h=0.5, delta=1e-300),
         dict(lambda_a=5e-324, lambda_h=0.5),
         dict(lambda_a=5e-324, lambda_h=5e-324),
+        # Crossings and honest arrivals straddle MAX_EXIT_TIME itself.
+        dict(M=4, lambda_h=1.0, delta=1 / sim.MAX_EXIT_TIME),
     ],
 )
 def test_tiny_rates_censor_without_warnings(overrides):
     # No exception and no RuntimeWarning (the test suite makes those
-    # errors) at the default horizon; past epoch 1 nothing can cross.
+    # errors); past epoch 1 nothing crosses before MAX_EXIT_TIME where
+    # lambda_a delta is far below 1 / MAX_EXIT_TIME.
     p = params(**overrides)
-    nu, mu, a_prior, a_exit, *_, censored = sim._chunk(
-        p, 0.5, 3, 0, sim.CHUNK, sim.DEFAULT_HORIZON
-    )
-    assert set(nu.tolist()) <= {0, 1}
+    nu, mu, a_prior, a_exit, *_, censored = sim._chunk(p, 0.5, 3, 0, sim.CHUNK)
     assert ((nu == 0) == censored).all()
     assert (a_prior[censored] == a_exit[censored]).all()
     assert (a_exit[censored] < majority_threshold(p.M)).all()
+    if p.lambda_a * p.delta < 1e-100:
+        assert set(nu.tolist()) <= {0, 1}
     if p.lambda_h * p.delta < 1e-100:
         assert set(mu.tolist()) <= {0, 1}
+    # Counts stay below 2 * MAX_EXIT_TIME, and a chunk's int64 sum of
+    # them is exact.
+    for count in (nu, mu):
+        assert count.max() < 2 * sim.MAX_EXIT_TIME
+        assert int(count.sum()) == sum(count.tolist())
 
-
-def test_horizon_one_is_epoch_one():
-    p = params(lambda_h=2.0)
-    stats = estimate(p, episodes=20_000, seed=5, rho=0.5, horizon=1)
-    nu, censored = sample_exit_indices(p, 20_000, seed=5, horizon=1)
-    assert censored == stats.censored_count > 0
-    assert set(nu.tolist()) == {1}
-    with pytest.raises(ValueError, match="horizon"):
-        estimate(p, episodes=10, seed=5, horizon=0)
