@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import binom_pmf
+from .kernels import binomial_mixture
 from .model import SwarmParams, majority_threshold
 from .series import TruncSeries
 # Not called here: the benchmark's tracer patches d_operator and
@@ -236,8 +236,10 @@ def pathwise_events(params: SwarmParams, rho: float = 0.0) -> PathwiseEvents:
     bursts in Regular; the overshoot past thr is geometric with the ratio
     of the crossing epoch (memoryless), so Safety is the binomial PGF at
     r0 or r.  With lambda_h > 0 ``_honest_race`` runs the (attacker,
-    honest) chain.  With lambda_a = 0 nothing exits and, as censored
-    episodes do in the simulator, A_(nu-1) reads 0.
+    honest) chain for the tails P{A_nu >= thr + j, H_nu < thr}, and
+    Safety is their binomial mixture over the allies.  With lambda_a = 0
+    nothing exits and, as censored episodes do in the simulator,
+    A_(nu-1) reads 0.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
@@ -263,8 +265,8 @@ def pathwise_events(params: SwarmParams, rho: float = 0.0) -> PathwiseEvents:
         ) ** n
     else:
         tails = _honest_race(params, thr, n)
-        weights = np.array([binom_pmf(j, n, rho) for j in range(n + 1)])
-        regular, safety = float(tails[0]), float(weights @ tails)
+        regular = float(tails[0])
+        safety = float(binomial_mixture(tails)(np.array([rho]))[0])
     return PathwiseEvents(regular, safety, prior_safe, mean_exit_count)
 
 

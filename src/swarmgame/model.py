@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
-from .kernels import binom_pmf, pois_cdf, pois_tail
+from .kernels import binom_pmf, binomial_mixture, pois_cdf, pois_tail, pois_tails
 
 __all__ = [
     "SwarmParams",
@@ -256,53 +255,26 @@ def total_cost(params: SwarmParams, rho: float) -> CostBreakdown:
     return CostBreakdown(rho=rho, p_prior=p, q0=q0, q1=q1, ally_cost=c, total=total)
 
 
-# Binomial weights _CostCurve evaluates at once: 8 MB of float64 per
-# block, so a curve's memory stays bounded at any M.
-_BLOCK_ELEMENTS = 1 << 20
-
-
 class _CostCurve:
     """``total_cost`` of one configuration at many rho.
 
     p_prior, q0 and the tails P{X >= thr + j}, j = 0..n, do not depend on
-    rho, so they are computed once, the tails with the ufunc that
-    ``pois_tail`` calls.  For interior rho the binomial weights come from
-    log space, and each row is reduced on its own to its weighted tail sum
-    and its weight mass, so a rho's q1 does not depend on the other rho of
-    its curve.  q1 is their ratio: dividing by the mass cancels the
-    rounding that the log binomial coefficients share, which leaves q1
-    within about 1e-12 of exact at M = 10^5, where ``burst_prob_safety``
-    is about 5e-11 off.  At rho = 0 and rho = 1 the single weight is
-    exact, so q1 = q0 at rho = 0.  ally_cost and the total keep
-    ``total_cost``'s formulas.
+    rho, so they are computed once, and q1 is the tails' binomial mixture
+    over the allies (``kernels.binomial_mixture``), which sets up its
+    weights once too.  It reduces each rho on its own, so a rho's q1 does
+    not depend on the other rho of its curve, and it is within about
+    1e-12 of exact at M = 10^5, where ``burst_prob_safety`` is about
+    5e-11 off.  At rho = 0 the single weight is exact, so q1 = q0.
+    ally_cost and the total keep ``total_cost``'s formulas.
     """
 
     def __init__(self, params: SwarmParams) -> None:
         self.params = params
         self.p_prior = prior_safe_prob(params)
         self.q0 = burst_prob_regular(params)
-        n = params.candidates
-        j = np.arange(n + 1)
-        self._j = j
-        self._log_coef = gammaln(n + 1) - gammaln(j + 1) - gammaln(n + 1 - j)
         thr = majority_threshold(params.M)
-        self._tails = pdtrc(thr - 1 + j, exit_mean_count(params))
-
-    def q1(self, rho: np.ndarray) -> np.ndarray:
-        """burst_prob_safety at each rho of a 1-D array in [0, 1]."""
-        # Rows at rho = 0 and rho = 1 hold one weight, exactly 1.
-        q1 = np.where(rho == 0.0, self._tails[0], self._tails[-1])
-        inner = np.flatnonzero((rho > 0.0) & (rho < 1.0))
-        n = self._j[-1]
-        rows = max(1, _BLOCK_ELEMENTS // (n + 1))
-        for start in range(0, inner.size, rows):
-            block = inner[start : start + rows]
-            log_w = np.multiply.outer(np.log(rho[block]), self._j)
-            log_w += np.multiply.outer(np.log1p(-rho[block]), n - self._j)
-            log_w += self._log_coef
-            w = np.exp(log_w, out=log_w)
-            q1[block] = (w * self._tails).sum(axis=1) / w.sum(axis=1)
-        return q1
+        counts = thr + np.arange(params.candidates + 1)
+        self.q1 = binomial_mixture(pois_tails(counts, exit_mean_count(params)))
 
     def breakdowns(self, rho: Sequence[float]) -> list[CostBreakdown]:
         """``total_cost(params, r)`` for each r in rho, each within [0, 1]."""

@@ -300,6 +300,24 @@ def sample_exit_indices(
     return np.concatenate(collected), censored_total
 
 
+def _pooled_m2(parts) -> float:
+    """Squared deviations about the pooled mean, folded part by part.
+
+    Each part is (count, sum, squared deviations about its own mean).
+    Pooling two parts adds their squared deviations and delta^2 n_a n_b /
+    (n_a + n_b), delta the difference of their means (Chan, Golub and
+    LeVeque, "Algorithms for computing the sample variance", 1983).
+    """
+    count, total, m2 = 0, 0, 0.0
+    for part_count, part_sum, part_m2 in parts:
+        if count and part_count:
+            delta = part_sum / part_count - total / count
+            m2 += delta * delta * count * part_count / (count + part_count)
+        m2 += part_m2
+        count, total = count + part_count, total + part_sum
+    return m2
+
+
 def estimate(
     params: SwarmParams,
     episodes: int,
@@ -311,9 +329,10 @@ def estimate(
 
     Each chunk is reduced to sums as soon as it is simulated, and the
     sums are folded in chunk order, so the outcome is identical for any
-    worker count.  The sums are exact integers but for that of nu^2,
-    which is taken in float64: a chunk's int64 sum of it would wrap once
-    nu passes about 4.7e7.
+    worker count.  The sums are exact integers but for nu's squared
+    deviations, taken in float64 about the chunk's own mean: E[nu^2] -
+    mean^2 would cancel where nu's spread is small beside its mean, as
+    at large M; ``_pooled_m2`` pools them.
     """
     sizes = _plan(params, rho, episodes)
     half = params.M / 2
@@ -323,21 +342,23 @@ def estimate(
             params, rho, seed, index, sizes[index]
         )
         done = ~censored
+        count, total = int(done.sum()), int(nu[done].sum())
+        deviation = nu[done] - (total / count if count else 0.0)
         return (
             int(regular.sum()),
             int(safety.sum()),
             int((a_prior < half).sum()),
-            int(nu[done].sum()),
-            float((nu[done].astype(np.float64) ** 2).sum()),
             int(a_exit[done].sum()),
             int(censored.sum()),
-            int(done.sum()),
+            count,
+            total,
+            float((deviation**2).sum()),
         )
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, range(len(sizes))))
-    sums = map(sum, zip(*results))
-    regular, safety, safe, nu_sum, nu_sq, a_sum, censored, done = sums
+    regular, safety, safe, a_sum, censored, done, nu_sum, _ = map(sum, zip(*results))
+    nu_m2 = _pooled_m2(result[-3:] for result in results)
 
     def rate(count: int) -> tuple[float, float]:
         """A share of the episodes and its binomial standard error."""
@@ -346,8 +367,7 @@ def estimate(
 
     if done > 0:
         mean_nu = nu_sum / done
-        var_nu = max(nu_sq / done - mean_nu**2, 0.0)
-        mean_nu_se = math.sqrt(var_nu / done)
+        mean_nu_se = math.sqrt(nu_m2 / done / done)
         mean_a_exit = a_sum / done
     else:
         mean_nu = math.nan

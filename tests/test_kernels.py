@@ -1,9 +1,21 @@
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
-from swarmgame.kernels import binom_pmf, pois_cdf, pois_pmf, pois_tail
+import swarmgame
+from swarmgame.kernels import (
+    binom_pmf,
+    binomial_mixture,
+    pois_cdf,
+    pois_pmf,
+    pois_tail,
+    pois_tails,
+)
 
 mpmath.mp.dps = 50
 
@@ -107,8 +119,6 @@ def test_binom_trivials():
 
 
 def test_binom_against_rational_oracle():
-    from fractions import Fraction
-
     expected = float(84 * Fraction(2, 5) ** 3 * Fraction(3, 5) ** 6)
     assert binom_pmf(3, 9, 0.4) == pytest.approx(expected, rel=1e-13)
 
@@ -133,3 +143,79 @@ def test_outputs_in_unit_interval():
         for k in range(0, 50, 7):
             for value in (pois_pmf(k, mean), pois_cdf(k, mean), pois_tail(k, mean)):
                 assert 0.0 <= value <= 1.0
+
+
+def test_pois_tails_is_pois_tail_bitwise():
+    k = np.arange(60)
+    for mean in (0.0, 0.7, 12.0, 300.0):
+        assert pois_tails(k, mean).tolist() == [pois_tail(i, mean) for i in range(60)]
+
+
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_binomial_mixture_against_exact_oracle(n):
+    values = [0.9**j / (j + 1) for j in range(n + 1)]
+    rho = [0.01, 0.1, 0.37, 0.5, 0.93, 0.999]
+    got = binomial_mixture(values)(np.array(rho))
+    for r, value in zip(rho, got.tolist()):
+        p = Fraction(r)
+        exact = sum(
+            math.comb(n, j) * p**j * (1 - p) ** (n - j) * Fraction(v)
+            for j, v in enumerate(values)
+        )
+        assert value == pytest.approx(float(exact), rel=1e-13, abs=0.0), (n, r)
+
+
+def test_binomial_mixture_endpoints_are_exact():
+    values = [0.3, 0.123456789, 1e-300, 0.7]
+    got = binomial_mixture(values)(np.array([0.0, 1.0, 0.0]))
+    assert got.tolist() == [values[0], values[-1], values[0]]
+
+
+def test_binomial_mixture_rows_do_not_depend_on_their_call():
+    # n + 1 = 2^19 + 1 weights fill one row block, so the three interior
+    # rho below run in three blocks, around the exact endpoints.
+    n = 1 << 19
+    values = np.linspace(1.0, 0.0, n + 1) ** 3
+    mixture = binomial_mixture(values)
+    rho = np.array([0.3, 0.0, 0.5000001, 1.0, 0.7])
+    singles = [mixture(np.array([r]))[0] for r in rho.tolist()]
+    assert mixture(rho).tolist() == singles
+
+
+def _scipy_imports(path):
+    """(module, enclosing function or None) of each scipy import in a file."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            for name in names:
+                if name == "scipy" or name.startswith("scipy."):
+                    found.append((name, function))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_kernels_imports_scipy_special():
+    """The other modules load scipy only inside the function that needs it."""
+    imports = {
+        path.name: _scipy_imports(path)
+        for path in Path(swarmgame.__file__).parent.glob("*.py")
+    }
+    assert any(name.startswith("scipy.special") for name, _ in imports["kernels.py"])
+    for module, found in imports.items():
+        for name, function in found:
+            if name == "scipy.special" or name.startswith("scipy.special."):
+                assert module == "kernels.py", (module, name)
+            elif module != "kernels.py":
+                assert function is not None, (module, name)

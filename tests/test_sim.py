@@ -118,16 +118,18 @@ def test_estimate_single_episode_se():
 
 def test_estimate_mean_nu_se_at_huge_exit_indices():
     # lambda_a = 1e-9: nu is about 1e10, so a chunk's sum of nu^2 is far
-    # past int64, yet every episode exits.
-    p = params(lambda_a=1e-9)
+    # past int64, yet every episode exits.  At M = 10^12 and 10^14 nu's
+    # spread is small beside its mean, so E[nu^2] - mean^2 would cancel
+    # (1.7e-5 and 1.5e-3 relative off the two-pass SE).
     episodes = 20_000
-    runs = [estimate(p, episodes, seed=12, workers=w) for w in (1, 2)]
-    assert runs[0] == runs[1]
-    nu, censored = sample_exit_indices(p, episodes, seed=12)
-    assert censored == runs[0].censored_count == 0
-    assert sum(nu.tolist()) / episodes == runs[0].mean_nu
-    se = nu.astype(float).std() / math.sqrt(episodes)
-    assert runs[0].mean_nu_se == pytest.approx(se, rel=1e-9, abs=0.0)
+    for p in (params(lambda_a=1e-9), params(M=10**12), params(M=10**14)):
+        runs = [estimate(p, episodes, seed=12, workers=w) for w in (1, 2)]
+        assert runs[0] == runs[1]
+        nu, censored = sample_exit_indices(p, episodes, seed=12)
+        assert censored == runs[0].censored_count == 0
+        assert sum(nu.tolist()) / episodes == runs[0].mean_nu
+        se = nu.astype(float).std() / math.sqrt(episodes)
+        assert runs[0].mean_nu_se == pytest.approx(se, rel=1e-9, abs=0.0), p.M
 
 
 def test_estimate_mean_nu_sane():
@@ -195,7 +197,7 @@ REGULAR_STATS = SimStats(
     prior_safe_rate=0.495,
     prior_safe_se=0.004999749993749687,
     mean_nu=12.0082,
-    mean_nu_se=0.0478097613045704,
+    mean_nu_se=0.04780976130457043,
     mean_a_exit=12.0195,
     censored_count=0,
 )
@@ -213,7 +215,7 @@ GOLDEN_STATS = [
             prior_safe_rate=0.495,
             prior_safe_se=0.004999749993749687,
             mean_nu=12.0082,
-            mean_nu_se=0.0478097613045704,
+            mean_nu_se=0.04780976130457043,
             mean_a_exit=12.0195,
             censored_count=0,
         ),
