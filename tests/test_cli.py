@@ -289,17 +289,22 @@ def test_unwritable_out_exits_2(config_path, tmp_path, capsys, command):
         assert "Traceback" not in err
 
 
-# Runs in a fresh interpreter: the analytic commands must not load
-# scipy.signal, and pathwise_events must load it on demand.
+# Runs in a fresh interpreter: neither the import nor any CLI command may
+# load scipy, an optional extra, and pathwise_events must load
+# scipy.signal on demand.
 FRESH_IMPORT = """\
 import json, sys
 from dataclasses import astuple
 from swarmgame import cli, pathwise_events
 from swarmgame.model import SwarmParams
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 cfg, out = sys.argv[1:]
+loaded = scipy_modules()
 codes = [cli.main([c, "--config", cfg, "--out", out])
          for c in ("analyze", "sweep", "optimize")]
-loaded = "scipy.signal" in sys.modules
+codes.append(cli.main(["simulate", "--config", cfg]))
+loaded += scipy_modules()
 p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, lambda_h=0.5,
                 delta0=2.0, delta=0.5)
 print(json.dumps([codes, loaded, astuple(pathwise_events(p, 0.3))]))
@@ -310,7 +315,7 @@ def test_analytic_commands_leave_scipy_signal_unloaded(tmp_path):
     cfg = tmp_path / "auto.cfg"
     cfg.write_text(
         "M = 1000\ndrone_value = 1500\nlambda_a = 1\ndelta0 = 2\ndelta = 0.5\n"
-        "expected_nu = auto\n"
+        "expected_nu = auto\nepisodes = 4096\n"
     )
     result = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", FRESH_IMPORT,
@@ -323,8 +328,8 @@ def test_analytic_commands_leave_scipy_signal_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     codes, loaded, events = json.loads(result.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
-    assert not loaded
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
     p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, lambda_h=0.5,
                     delta0=2.0, delta=0.5)
     assert events == list(astuple(pathwise_events(p, 0.3)))

@@ -13,6 +13,7 @@ from swarmgame.kernels import (
     binomial_mixture,
     pois_cdf,
     pois_pmf,
+    pois_sums,
     pois_tail,
     pois_tails,
 )
@@ -42,6 +43,25 @@ def test_pmf_against_high_precision_oracle():
 
 def test_pmf_k2_mean3_closed_form():
     assert pois_pmf(2, 3.0) == pytest.approx(4.5 * math.exp(-3.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_pmf_at_each_tabled_stirling_error(k):
+    # Counts up to 15 read Loader's table of Stirling-formula errors.
+    for mean in (0.3, float(k), 40.0):
+        expected = mp_pois_pmf(k, mean)
+        assert pois_pmf(k, mean) == pytest.approx(float(expected), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+def test_pmf_and_binom_pmf_match_mpmath_at_large_counts(n):
+    """k log(mean) - mean - lgamma(k + 1) was 6.8e-10 off at k = 10^6."""
+    for k, mean in [(n, n), (n + 3 * math.isqrt(n), n), (n, 0.75 * n), (n, 1.25 * n)]:
+        expected = mp_pois_pmf(k, mean)
+        assert pois_pmf(k, float(mean)) == pytest.approx(float(expected), rel=1e-13)
+    for j, p in [(n // 2, 0.5), (n // 4 + 7, 0.25), (n // 10, 0.125)]:
+        expected = mpmath.binomial(n, j) * mpmath.mpf(p) ** j * (1 - mpmath.mpf(p)) ** (n - j)
+        assert binom_pmf(j, n, p) == pytest.approx(float(expected), rel=1e-13)
 
 
 def test_pmf_domain_errors():
@@ -93,6 +113,47 @@ def test_cdf_and_tail_match_mpmath_far_out(k, mean):
     tail = mpmath.gammainc(k, 0, m, regularized=True)
     assert pois_cdf(k, mean) == pytest.approx(float(cdf), rel=1e-12, abs=0)
     assert pois_tail(k, mean) == pytest.approx(float(tail), rel=1e-12, abs=0)
+
+
+def mp_tails(counts, mean):
+    """P{X >= k} at each of the increasing counts: suffix sums of pmfs.
+
+    The pmfs run down to the first count from 60 past the later of the
+    last count and 40 standard deviations above the mean, or from where
+    (k - mean)^2 / (2k) > 780 if that comes first: each pmf beyond, at
+    most exp(-780), is far below anything float64 holds.  Nothing cancels.
+    """
+    top = max(counts[-1], int(mean + 40 * math.sqrt(mean))) + 60
+    top = min(top, math.ceil(mean + 780 + math.sqrt(780**2 + 1560 * mean)))
+    mean = mpmath.mpf(mean)
+    pmf = mp_pois_pmf(top, mean)
+    tails, total = {}, mpmath.mpf(0)
+    for k in range(top, counts[0] - 1, -1):
+        total += pmf
+        tails[k] = total
+        pmf = pmf * k / mean
+    return [tails.get(k, mpmath.mpf(0)) for k in counts]
+
+
+@pytest.mark.parametrize("M", [20, 120, 1000, 2000, 10**4, 10**5])
+def test_pois_tails_match_mpmath_over_a_curve(M):
+    """The tails a cost curve takes, counts thr..M, at means 0.6 to 1.4 thr.
+
+    Below 1e-300 float64 holds too few digits for rel 1e-12: there the
+    values only have to stay that small.
+    """
+    thr = M // 2 + 1
+    counts = list(range(thr, M + 1))
+    with mpmath.workdps(30):
+        for share in (0.6, 0.8, 1.0, 1.2, 1.4):
+            got = pois_tails(np.array(counts), share * thr).tolist()
+            exact = [float(t) for t in mp_tails(counts, share * thr)]
+            off = [
+                (k, value, e)
+                for k, value, e in zip(counts, got, exact)
+                if abs(value - e) > 1e-12 * e + 1e-300
+            ]
+            assert not off, (share, off[:3])
 
 
 def test_cdf_and_tail_domain_errors():
@@ -151,6 +212,16 @@ def test_pois_tails_is_pois_tail_bitwise():
         assert pois_tails(k, mean).tolist() == [pois_tail(i, mean) for i in range(60)]
 
 
+def test_pois_sums_are_the_scalar_cdf_and_tail_bitwise():
+    # Counts run past both ends of each mean's nonzero pmfs.
+    k = np.arange(0, 2500, 7)
+    for mean in (0.0, 0.7, 12.0, 300.0, 1500.5):
+        below, tail = pois_sums(k, mean)
+        assert below.tolist() == [pois_cdf(i - 1, mean) for i in k.tolist()]
+        assert tail.tolist() == [pois_tail(i, mean) for i in k.tolist()]
+        assert np.allclose(below + tail, 1.0, rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("n", [1, 5, 30])
 def test_binomial_mixture_against_exact_oracle(n):
     values = [0.9**j / (j + 1) for j in range(n + 1)]
@@ -206,16 +277,9 @@ def _scipy_imports(path):
     return found
 
 
-def test_only_kernels_imports_scipy_special():
-    """The other modules load scipy only inside the function that needs it."""
-    imports = {
-        path.name: _scipy_imports(path)
-        for path in Path(swarmgame.__file__).parent.glob("*.py")
-    }
-    assert any(name.startswith("scipy.special") for name, _ in imports["kernels.py"])
-    for module, found in imports.items():
-        for name, function in found:
-            if name == "scipy.special" or name.startswith("scipy.special."):
-                assert module == "kernels.py", (module, name)
-            elif module != "kernels.py":
-                assert function is not None, (module, name)
+def test_no_module_imports_scipy_at_module_level():
+    """scipy is an optional extra: a module loads it only inside the
+    function that needs it, so importing swarmgame never loads it."""
+    for path in Path(swarmgame.__file__).parent.glob("*.py"):
+        for name, function in _scipy_imports(path):
+            assert function is not None, (path.name, name)

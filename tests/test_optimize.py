@@ -249,10 +249,10 @@ def test_large_swarm_curve(mean_shift, index):
 
     The exit-count mean sits at thr + mean_shift * n, so q1 at grid
     point ``index`` is strictly between 0 and 1 (with mean_shift = 0 the
-    total there is not pinned by p_prior = 0 either).  The log binomial
-    coefficients are sums of gammaln values near 5e5, whose ulp is 6e-11;
-    the curve and the scalar path both divide by the weight mass, which
-    cancels that shared rounding and leaves about 1e-12.
+    total there is not pinned by p_prior = 0 either).  The curve's log
+    binomial coefficients and the scalar path's ``binom_pmf`` weights are
+    both Stirling forms with no terms near n log n, and both divide by
+    the weight mass.
     """
     p = large_swarm_params(mean_shift)
     curve = sweep(p, 101)
