@@ -128,14 +128,15 @@ def _support_edge(mean: float, above: bool) -> int:
     """A count beyond which, on one side of the mean, every pmf is 0.0.
 
     Solves mean * g(t) = _UNDERFLOW for t = k / mean, g(t) = bd0(t, 1),
-    by Newton's method from the side past the root: g is convex and
-    monotone on each side of t = 1, so every step stays on that side, and
-    stopping early only widens the support.  The start is the bound
-    g(t) >= (t - 1)^2 / (2 max(t, 1)).
+    by Newton's method: g is convex and monotone on each side of t = 1,
+    so from its first step on every iterate lies past the root, and
+    stopping early only widens the support.  Above the mean the start is
+    1 + s + s^2/3, s = sqrt(2c), the root of g's Taylor series to third
+    order; below it, the bound g(t) >= (1 - t)^2 / 2.
     """
     c = _UNDERFLOW / max(mean, 1e-300)  # below 1e-300, pmf(2) is 0.0 already
     if above:
-        t = 1.0 + c + math.sqrt(c) * math.sqrt(c + 2.0)
+        t = 1.0 + math.sqrt(2.0 * c) + 2.0 * c / 3.0
     else:
         t = 1.0 - math.sqrt(2.0 * c)
         if t <= 0.0:
@@ -183,9 +184,10 @@ def _pois_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
     return bottom, below, tail
 
 
-# Scalar calls ask one mean for many counts (``burst_prob_safety`` asks
-# for every tail of a curve), so they share the table of their mean.
-_cached_table = functools.lru_cache(maxsize=4)(_pois_table)
+# Scalar calls ask one mean for many counts in a row (``burst_prob_safety``
+# asks for every tail of a curve), so they share the table of the last
+# mean asked; a call for another mean builds its own, as in a fresh process.
+_cached_table = functools.lru_cache(maxsize=1)(_pois_table)
 
 
 def _check_mean(mean: float) -> None:
