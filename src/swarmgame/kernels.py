@@ -1,9 +1,8 @@
 """Numerically stable Poisson and binomial probability kernels.
 
 The single-rho burst probabilities and ally weights reduce to the four
-scalar functions; a cost curve takes its prior-safe probability and its
-tails vector from one ``pois_sums`` call, and the curve and
-``pathwise_events`` average tails over the allies with
+scalar functions; a cost curve and ``pathwise_events`` take their tails
+vectors from ``pois_tails`` and average them over the allies with
 ``binomial_mixture``.  Only ``math`` and numpy are used.
 
 Every pmf is Loader's saddle-point form, the algorithm behind R's
@@ -21,8 +20,9 @@ A Poisson cdf or tail is a sum of pmfs, taken directly on the side of
 the mean where it is the smaller one, smallest terms first, and as 1
 minus the other side's sum where it is not: so it neither underflows at
 large means nor cancels to zero in the far tail.  One table per mean
-holds both sums at every count whose pmf is not 0.0 in float64; the
-scalar functions share the table of their mean.
+holds both sums at every count whose pmf is not 0.0 in float64; calls
+share the table of the last mean asked, and counts far past every
+nonzero pmf need none.
 """
 
 import functools
@@ -36,7 +36,6 @@ __all__ = [
     "pois_cdf",
     "pois_tail",
     "pois_tails",
-    "pois_sums",
     "binom_pmf",
     "binomial_mixture",
 ]
@@ -77,7 +76,17 @@ def _stirlerr_series(k):
     ) / k
 
 
-def _stirlerr(k: int) -> float:
+def _stirlerr(k):
+    """stirlerr(k) at a count k >= 1, or at each count of a float array.
+
+    Loader's table up to 15, the series above.  Scalar pmfs call it in
+    loops, so a scalar takes no numpy call beyond the table's index.
+    """
+    if isinstance(k, np.ndarray):
+        out = _stirlerr_series(k)
+        small = k <= 15
+        out[small] = _STIRLERR[k[small].astype(np.intp)]
+        return out
     return float(_STIRLERR[k]) if k <= 15 else _stirlerr_series(k)
 
 
@@ -90,7 +99,12 @@ def _bd0(x: float, m: float) -> float:
     """
     d = x - m
     if 3.0 * abs(d) >= x + m:
-        return x * math.log(x / m) + m - x if x > 0 else m
+        if x == 0.0:
+            return m
+        ratio = x / m
+        # x / m overflows where m is tiny (subnormal, say); its logs do not.
+        log_ratio = math.log(ratio) if ratio < math.inf else math.log(x) - math.log(m)
+        return x * log_ratio + m - x
     # With v = d/(x + m): d*v + 2x (v^3/3 + v^5/5 + ...), in powers of v^2.
     v = d / (x + m)
     total = d * v
@@ -124,15 +138,30 @@ def pois_pmf(k: int, mean: float) -> float:
     return _pmf(k, mean)
 
 
+def _start_edges(mean: float) -> tuple[int, int]:
+    """Counts below and above which every pmf of the mean is surely 0.0.
+
+    The pmf at k is at most exp(-bd0(k, mean)), and bd0 is at least
+    mean u^2 / 2 at k = mean (1 - u) and, by Bernstein's bound, at least
+    mean u^2 / (2 + 2u/3) at k = mean (1 + u): with r = sqrt(2 c mean),
+    c = _UNDERFLOW / mean, bd0 passes _UNDERFLOW by mean - r and by
+    mean + r + 2 c mean / 3.  They are counted in integers from floor(mean),
+    a count wider for rounding, so they hold at any mean, even where a
+    float cannot tell mean + r from the mean.
+    """
+    m, r = math.floor(mean), math.ceil(math.sqrt(2.0 * _UNDERFLOW * mean))
+    return max(m - r - 1, 0), m + r + 2 + math.ceil(2.0 * _UNDERFLOW / 3.0)
+
+
 def _support_edge(mean: float, above: bool) -> int:
     """A count beyond which, on one side of the mean, every pmf is 0.0.
 
-    Solves mean * g(t) = _UNDERFLOW for t = k / mean, g(t) = bd0(t, 1),
-    by Newton's method: g is convex and monotone on each side of t = 1,
-    so from its first step on every iterate lies past the root, and
-    stopping early only widens the support.  Above the mean the start is
-    1 + s + s^2/3, s = sqrt(2c), the root of g's Taylor series to third
-    order; below it, the bound g(t) >= (1 - t)^2 / 2.
+    Solves mean * g(t) = c = _UNDERFLOW / mean for t = k / mean,
+    g(t) = bd0(t, 1), by Newton's method from ``_start_edges``' bounds
+    1 - sqrt(2c) and 1 + sqrt(2c) + 2c/3: g is convex and monotone on each
+    side of t = 1, so every iterate lies past the root, and stopping early
+    only widens the support.  Where t rounds to 1, the mean is far too
+    large for a table; the start edge stands.
     """
     c = _UNDERFLOW / max(mean, 1e-300)  # below 1e-300, pmf(2) is 0.0 already
     if above:
@@ -142,7 +171,10 @@ def _support_edge(mean: float, above: bool) -> int:
         if t <= 0.0:
             return 0
     for _ in range(20):
-        step = (_bd0(t, 1.0) - c) / math.log(t)
+        log_t = math.log(t)
+        if log_t == 0.0:
+            return _start_edges(mean)[above]
+        step = (_bd0(t, 1.0) - c) / log_t
         t -= step
         if abs(step) * mean < 1.0:
             break
@@ -184,29 +216,40 @@ def _pois_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
     return bottom, below, tail
 
 
-# Scalar calls ask one mean for many counts in a row (``burst_prob_safety``
-# asks for every tail of a curve), so they share the table of the last
-# mean asked; a call for another mean builds its own, as in a fresh process.
+# Calls ask one mean for many counts in a row (``burst_prob_safety`` asks
+# for every tail of a curve, and a curve's set-up asks its mean three
+# times), so all calls share the table of the last mean asked; a call for
+# another mean builds its own, as in a fresh process.
 _cached_table = functools.lru_cache(maxsize=1)(_pois_table)
 
+_ZERO, _ONE = np.zeros(1), np.ones(1)
 
-def _check_mean(mean: float) -> None:
-    if mean < 0:
+
+def _table(mean: float, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """A table in ``_pois_table``'s form for the counts lo..hi of the mean.
+
+    Past ``_start_edges`` every pmf is 0.0, so where all the counts lie
+    past one of them, their sums are 0 and 1, as in the mean's table, and
+    a one-entry table gives them without building that one: at a mean of
+    10^13 it would span 2.5 * 10^8 counts, while a swarm of 20 asks for
+    counts far below them.
+    """
+    if not mean >= 0:
         raise ValueError(f"mean must be nonnegative, got {mean}")
-
-
-def pois_sums(k: np.ndarray, mean: float) -> tuple[np.ndarray, np.ndarray]:
-    """(P{X < k}, P{X >= k}) at each count of an integer array k."""
-    _check_mean(mean)
-    bottom, below, tail = _pois_table(float(mean))
-    i = np.asarray(k) - bottom
-    return below.take(i, mode="clip"), tail.take(i, mode="clip")
+    mean = float(mean)
+    if mean == math.inf:  # every count lies below it
+        return 0, _ZERO, _ONE
+    bottom, top = _start_edges(mean)
+    if hi <= bottom:
+        return 0, _ZERO, _ONE
+    if lo > top:
+        return 0, _ONE, _ZERO
+    return _cached_table(mean)
 
 
 def _scalar_sums(k: int, mean: float) -> tuple[float, float]:
-    """``pois_sums`` at one count, from the shared table of its mean."""
-    _check_mean(mean)
-    bottom, below, tail = _cached_table(float(mean))
+    """(P{X < k}, P{X >= k}) for X ~ Poisson(mean)."""
+    bottom, below, tail = _table(mean, k, k)
     i = min(max(k - bottom, 0), below.size - 1)
     return float(below[i]), float(tail[i])
 
@@ -229,7 +272,10 @@ def pois_tail(k: int, mean: float) -> float:
 
 def pois_tails(k: np.ndarray, mean: float) -> np.ndarray:
     """``pois_tail`` at each count of an array of nonnegative integers."""
-    return pois_sums(k, mean)[1]
+    k = np.asarray(k)
+    lo, hi = (int(k.min()), int(k.max())) if k.size else (0, -1)
+    bottom, _, tail = _table(mean, lo, hi)
+    return tail.take(k - bottom, mode="clip")
 
 
 def binom_pmf(j: int, n: int, p: float) -> float:
@@ -273,10 +319,7 @@ def _log_binomials(n: int) -> np.ndarray:
     if n < 2:
         return out
     j = np.arange(1.0, n)
-    part = (j + 0.5) * np.log(j / n)
-    part[:15] += _STIRLERR[1 : min(n, 16)]
-    if n > 16:
-        part[15:] += _stirlerr_series(j[15:])
+    part = (j + 0.5) * np.log(j / n) + _stirlerr(j)
     out[1:n] = _stirlerr(n) - math.log(math.sqrt(2.0 * math.pi * n)) - part - part[::-1]
     return out
 

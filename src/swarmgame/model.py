@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import binom_pmf, binomial_mixture, pois_cdf, pois_sums, pois_tail
+from .kernels import binom_pmf, binomial_mixture, pois_cdf, pois_tail, pois_tails
 
 __all__ = [
     "SwarmParams",
@@ -199,15 +199,10 @@ def prior_safe_prob(params: SwarmParams) -> float:
     interval's worth of captures: P{X <= floor(M/2 - lambda_a*delta)} for
     X ~ Poisson(exit_mean_count).  An empty summation range yields 0.
     """
-    cutoff = _prior_cutoff(params)
+    cutoff = math.floor(params.M / 2 - params.lambda_a * params.delta)
     if cutoff < 0:
         return 0.0
     return pois_cdf(cutoff, exit_mean_count(params))
-
-
-def _prior_cutoff(params: SwarmParams) -> int:
-    """The largest attacker count still safe one interval before exit."""
-    return math.floor(params.M / 2 - params.lambda_a * params.delta)
 
 
 def burst_prob_regular(params: SwarmParams) -> float:
@@ -264,8 +259,8 @@ class _CostCurve:
     """``total_cost`` of one configuration at many rho.
 
     p_prior, q0 and the tails P{X >= thr + j}, j = 0..n, do not depend on
-    rho, so they are computed once, by one ``kernels.pois_sums`` call that
-    gives each bitwise as its scalar function does, and q1 is the tails'
+    rho, so they are computed once, from one table of the Poisson sums
+    that the scalar calls and ``pois_tails`` share, and q1 is the tails'
     binomial mixture over the allies (``kernels.binomial_mixture``), which
     sets up its weights once too.  It reduces each rho on its own, so a
     rho's q1 does not depend on the other rho of its curve; at M = 10^5 it
@@ -276,14 +271,11 @@ class _CostCurve:
 
     def __init__(self, params: SwarmParams) -> None:
         self.params = params
+        self.p_prior = prior_safe_prob(params)
+        self.q0 = burst_prob_regular(params)
         thr = majority_threshold(params.M)
-        # P{X < cutoff + 1} is prior_safe_prob, and 0 for any cutoff < 0.
-        counts = np.arange(thr - 1, thr + params.candidates + 1)
-        counts[0] = max(_prior_cutoff(params) + 1, 0)
-        below, tails = pois_sums(counts, exit_mean_count(params))
-        self.p_prior = float(below[0])
-        self.q0 = float(tails[1])
-        self.q1 = binomial_mixture(tails[1:])
+        counts = thr + np.arange(params.candidates + 1)
+        self.q1 = binomial_mixture(pois_tails(counts, exit_mean_count(params)))
 
     def breakdowns(self, rho: Sequence[float]) -> list[CostBreakdown]:
         """``total_cost(params, r)`` for each r in rho, each within [0, 1]."""

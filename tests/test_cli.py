@@ -222,6 +222,22 @@ def test_swarm_too_large_for_memory_exits_1(tmp_path, capsys, nu):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "lambda_a, delta0", [("1e13", "1"), ("1e300", "1"), ("1e300", "1e10")]
+)
+def test_huge_attack_rate_bursts_for_sure(tmp_path, capsys, lambda_a, delta0):
+    # A swarm of 20 counts far below the exit mean (inf at delta0 = 1e10),
+    # so its Poisson sums need none of the mean's 77 sqrt(mean) counts.
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(
+        f"M = 20\ndrone_value = 1500\nlambda_a = {lambda_a}\ndelta0 = {delta0}\n"
+        "delta = 1\n"
+    )
+    assert run(["analyze", "--config", cfg, "--rho", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "p_prior    = 0\nq0         = 1\nq1         = 1\n" in out
+
+
 def test_optimize_matches_library(config_path, tmp_path, capsys):
     out = tmp_path / "opt.csv"
     assert run(["optimize", "--config", config_path, "--out", out]) == 0

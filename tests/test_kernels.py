@@ -13,7 +13,6 @@ from swarmgame.kernels import (
     binomial_mixture,
     pois_cdf,
     pois_pmf,
-    pois_sums,
     pois_tail,
     pois_tails,
 )
@@ -164,6 +163,8 @@ def test_cdf_and_tail_domain_errors():
     for k in (0, 3):
         with pytest.raises(ValueError):
             pois_tail(k, -1.0)
+        with pytest.raises(ValueError):
+            pois_tail(k, math.nan)
 
 
 def test_pmf_mass_converges_to_one():
@@ -212,14 +213,33 @@ def test_pois_tails_is_pois_tail_bitwise():
         assert pois_tails(k, mean).tolist() == [pois_tail(i, mean) for i in range(60)]
 
 
-def test_pois_sums_are_the_scalar_cdf_and_tail_bitwise():
-    # Counts run past both ends of each mean's nonzero pmfs.
-    k = np.arange(0, 2500, 7)
-    for mean in (0.0, 0.7, 12.0, 300.0, 1500.5):
-        below, tail = pois_sums(k, mean)
-        assert below.tolist() == [pois_cdf(i - 1, mean) for i in k.tolist()]
-        assert tail.tolist() == [pois_tail(i, mean) for i in k.tolist()]
-        assert np.allclose(below + tail, 1.0, rtol=0.0, atol=1e-15)
+def test_scalar_sums_past_the_support_match_the_table_bitwise():
+    # Counts run past both ends of each mean's nonzero pmfs, where the
+    # scalar calls answer without building the mean's table.
+    for mean, top in [(0.0, 700), (0.7, 700), (12.0, 900), (300.0, 2500), (1e4, 20000)]:
+        k = np.arange(0, top, 7)
+        tails = pois_tails(k, mean)
+        assert tails.tolist() == [pois_tail(i, mean) for i in k.tolist()]
+        cdf = np.array([pois_cdf(i - 1, mean) for i in k.tolist()])
+        assert np.allclose(cdf + tails, 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_huge_means_need_no_table():
+    """Counts far from a huge mean: a table would need 77 sqrt(mean) entries."""
+    for mean in (1e13, 1e40, 1e300, math.inf):
+        assert pois_tail(10, mean) == 1.0
+        assert pois_cdf(10, mean) == 0.0
+        assert pois_tails(np.arange(11, 22), mean).tolist() == [1.0] * 11
+    assert pois_tail(10**13 + 2 * 10**8, 1e13) == 0.0
+    assert pois_cdf(10**13 + 2 * 10**8, 1e13) == 1.0
+
+
+def test_subnormal_mean():
+    """x / mean overflows in bd0 at a subnormal mean; its logs do not."""
+    assert pois_pmf(1, 1e-310) == pytest.approx(1e-310, rel=1e-12)
+    assert pois_tail(1, 1e-310) == pytest.approx(1e-310, rel=1e-12)
+    assert pois_cdf(0, 1e-310) == 1.0
+    assert binom_pmf(1, 2, 5e-311) == pytest.approx(1e-310, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 5, 30])
