@@ -148,8 +148,8 @@ def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
     Pre-exit intervals carry the marks y = g0 g1 b and z = z0 z1, the exit
     interval y = g1 b and z = z1.  The ally-acceptance probability rho
     enters only through the factor E[b^-B]; at b = 1 (in particular for
-    the exit-index marginal) it has no effect.  Where that factor exceeds
-    1 it is folded into the capture marks, so it cannot overflow.
+    the exit-index marginal) it has no effect.  That factor is folded
+    into the capture marks, so it cannot overflow.
     """
     la, lh = params.lambda_a, params.lambda_h
     if la == 0.0:
@@ -174,15 +174,13 @@ def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
             h @ exit_weight(params.delta, thr - np.arange(thr), s)
         )
 
-    # |E[b^-B]| <= 1 exactly when its base is, and then the power is finite.
-    if abs(1.0 - rho + rho / b) <= 1.0:
-        return sigma_transform(b, rho, n) * exit_mass(y)
     # E[b^-B] grows like |b|^-n, while every one of the at least thr
     # captures carries a factor y = g1 b, so the mass underflows where the
     # product does not (M = 5000, b = 1/2, rho = 0.9, lambda_a = 1: sigma
     # overflows, the product is about 4e-57).  The mass is homogeneous of
     # degree thr in the capture mark, and sigma b^thr =
-    # ((1 - rho) b + rho)^n b^(thr - n) has no factor above 1 in magnitude.
+    # ((1 - rho) b + rho)^n b^(thr - n) has no factor above 1 in magnitude;
+    # as thr - n = 2, it is 0 at b = 0, where sigma itself is singular.
     scale = ((1.0 - rho) * b + rho) ** n * b ** (thr - n) * point.g1**thr
     return scale * exit_mass(1.0)
 

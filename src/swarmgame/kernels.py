@@ -20,9 +20,9 @@ A Poisson cdf or tail is a sum of pmfs, taken directly on the side of
 the mean where it is the smaller one, smallest terms first, and as 1
 minus the other side's sum where it is not: so it neither underflows at
 large means nor cancels to zero in the far tail.  One table per mean
-holds both sums at every count whose pmf is not 0.0 in float64; calls
-share the table of the last mean asked, and counts far past every
-nonzero pmf need none.
+holds both sums over a closed-form support, outside which every pmf is
+0.0 in float64; calls share the table of the last mean asked, and counts
+past the support need none.
 """
 
 import functools
@@ -44,8 +44,10 @@ __all__ = [
 # block, so its memory stays bounded at any n.
 _BLOCK_ELEMENTS = 1 << 20
 
-# bd0(k, mean) past which a pmf, at most exp(-bd0), is 0.0 in float64.
-_UNDERFLOW = 750.0
+# The ratio recurrence runs on pmfs times 2^600, so none it tables falls
+# to a subnormal, where a step by a ratio above 1/2 would round back to
+# the same value; scaling by a power of two leaves normal values exact.
+_SCALE = 2.0**600
 
 # stirlerr(k) for k = 0..15 (Loader's table; k = 0 is never read).
 _STIRLERR = np.array([
@@ -138,62 +140,37 @@ def pois_pmf(k: int, mean: float) -> float:
     return _pmf(k, mean)
 
 
-def _start_edges(mean: float) -> tuple[int, int]:
-    """Counts below and above which every pmf of the mean is surely 0.0.
+def _support_edges(mean: float) -> tuple[int, int]:
+    """Counts below and above which every pmf of the mean is 0.0 in float64.
 
-    The pmf at k is at most exp(-bd0(k, mean)), and bd0 is at least
-    mean u^2 / 2 at k = mean (1 - u) and, by Bernstein's bound, at least
-    mean u^2 / (2 + 2u/3) at k = mean (1 + u): with r = sqrt(2 c mean),
-    c = _UNDERFLOW / mean, bd0 passes _UNDERFLOW by mean - r and by
-    mean + r + 2 c mean / 3.  They are counted in integers from floor(mean),
-    a count wider for rounding, so they hold at any mean, even where a
-    float cannot tell mean + r from the mean.
+    A pmf is at most exp(-bd0(k, mean)), and exp(-750) is 0.0.  With u the
+    count's distance from the mean relative to it, bd0 = mean h(u), and h
+    is at least u^2 / (2 + 2u/3) above the mean (Bernstein's bound) and
+    u^2 / (2 - 2u/3) below it (term by term in h = sum_j u^j / (j (j - 1))),
+    so bd0 passes 750 by k = mean + 250 -+ sqrt(250^2 + 1500 mean).  Both
+    are counted in integers from floor(mean) and rounded outwards, so they
+    hold at any mean, even where a float cannot tell them from the mean.
     """
-    m, r = math.floor(mean), math.ceil(math.sqrt(2.0 * _UNDERFLOW * mean))
-    return max(m - r - 1, 0), m + r + 2 + math.ceil(2.0 * _UNDERFLOW / 3.0)
-
-
-def _support_edge(mean: float, above: bool) -> int:
-    """A count beyond which, on one side of the mean, every pmf is 0.0.
-
-    Solves mean * g(t) = c = _UNDERFLOW / mean for t = k / mean,
-    g(t) = bd0(t, 1), by Newton's method from ``_start_edges``' bounds
-    1 - sqrt(2c) and 1 + sqrt(2c) + 2c/3: g is convex and monotone on each
-    side of t = 1, so every iterate lies past the root, and stopping early
-    only widens the support.  Where t rounds to 1, the mean is far too
-    large for a table; the start edge stands.
-    """
-    c = _UNDERFLOW / max(mean, 1e-300)  # below 1e-300, pmf(2) is 0.0 already
-    if above:
-        t = 1.0 + math.sqrt(2.0 * c) + 2.0 * c / 3.0
-    else:
-        t = 1.0 - math.sqrt(2.0 * c)
-        if t <= 0.0:
-            return 0
-    for _ in range(20):
-        log_t = math.log(t)
-        if log_t == 0.0:
-            return _start_edges(mean)[above]
-        step = (_bd0(t, 1.0) - c) / log_t
-        t -= step
-        if abs(step) * mean < 1.0:
-            break
-    return math.ceil(mean * t) if above else math.floor(mean * t)
+    m = math.floor(mean)
+    s = math.isqrt(250**2 + 1500 * (m + 1)) + 1
+    return max(m + 250 - s, 0), m + 251 + s
 
 
 def _pois_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(bottom, P{X < k}, P{X >= k} for k = bottom..top + 1), mean >= 0.
 
-    Outside [bottom, top] every pmf is 0.0 in float64.  With
-    s = floor(mean) + 1, the pmfs below s are summed upwards from bottom,
-    which gives P{X < k} for k <= s, and those from s up are summed
-    downwards from top, which gives P{X >= k} for k >= s: each is the
-    smaller side, smallest terms first, and the other side is 1 minus it.
+    [bottom, top] is ``_support_edges``: outside it every pmf is 0.0 in
+    float64.  With s = floor(mean) + 1, the pmfs below s are summed
+    upwards from bottom, which gives P{X < k} for k <= s, and those from
+    s up are summed downwards from top, which gives P{X >= k} for k >= s:
+    each is the smaller side, smallest terms first, and the other side is
+    1 minus it.  Pmfs and sums are taken times ``_SCALE`` and the sums
+    scaled back once, so a sum below the normal range is rounded once.
     """
     if mean == 0.0:
         return 0, np.array([0.0, 1.0]), np.array([1.0, 0.0])
     s = math.floor(mean) + 1
-    bottom, top = _support_edge(mean, above=False), _support_edge(mean, above=True)
+    bottom, top = _support_edges(mean)
     n = s - bottom  # pmf[i] is P{X = bottom + i}; pmf[:n] lies below s
     # Exact at s - 1 and s, the pmfs fall away from the mean through the
     # ratio recurrence pmf(c + 1) = pmf(c) mean/(c + 1), downwards from
@@ -204,13 +181,15 @@ def _pois_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
     counts = np.arange(bottom + 1.0, top + 1.0)
     np.divide(counts[: n - 1], mean, out=pmf[: n - 1])
     np.divide(mean, counts[n:], out=pmf[n + 1 :])
-    pmf[n - 1], pmf[n] = _pmf(s - 1, mean), _pmf(s, mean)
+    pmf[n - 1], pmf[n] = _pmf(s - 1, mean) * _SCALE, _pmf(s, mean) * _SCALE
     np.multiply.accumulate(pmf[n - 1 :: -1], out=pmf[n - 1 :: -1])
     np.multiply.accumulate(pmf[n:], out=pmf[n:])
 
-    below, tail = np.zeros((2, top + 2 - bottom))
+    sums = np.zeros((2, top + 2 - bottom))
+    below, tail = sums
     np.add.accumulate(pmf[:n], out=below[1 : n + 1])
     np.add.accumulate(pmf[: n - 1 : -1], out=tail[-2 : n - 1 : -1])
+    sums /= _SCALE
     np.subtract(1.0, below[:n], out=tail[:n])
     np.subtract(1.0, tail[n + 1 :], out=below[n + 1 :])
     return bottom, below, tail
@@ -228,7 +207,7 @@ _ZERO, _ONE = np.zeros(1), np.ones(1)
 def _table(mean: float, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
     """A table in ``_pois_table``'s form for the counts lo..hi of the mean.
 
-    Past ``_start_edges`` every pmf is 0.0, so where all the counts lie
+    Past ``_support_edges`` every pmf is 0.0, so where all the counts lie
     past one of them, their sums are 0 and 1, as in the mean's table, and
     a one-entry table gives them without building that one: at a mean of
     10^13 it would span 2.5 * 10^8 counts, while a swarm of 20 asks for
@@ -239,7 +218,7 @@ def _table(mean: float, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
     mean = float(mean)
     if mean == math.inf:  # every count lies below it
         return 0, _ZERO, _ONE
-    bottom, top = _start_edges(mean)
+    bottom, top = _support_edges(mean)
     if hi <= bottom:
         return 0, _ZERO, _ONE
     if lo > top:

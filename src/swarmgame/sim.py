@@ -61,6 +61,9 @@ MAX_EPOCH_MEAN = 1e15
 # about 9.2e18, so nu stays near 2**50 at most and a CHUNK of them sums
 # to about 2**62, inside int64.
 MAX_EXIT_TIME = 2.0**50
+# Largest majority threshold: counts near it, plus an overshoot, stay
+# inside int64.
+MAX_THRESHOLD = 2**62
 
 
 def _plan(params: SwarmParams, rho: float, episodes: int) -> list[int]:
@@ -74,6 +77,12 @@ def _plan(params: SwarmParams, rho: float, episodes: int) -> list[int]:
         raise ValueError(
             "(lambda_a + lambda_h) * max(delta0, delta) must be at most "
             f"{MAX_EPOCH_MEAN:g} for the simulator, got {epoch_mean:g}"
+        )
+    threshold = majority_threshold(params.M)
+    if threshold > MAX_THRESHOLD:
+        raise ValueError(
+            f"the majority threshold M // 2 + 1 must be at most {MAX_THRESHOLD} "
+            f"for the simulator, got {threshold}"
         )
     return [min(CHUNK, episodes - start) for start in range(0, episodes, CHUNK)]
 
@@ -343,12 +352,16 @@ def estimate(
         )
         done = ~censored
         count, total = int(done.sum()), int(nu[done].sum())
+        # A CHUNK of exit counts near a threshold of 2**62 sums to about
+        # 2**74, so their high and low 32-bit words are summed apart.
+        exits = a_exit[done]
+        exit_sum = (int((exits >> 32).sum()) << 32) + int((exits & 0xFFFFFFFF).sum())
         deviation = nu[done] - (total / count if count else 0.0)
         return (
             int(regular.sum()),
             int(safety.sum()),
             int((a_prior < half).sum()),
-            int(a_exit[done].sum()),
+            exit_sum,
             int(censored.sum()),
             count,
             total,

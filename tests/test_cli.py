@@ -207,6 +207,19 @@ def test_simulate_rate_beyond_simulator_bound_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_simulate_threshold_beyond_int64_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        "M = 20000000000000000000\ndrone_value = 1500\nlambda_a = 1\n"
+        "delta0 = 1\ndelta = 1\n"
+    )
+    assert run(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the majority threshold")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("nu", ["3", "auto"])
 def test_swarm_too_large_for_memory_exits_1(tmp_path, capsys, nu):
     # numpy refuses the 364 TiB allocation at once, beyond any address space.

@@ -272,13 +272,16 @@ def mp_phi(point, p, rho):
     recurrence: with a0 = 1 - xi c and t = r / a0, the coefficient of u^i
     in c0 (1 - r u) / ((1 - r0 u)(a0 - r u)) is
     c0 (r0^i / a0 + (xi c / a0) sum_{j=1..i} r0^(i - j) t^j).
+    Each of the thr captures carries one factor b, taken out of the marks
+    and into E[b^-B] b^thr = ((1 - rho) b + rho)^n b^(thr - n), so b = 0
+    needs no limit.
     """
     with mpmath.workdps(40):
         rates = (p.lambda_a, p.lambda_h, p.delta0, p.delta)
         la, lh, d0, d = (mpmath.mpf(v) for v in rates)
         xi, g0, g1, b, z0, z1 = (mpmath.mpf(v) for v in astuple(point))
         thr, n = majority_threshold(p.M), p.candidates
-        y, yp, zp = g1 * b, g0 * g1 * b, z0 * z1
+        y, yp, zp = g1 * b, g0 * g1, z0 * z1
 
         def transform(g, z, mean):
             return 1 / (1 + la * mean * (1 - g) + lh * mean * (1 - z))
@@ -295,13 +298,14 @@ def mp_phi(point, p, rho):
             h.append(c0 * (r0**i / a0 + xi * c / a0 * partial))
 
         def exit_weight(mean, short):
-            ratio = la * mean * transform(0, z1, mean) * y
+            ratio = la * mean * transform(0, z1, mean) * g1
             return transform(y, z1, mean) * ratio**short
 
         lam = xi * exit_weight(d0, thr) + xi**2 * mpmath.fsum(
             h[i] * exit_weight(d, thr - i) for i in range(thr)
         )
-        return (1 - mpmath.mpf(rho) + mpmath.mpf(rho) / b) ** n * lam
+        rho = mpmath.mpf(rho)
+        return ((1 - rho) * b + rho) ** n * b ** (thr - n) * lam
 
 
 def test_phi_matches_mpmath_at_large_swarm():
@@ -313,6 +317,7 @@ def test_phi_matches_mpmath_at_large_swarm():
     for _ in range(16):
         b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)
         cases.append((int(rng.integers(4, 5001)), b, rng.uniform()))
+    cases.append((20, 0.0, 0.5))  # E[b^-B] is singular; phi is 0
     for case, (M, b, rho) in enumerate(cases):
         p = params(
             M=M,

@@ -9,6 +9,8 @@ import pytest
 
 import swarmgame
 from swarmgame.kernels import (
+    _pmf,
+    _support_edges,
     binom_pmf,
     binomial_mixture,
     pois_cdf,
@@ -214,14 +216,60 @@ def test_pois_tails_is_pois_tail_bitwise():
 
 
 def test_scalar_sums_past_the_support_match_the_table_bitwise():
-    # Counts run past both ends of each mean's nonzero pmfs, where the
-    # scalar calls answer without building the mean's table.
+    # Counts run past both ends of each mean's support, where the scalar
+    # calls answer without building the mean's table, and across its edges.
     for mean, top in [(0.0, 700), (0.7, 700), (12.0, 900), (300.0, 2500), (1e4, 20000)]:
-        k = np.arange(0, top, 7)
+        low, high = _support_edges(mean)
+        edges = [c for c in range(low - 1, low + 2) if c >= 0] + [high, high + 1, high + 2]
+        k = np.array(sorted(set(range(0, top, 7)) | set(edges)))
         tails = pois_tails(k, mean)
         assert tails.tolist() == [pois_tail(i, mean) for i in k.tolist()]
         cdf = np.array([pois_cdf(i - 1, mean) for i in k.tolist()])
         assert np.allclose(cdf + tails, 1.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mean", [1e-3, 0.5, 5.5, 1500.0, 1e4, 1e6, 1e9, 1e12, 1e15])
+def test_every_pmf_past_the_support_is_zero(mean):
+    bottom, top = _support_edges(mean)
+    assert bottom <= math.floor(mean) < top
+    if bottom > 0:
+        assert _pmf(bottom - 1, mean) == 0.0
+    assert _pmf(top + 1, mean) == 0.0
+
+
+def test_support_edges_are_integers_at_any_mean():
+    # At 1e300 the edges lie about 10^151 from the mean, far below its ulp.
+    bottom, top = _support_edges(1e300)
+    assert type(bottom) is int and type(top) is int
+    assert bottom < math.floor(1e300) < top
+
+
+@pytest.mark.parametrize("mean", [1500.0, 1e4, 1e6])
+def test_sums_below_the_normal_range_match_mpmath(mean):
+    """Tails and cdfs under 1e-312, a few bits in float64, round once.
+
+    The pmfs run from 60 counts past each edge of the support towards the
+    mean, summed in order of size.  Each computed sum must be within one
+    subnormal step, 5e-324, of the sum in 40 digits.
+    """
+    bottom, top = _support_edges(mean)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mean)
+        k = top + 60
+        pmf, tail = mp_pois_pmf(k, m), mpmath.mpf(0)
+        while tail + pmf < 1e-312:
+            tail += pmf
+            assert abs(pois_tail(k, mean) - tail) <= 5e-324, (k, tail)
+            pmf = pmf * k / m
+            k -= 1
+        k = max(bottom - 60, 0)
+        pmf = mp_pois_pmf(k, m)
+        cdf = pmf
+        while cdf < 1e-312:
+            assert abs(pois_cdf(k, mean) - cdf) <= 5e-324, (k, cdf)
+            k += 1
+            pmf = pmf * m / k
+            cdf += pmf
 
 
 def test_huge_means_need_no_table():

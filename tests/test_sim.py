@@ -99,6 +99,9 @@ def test_estimate_rejects_epoch_means_beyond_int64_counts():
             estimate(params(lambda_a=la), episodes=10, seed=1)
     with pytest.raises(ValueError, match="at most"):
         simulate_episode(params(lambda_a=1.0, lambda_h=1e16), seed=1)
+    for M in (2**63, 2 * 10**19):
+        with pytest.raises(ValueError, match="threshold M // 2 [+] 1 must be at most"):
+            estimate(params(M=M), episodes=10, seed=1)
 
 
 def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
@@ -108,6 +111,17 @@ def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
     monkeypatch.setattr(sim, "_chunk", no_chunk)
     with pytest.raises(ValueError, match="at most"):
         estimate(params(lambda_a=1e300), episodes=10_000, seed=1, workers=2)
+
+
+@pytest.mark.parametrize("M, lambda_a", [(10**17, 1e3), (2**63 - 2, 1e6)])
+def test_estimate_mean_exit_count_past_int64_chunk_sums(M, lambda_a):
+    # A chunk's exit counts sum past int64, up to the largest threshold
+    # the simulator takes, 2**62; each count is the threshold plus an
+    # overshoot of mean lambda_a * delta.
+    stats = estimate(params(M=M, lambda_a=lambda_a), episodes=1000, seed=1)
+    assert stats.censored_count == 0
+    expected = majority_threshold(M) + lambda_a
+    assert stats.mean_a_exit == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_estimate_single_episode_se():
