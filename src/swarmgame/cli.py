@@ -52,12 +52,14 @@ def _resolve_params(config: RunConfig) -> SwarmParams:
     params = config.to_params()
     if params.expected_nu is not None:
         return params
-    nu = expected_exit_index(params)
-    if not math.isfinite(nu):
+    if params.lambda_a == 0.0:
         raise RuntimeError(
             "auto expected_nu failed: the exit-index transform is singular "
             "(lambda_a = 0 means the attacker never exits)"
         )
+    nu = expected_exit_index(params)
+    if not math.isfinite(nu):
+        raise RuntimeError("auto expected_nu failed: E[nu] overflows a float")
     return replace(params, expected_nu=nu)
 
 

@@ -7,10 +7,10 @@ and the xi-weighted mass of its pre-exit epochs at each level is a
 coefficient of a 1-D rational generating function.  That gives the joint
 functional of the exit index nu (the first observation at which the
 attacker holds a strict majority), the pre-exit and exit counts and the
-ally discount; the exit-index PGF; and E[nu] exactly, as one plus the
-expected number of pre-exit epochs (Kemeny & Snell, Finite Markov Chains,
-1960).  ``pathwise_events`` gives the exact probabilities of the
-simulator's own events from the same chain.
+ally discount; and the exit-index PGF.  At xi = 1 the expected number of
+pre-exit epochs (Kemeny & Snell, Finite Markov Chains, 1960) is a finite
+geometric sum, so E[nu] and the exact probabilities of the simulator's
+own events (``pathwise_events``) are closed forms, O(1) at any M.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _pre_exit_mass(
     second-order coefficients would move it and lose about thr ulps.  The
     recurrence is scipy's lfilter([1, -r], [a0, -r], first) in lfilter's
     own operation order (coefficients divided by a0, then direct form II
-    transposed), so h is bitwise the filter's.
+    transposed), so h is bitwise the filter's.  Only ``phi`` calls it.
     """
     la, lh = params.lambda_a, params.lambda_h
     d0, d = params.delta0, params.delta
@@ -190,16 +190,44 @@ def exit_index_pgf(xi: float, params: SwarmParams) -> float:
     return phi(TransformPoint(xi=xi), params)
 
 
+def _q(u: float) -> float:
+    """(expm1(u) - u) / u, by its Taylor series where it cancels (|u| <= 1/2)."""
+    if abs(u) > 0.5:
+        return math.expm1(u) / u - 1.0
+    total, term, k = 0.0, u / 2.0, 2
+    while total + term != total:
+        total, k = total + term, k + 1
+        term *= u / k
+    return total
+
+
+def _first_interval(params: SwarmParams) -> tuple[int, float, float]:
+    """thr, ell = log1p(1 / (lambda_a delta0)) and D = E[(thr - A_1)^+].
+
+    The first capture count has P{A_1 >= k} = r0^k = e^(-k ell), so D =
+    thr ell / expm1(ell) (q(ell) - q(-thr ell)): two nonnegative terms,
+    where thr - lambda_a delta0 (1 - r0^thr) cancels, and no ell^2 to underflow.
+    """
+    thr = majority_threshold(params.M)
+    # 1/la/d0, as la d0 may underflow.  Past ell = 700, D = thr and r0^thr = 0
+    # to float precision, and expm1 stays finite.
+    ell = min(math.log1p(1.0 / params.lambda_a / params.delta0), 700.0)
+    if not ell:  # la d0 overflows: the first interval exits
+        return thr, ell, 0.0
+    return thr, ell, thr * (ell / math.expm1(ell) * (_q(ell) - _q(-thr * ell)))
+
+
 def expected_exit_index(params: SwarmParams) -> float:
     """E[nu]: one plus the expected number of pre-exit epochs.
 
-    That count is the row sum of the absorbing chain's fundamental matrix,
-    the sum of h_i at xi = 1.  Infinite when the attacker rate is zero.
+    Epoch 1 is pre-exit with probability 1 - r0^thr, and the later ones
+    number (thr - A_1)^+ / (lambda_a delta) on average, so E[nu] = 2 - r0^thr + D /
+    (lambda_a delta).  inf when the attacker rate is zero or E[nu] overflows.
     """
     if params.lambda_a == 0.0:
         return math.inf
-    h = _pre_exit_mass(1.0, 1.0, 1.0, params, majority_threshold(params.M))
-    return 1.0 + float(h.sum())
+    thr, ell, D = _first_interval(params)
+    return 2.0 - math.exp(-thr * ell) + D / params.lambda_a / params.delta
 
 
 @dataclass(frozen=True)
@@ -226,37 +254,33 @@ class PathwiseEvents:
 def pathwise_events(params: SwarmParams, rho: float = 0.0) -> PathwiseEvents:
     """The simulator's burst, prior-safe and exit-count moments, exactly.
 
-    prior_safe needs only the attacker: the epoch-1 jump reaches thr with
-    probability r0^thr, and a later one from pre-exit level i with
-    probability r^(thr - i), r = lambda_a d / (1 + lambda_a d), where h_i
-    of ``_pre_exit_mass`` weighs level i.  E[A_nu] is Wald's identity,
-    lambda_a (delta0 + (E[nu] - 1) delta).  With lambda_h = 0 every exit
-    bursts in Regular; the overshoot past thr is geometric with the ratio
-    of the crossing epoch (memoryless), so Safety is the binomial PGF at
-    r0 or r.  With lambda_h > 0 ``_honest_race`` runs the (attacker,
-    honest) chain for the tails P{A_nu >= thr + j, H_nu < thr}, and
-    Safety is their binomial mixture over the allies.  With lambda_a = 0
-    nothing exits and, as censored episodes do in the simulator,
-    A_(nu-1) reads 0.
+    prior_safe needs only the attacker: 1 at odd M, where every level below
+    thr is below M/2, and r0^thr + r (1 - r0^(thr - 1)), r = lambda_a delta /
+    (1 + lambda_a delta), at even M, where exits from level thr - 1 = M/2
+    are not safe.  E[A_nu] is Wald's identity, lambda_a (delta0 + (E[nu] -
+    1) delta) = lambda_a (delta0 + delta (1 - r0^thr)) + D, with r0 and D
+    as in ``_first_interval``; neither needs ``phi``'s ``_pre_exit_mass``.
+    With lambda_h = 0 every exit bursts in Regular; the overshoot past thr
+    is geometric with the ratio of the crossing epoch (memoryless), so
+    Safety is the binomial PGF at r0 or r.  With lambda_h > 0
+    ``_honest_race`` runs the (attacker, honest) chain for the tails
+    P{A_nu >= thr + j, H_nu < thr}, and Safety is their binomial mixture
+    over the allies.  With lambda_a = 0 nothing exits and, as censored
+    episodes do in the simulator, A_(nu-1) reads 0.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     la, d0, d = params.lambda_a, params.delta0, params.delta
     if la == 0.0:
         return PathwiseEvents(0.0, 0.0, 1.0, math.nan)
-    thr, n = majority_threshold(params.M), params.candidates
-    r0, r = la * d0 / (1.0 + la * d0), la * d / (1.0 + la * d)
-
-    h = _pre_exit_mass(1.0, 1.0, 1.0, params, thr)
-    levels = np.arange(thr)
-    last = h * r ** (thr - levels)  # P{A_(nu-1) = i, nu > 1}
-    last[0] += r0**thr
-    prior_safe = float(last[levels < params.M / 2].sum())
-    # Wald, with E[nu] - 1 = sum of h as in expected_exit_index
-    mean_exit_count = la * (d0 + float(h.sum()) * d)
+    n = params.candidates
+    thr, ell, D = _first_interval(params)
+    r0, r = 1.0 / (1.0 + 1.0 / la / d0), 1.0 / (1.0 + 1.0 / la / d)
+    first = math.exp(-thr * ell)  # r0^thr
+    prior_safe = 1.0 if params.M % 2 else first - r * math.expm1(-(thr - 1) * ell)
+    mean_exit_count = la * (d0 - d * math.expm1(-thr * ell)) + D
 
     if params.lambda_h == 0.0:
-        first = r0**thr
         regular = 1.0
         safety = first * (1.0 - rho + rho * r0) ** n + (1.0 - first) * (
             1.0 - rho + rho * r

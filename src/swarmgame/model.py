@@ -271,10 +271,14 @@ class _CostCurve:
 
     def __init__(self, params: SwarmParams) -> None:
         self.params = params
+        # First, so a swarm too large for memory fails before the Poisson
+        # tables take gigabytes; numpy misreports arrays past 2**63 bytes.
+        n = params.candidates + 1
+        if n > sys.maxsize // 8:
+            raise MemoryError(f"{n} counts of 8 bytes exceed any address space")
+        counts = majority_threshold(params.M) + np.arange(n)
         self.p_prior = prior_safe_prob(params)
         self.q0 = burst_prob_regular(params)
-        thr = majority_threshold(params.M)
-        counts = thr + np.arange(params.candidates + 1)
         self.q1 = binomial_mixture(pois_tails(counts, exit_mean_count(params)))
 
     def breakdowns(self, rho: Sequence[float]) -> list[CostBreakdown]:

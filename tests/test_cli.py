@@ -222,17 +222,20 @@ def test_simulate_threshold_beyond_int64_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("nu", ["3", "auto"])
 def test_swarm_too_large_for_memory_exits_1(tmp_path, capsys, nu):
-    # numpy refuses the 364 TiB allocation at once, beyond any address space.
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text(
-        "M = 100000000000000\ndrone_value = 1\nlambda_a = 1\ndelta0 = 1\n"
-        f"delta = 1\nexpected_nu = {nu}\n"
-    )
-    assert run(["analyze", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: out of memory: ")
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
+    # numpy refuses the 364 TiB allocation at once, beyond any address space;
+    # past 2**63 bytes the curve refuses it first (numpy's np.arange raises
+    # a ValueError there, or returns an empty array at 2**63 entries).
+    for M in (10**14, 2**64, 10**20):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(
+            f"M = {M}\ndrone_value = 1\nlambda_a = 1\ndelta0 = 1\n"
+            f"delta = 1\nexpected_nu = {nu}\n"
+        )
+        assert run(["analyze", "--config", cfg]) == 1, M
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: "), M
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -375,6 +378,27 @@ def test_auto_mode_with_no_attacker_exits_nonzero(tmp_path, capsys):
     )
     assert run(["analyze", "--config", cfg]) == 1
     assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rates, code, text",
+    [
+        # E[nu] is about 1.1e401, past the float range
+        (("1e-200",) * 3, 1, "error: auto expected_nu failed: E[nu] overflows"),
+        # lambda_a delta0 overflows: the first interval exits, so E[nu] = 1
+        (("1e300", "1e10", "1e-300"), 0, "q0         = 1\n"),
+    ],
+)
+def test_auto_mode_at_float_edge_rates(tmp_path, capsys, rates, code, text):
+    cfg = tmp_path / "auto.cfg"
+    cfg.write_text(
+        "M = 20\ndrone_value = 1500\nlambda_a = {}\ndelta0 = {}\ndelta = {}\n"
+        "expected_nu = auto\n".format(*rates)
+    )
+    assert run(["analyze", "--config", cfg]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert text in (captured.err if code else captured.out)
 
 
 def test_auto_mode_uses_transform(tmp_path, capsys):

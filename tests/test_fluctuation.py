@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import astuple
 
 import mpmath
@@ -445,3 +446,75 @@ def test_pathwise_events_edges():
     for rho in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
             pathwise_events(p, rho)
+
+
+def mp_exit_moments(p):
+    """E[nu], prior_safe and E[A_nu] at xi = 1, by the short closed form.
+
+    E[nu] = 1 + thr / (lambda_a delta) + (1 - delta0 / delta)(1 - r0^thr);
+    its terms cancel to E[nu] from as much as 1e27, which 60 digits absorb.
+    prior_safe is 1 at odd M and r0^thr + r (1 - r0^(thr - 1)) at even M,
+    and E[A_nu] is Wald's lambda_a (delta0 + (E[nu] - 1) delta).
+    """
+    with mpmath.workdps(60):
+        la, d0, d = (mpmath.mpf(v) for v in (p.lambda_a, p.delta0, p.delta))
+        thr = majority_threshold(p.M)
+        r0, r = la * d0 / (1 + la * d0), la * d / (1 + la * d)
+        nu = 1 + thr / (la * d) + (1 - d0 / d) * (1 - r0**thr)
+        prior_safe = 1 if p.M % 2 else r0**thr + r * (1 - r0 ** (thr - 1))
+        return nu, mpmath.mpf(prior_safe), la * (d0 + (nu - 1) * d)
+
+
+def _assert_exit_moments(p):
+    want = mp_exit_moments(p)
+    events = pathwise_events(p)
+    got = (expected_exit_index(p), events.prior_safe, events.mean_exit_count)
+    for name, g, w in zip(("nu", "prior_safe", "mean_exit_count"), got, want):
+        if w > mpmath.mpf(np.finfo(float).max):
+            assert g == math.inf, name
+        else:
+            assert g == pytest.approx(float(w), rel=1e-15, abs=0.0), name
+
+
+@pytest.mark.parametrize("M", [4, 5, 20, 121, 1000, 10**6, 10**6 + 1, 10**9, 10**12])
+def test_exit_moments_match_mpmath(M):
+    for la in (1e-6, 1.0, 1e6):
+        for d0 in (1e-6, 1.0, 1e3, 1e8, 1e14):
+            for d in (1e-9, 1e-3, 1.0, 1e3):
+                _assert_exit_moments(params(M=M, lambda_a=la, delta0=d0, delta=d))
+    # prior_safe is about r = 1e-300; E[nu] overflows from M = 4e8 on
+    _assert_exit_moments(params(M=M, lambda_a=1e-300, delta0=1e-10, delta=1.0))
+
+
+@pytest.mark.parametrize("M", [4, 5, 20, 41])
+def test_mpmath_exit_moments_meet_chain_oracles(M):
+    # The oracle's short closed form against conditioning on the first
+    # interval and against the dense attacker chain, which share no algebra.
+    for la, d0, d in ((1.0, 2.0, 0.5), (0.6, 0.4, 1.5), (3.0, 1.0, 1.0),
+                      (1e-3, 5.0, 1.0)):
+        p = params(M=M, lambda_a=la, delta0=d0, delta=d)
+        nu, prior_safe, mean_exit = (float(v) for v in mp_exit_moments(p))
+        assert nu == pytest.approx(first_step_expected_nu(p), rel=1e-12)
+        chain = dense_chain_events(p, 0.0)
+        assert prior_safe == pytest.approx(chain.prior_safe, rel=1e-10)
+        assert mean_exit == pytest.approx(chain.mean_exit_count, rel=1e-10)
+
+
+def test_expected_exit_index_at_float_edges():
+    # lambda_a delta0 underflows to 0 and E[nu], about 1.1e401, overflows
+    assert expected_exit_index(params(lambda_a=1e-200, delta0=1e-200,
+                                      delta=1e-200)) == math.inf
+    # lambda_a delta0 overflows: the first interval exits
+    p = params(lambda_a=1e300, delta0=1e10, delta=1e-300)
+    assert expected_exit_index(p) == 1.0
+    assert pathwise_events(p, 0.5).prior_safe == 1.0
+
+
+def test_exit_moments_need_no_loop_at_any_swarm():
+    # O(1) in M: an array of M/2 levels would not fit in memory here.
+    p = params(M=10**12, lambda_a=1.0, delta0=2.0, delta=0.5)
+    start = time.perf_counter()
+    for _ in range(100):
+        expected_exit_index(p)
+        pathwise_events(p)
+    assert (time.perf_counter() - start) / 100 < 1e-3
