@@ -302,18 +302,15 @@ def _honest_race(params: SwarmParams, thr: int, n: int) -> np.ndarray:
     be the epoch-1 law, W(A, H) the mass later epochs bring to (A, H), and
     G = F + W the pre-exit mass below thr (G = 0 from thr on).  As
     generating functions F = c0 / (1 - a0 u - b0 v) and W = c G / (1 - a u
-    - b v), so each attacker row follows from the one before by a
-    first-order recurrence in H:
-        F(A, H) = a0 F(A - 1, H) + b0 F(A, H - 1)
-        W(A, H) = c G(A, H) + a W(A - 1, H) + b W(A, H - 1),
-    which below thr reads (a + b) W = c F + a W(A - 1, .) + b W(., H - 1).
-    Counts never decrease and H >= thr leaves the race, so one pass over
-    the rows A < thr + n, H < thr gives the exit mass F + W of rows thr to
-    thr + n - 1; summing the recurrences over the rows beyond gives the
-    rest in closed form.
+    - b v), so F(A, H) = a0 F(A - 1, H) + b0 F(A, H - 1) and W(A, H) =
+    c G(A, H) + a W(A - 1, H) + b W(A, H - 1), which below thr reads
+    (a + b) W = c F + a W(A - 1, .) + b W(., H - 1).  A point needs only
+    two on the anti-diagonal before it, so one sweep over A + H = k carries
+    both masses; H = thr leaves the race, so each point is zeroed there.
+    The last entry stands for all A >= thr + n: their sum obeys (1 - a0)
+    S(H) = a0 F(thr + n - 1, H) + b0 S(H - 1), likewise for W with a and b,
+    so its weights are divided by 1 - a0 and 1 - a.
     """
-    from scipy.signal import lfilter  # off the import path: only this uses it
-
     la, lh = params.lambda_a, params.lambda_h
 
     def step(d):
@@ -321,22 +318,22 @@ def _honest_race(params: SwarmParams, thr: int, n: int) -> np.ndarray:
         m = 1.0 + (la + lh) * d
         return 1.0 / m, la * d / m, lh * d / m
 
-    c0, a0, b0 = step(params.delta0)
-    c, a, b = step(params.delta)
-    first = c0 * b0 ** np.arange(thr)
-    later = np.zeros(thr)
-    exit_mass = []
-    for row in range(thr + n):
-        if row:
-            first = lfilter([a0], [1.0, -b0], first)
-        if row < thr:
-            later = lfilter([1.0], [a + b, -b], c * first + a * later)
-        else:
-            later = lfilter([a], [1.0, -b], later)
-            exit_mass.append(first.sum() + later.sum())
-    # S(H), the sum of F(A, H) over the rows beyond the last, satisfies
-    # (1 - a0) S(H) - b0 S(H - 1) = a0 F(last, H); likewise for W.
-    beyond = lfilter([a0], [c0 + b0, -b0], first).sum()
-    beyond += lfilter([a], [c + b, -b], later).sum()
-    return beyond + np.cumsum((exit_mass + [0.0])[::-1])[::-1]
-
+    (c0, a0, b0), (c, a, b) = step(params.delta0), step(params.delta)
+    last = thr + n
+    # Row 0 carries F, row 1 W; column A holds the point (A, k - A).
+    scale = np.ones((2, last + 1))
+    scale[1, :thr] = 1.0 / (a + b)
+    scale[:, last] = 1.0 / (c0 + b0), 1.0 / (c + b)  # 1 - a0, 1 - a, uncancelled
+    up, left = scale * [[a0], [a]], scale * [[b0], [b]]
+    fresh = np.where(np.arange(last + 1) < thr, c * scale[1], 0.0)
+    x = np.zeros((2, last + 1))
+    x[:, 0] = c0, fresh[0] * c0
+    total, behind = x.copy(), np.zeros_like(x)
+    for k in range(1, last + thr):
+        behind[:, 1:] = x[:, :-1]  # (A - 1, H); column 0 stays zero
+        x = up * behind + left * x
+        x[1] += fresh * x[0]
+        if k >= thr:
+            x[:, k - thr] = 0.0
+        total += x
+    return np.cumsum(total[:, thr:].sum(axis=0)[::-1])[::-1]

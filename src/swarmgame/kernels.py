@@ -89,7 +89,7 @@ def _stirlerr(k):
         small = k <= 15
         out[small] = _STIRLERR[k[small].astype(np.intp)]
         return out
-    return float(_STIRLERR[k]) if k <= 15 else _stirlerr_series(k)
+    return float(_STIRLERR[k]) if k <= 15 else _stirlerr_series(float(k))
 
 
 def _bd0(x: float, m: float) -> float:
@@ -281,7 +281,7 @@ def binom_pmf(j: int, n: int, p: float) -> float:
         - _bd0(j, n * p)
         - _bd0(n - j, n * q)
     )
-    return math.exp(log_w) * math.sqrt(n / (2.0 * math.pi * j * (n - j)))
+    return math.exp(log_w) * math.sqrt(n / j / (n - j) / (2.0 * math.pi))
 
 
 def _log_binomials(n: int) -> np.ndarray:

@@ -4,9 +4,9 @@ A ``TruncSeries`` holds a dense coefficient array indexed by the
 exponents of (q, r, s), closed under ring arithmetic at fixed maximum
 degrees: any product term whose exponent exceeds the truncation in some
 variable is discarded.  At the degrees this package uses (about 11 per
-variable) dense storage beats sparse by a wide margin.  Products go through
-``scipy.signal.fftconvolve``, which is imported on the first product, not
-with the module.
+variable) dense storage beats sparse by a wide margin.  Products are
+computed by ``numpy.fft`` on arrays padded to twice the shape, so the
+cyclic convolution leaves the retained coefficients unwrapped.
 """
 
 from __future__ import annotations
@@ -98,12 +98,12 @@ class TruncSeries:
 
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Cauchy product truncated to the common degrees."""
-    from scipy.signal import fftconvolve  # loaded on the first product only
-
     a._check_degrees(b)
     nq, nr, ns = a.coefficients.shape
-    full = fftconvolve(a.coefficients, b.coefficients)
-    return TruncSeries(full[:nq, :nr, :ns])
+    shape, axes = (2 * nq, 2 * nr, 2 * ns), (0, 1, 2)
+    spectrum = np.fft.rfftn(a.coefficients, shape, axes)
+    spectrum *= np.fft.rfftn(b.coefficients, shape, axes)
+    return TruncSeries(np.fft.irfftn(spectrum, shape, axes)[:nq, :nr, :ns])
 
 
 def series_div(a: TruncSeries, b: TruncSeries) -> TruncSeries:

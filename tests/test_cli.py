@@ -13,7 +13,7 @@ import pytest
 
 from swarmgame import cli
 from swarmgame.cli import main
-from swarmgame.fluctuation import PathwiseEvents, pathwise_events
+from swarmgame.fluctuation import PathwiseEvents, exit_index_pgf, pathwise_events
 from swarmgame.kernels import pois_tail
 from swarmgame.model import SwarmParams, total_cost
 from swarmgame.optimize import optimize
@@ -321,29 +321,38 @@ def test_unwritable_out_exits_2(config_path, tmp_path, capsys, command):
         assert "Traceback" not in err
 
 
-# Runs in a fresh interpreter: neither the import nor any CLI command may
-# load scipy, an optional extra, and pathwise_events must load
-# scipy.signal on demand.
+# Runs in a fresh interpreter that refuses every scipy import: numpy is
+# the only runtime dependency, so the import, the four CLI commands,
+# pathwise_events at lambda_h > 0, the exit-index PGF and a series product
+# and division all run without scipy.
 FRESH_IMPORT = """\
-import json, sys
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"scipy is blocked: {name}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
 from dataclasses import astuple
-from swarmgame import cli, pathwise_events
+from swarmgame import cli, exit_index_pgf, pathwise_events
 from swarmgame.model import SwarmParams
-def scipy_modules():
-    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+from swarmgame.series import TruncSeries
 cfg, out = sys.argv[1:]
-loaded = scipy_modules()
 codes = [cli.main([c, "--config", cfg, "--out", out])
          for c in ("analyze", "sweep", "optimize")]
 codes.append(cli.main(["simulate", "--config", cfg]))
-loaded += scipy_modules()
 p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, lambda_h=0.5,
                 delta0=2.0, delta=0.5)
-print(json.dumps([codes, loaded, astuple(pathwise_events(p, 0.3))]))
+q = TruncSeries.monomial(1.0, (1, 0, 0), (3, 1, 1))
+series = ((1 + q * q) / (1 - q)).coefficients[:, 0, 0].tolist()
+results = [astuple(pathwise_events(p, 0.3)), exit_index_pgf(0.5, p), series]
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+print(json.dumps([codes, loaded, *results]))
 """
 
 
-def test_analytic_commands_leave_scipy_signal_unloaded(tmp_path):
+def test_entry_points_run_with_scipy_blocked(tmp_path):
     cfg = tmp_path / "auto.cfg"
     cfg.write_text(
         "M = 1000\ndrone_value = 1500\nlambda_a = 1\ndelta0 = 2\ndelta = 0.5\n"
@@ -359,7 +368,7 @@ def test_analytic_commands_leave_scipy_signal_unloaded(tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    codes, loaded, events = json.loads(result.stdout.splitlines()[-1])
+    codes, loaded, events, pgf, series = json.loads(result.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert loaded == []
     p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, lambda_h=0.5,
@@ -368,6 +377,9 @@ def test_analytic_commands_leave_scipy_signal_unloaded(tmp_path):
     want = dense_chain_events(p, 0.3)
     for field, got in zip(PathwiseEvents.__dataclass_fields__, events):
         assert got == pytest.approx(getattr(want, field), rel=1e-10, abs=1e-13), field
+    assert pgf == exit_index_pgf(0.5, p)
+    # (1 + q^2) / (1 - q) = 1 + q + 2 q^2 + 2 q^3 + ...
+    assert series == pytest.approx([1.0, 1.0, 2.0, 2.0], abs=1e-12)
 
 
 def test_auto_mode_with_no_attacker_exits_nonzero(tmp_path, capsys):

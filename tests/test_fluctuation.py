@@ -10,6 +10,7 @@ from scipy.signal import lfilter
 from swarmgame.fluctuation import (
     PathwiseEvents,
     TransformPoint,
+    _honest_race,
     _pre_exit_mass,
     exit_index_pgf,
     expected_exit_index,
@@ -407,6 +408,67 @@ def test_pathwise_events_match_dense_chain(M, lambda_h):
                 assert getattr(got, field) == pytest.approx(
                     getattr(want, field), rel=1e-10, abs=1e-13
                 ), field
+
+
+def mp_honest_race(p):
+    """P{A_nu >= thr + j, H_nu < thr}, j = 0..n, at 35 digits.
+
+    The lattice recurrences of ``_honest_race`` taken one attacker row A
+    at a time and along H within it, where the sweep runs by anti-diagonals
+    in floats.  Rows past thr + n - 1 are summed by their closed form.
+    """
+    with mpmath.workdps(35):
+        rates = (p.lambda_a, p.lambda_h, p.delta0, p.delta)
+        la, lh, d0, d = (mpmath.mpf(v) for v in rates)
+
+        def step(mean):
+            m = 1 + (la + lh) * mean
+            return 1 / m, la * mean / m, lh * mean / m
+
+        (c0, a0, b0), (c, a, b) = step(d0), step(d)
+        thr, n = majority_threshold(p.M), p.candidates
+        F = W = [mpmath.mpf(0)] * thr
+        mass = []
+        for A in range(thr + n):
+            above_F, above_W, F, W = F, W, [], []
+            for H in range(thr):
+                f = a0 * above_F[H] + (b0 * F[-1] if H else c0 if A == 0 else 0)
+                w = a * above_W[H] + (b * W[-1] if H else 0)
+                if A < thr:  # pre-exit: W = c (F + W) + ...
+                    w = (w + c * f) / (1 - c)
+                F.append(f)
+                W.append(w)
+            if A >= thr:
+                mass.append(mpmath.fsum(F) + mpmath.fsum(W))
+        S = T = beyond = mpmath.mpf(0)
+        for H in range(thr):
+            S = (a0 * F[H] + b0 * S) / (1 - a0)
+            T = (a * W[H] + b * T) / (1 - a)
+            beyond += S + T
+        mass.append(beyond)
+        return [mpmath.fsum(mass[j:]) for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("M", [4, 5, 20, 61, 120])
+def test_honest_race_matches_mpmath(M):
+    # At lambda_a = 1e8, 1 - a0 cancels to about 1e-8 relative in floats.
+    for la, lh, d0, d in ((1.0, 0.5, 1.0, 1.0), (1.0, 0.5, 2.0, 0.5),
+                          (0.2, 5.0, 1.0, 1.0), (3.0, 0.1, 0.5, 2.0),
+                          (1e8, 0.5, 2.0, 1e-3)):
+        p = params(M=M, lambda_a=la, lambda_h=lh, delta0=d0, delta=d)
+        want = mp_honest_race(p)
+        got = _honest_race(p, majority_threshold(M), p.candidates)
+        assert len(got) == len(want) == p.candidates + 1
+        for j, (g, w) in enumerate(zip(got.tolist(), want)):
+            assert g == pytest.approx(float(w), rel=3e-14, abs=0.0), (la, j)
+        rho, n = 0.3, p.candidates
+        with mpmath.workdps(35):
+            safety = mpmath.fsum(mpmath.binomial(n, j) * mpmath.mpf(rho) ** j
+                                 * (1 - mpmath.mpf(rho)) ** (n - j) * w
+                                 for j, w in enumerate(want))
+        events = pathwise_events(p, rho)
+        assert events.burst_regular == pytest.approx(float(want[0]), rel=3e-14)
+        assert events.burst_safety == pytest.approx(float(safety), rel=3e-14)
 
 
 @pytest.mark.parametrize("M", [20, 121, 1000])

@@ -65,6 +65,25 @@ def test_pmf_and_binom_pmf_match_mpmath_at_large_counts(n):
         assert binom_pmf(j, n, p) == pytest.approx(float(expected), rel=1e-13)
 
 
+@pytest.mark.parametrize("e", [520, 1000])
+def test_pmf_and_binom_pmf_at_counts_whose_square_overflows(e):
+    """Past about 1.3e154 a count's square exceeds the float range, and
+    2 pi j (n - j) overflows from n of about 1e154.  The counts are powers
+    of two, so each is its float mean exactly: 10**160 against the float
+    1e160 would be 6.5e63 standard deviations apart."""
+    k = 2**e
+    with mpmath.workdps(400):
+        expected = mpmath.exp(k * mpmath.log(k) - k - mpmath.loggamma(k + 1))
+        assert pois_pmf(k, float(k)) == pytest.approx(float(expected), rel=1e-15)
+        for j, n, p in [(k, 2 * k, 0.5), (k // 4, k, 0.25), (k // 2, k, 0.25)]:
+            expected = mpmath.exp(
+                mpmath.loggamma(n + 1) - mpmath.loggamma(j + 1)
+                - mpmath.loggamma(n - j + 1)
+                + j * mpmath.log(p) + (n - j) * mpmath.log(1 - mpmath.mpf(p))
+            )
+            assert binom_pmf(j, n, p) == pytest.approx(float(expected), rel=1e-15)
+
+
 def test_pmf_domain_errors():
     with pytest.raises(ValueError):
         pois_pmf(-1, 1.0)
@@ -322,32 +341,22 @@ def test_binomial_mixture_rows_do_not_depend_on_their_call():
 
 
 def _scipy_imports(path):
-    """(module, enclosing function or None) of each scipy import in a file."""
+    """Each scipy module a file imports, at module level or in a function."""
     found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [f"{child.module}.{alias.name}" for alias in child.names]
-            else:
-                names = []
-            for name in names:
-                if name == "scipy" or name.startswith("scipy."):
-                    found.append((name, function))
-            visit(child, function)
-
-    visit(ast.parse(path.read_text()), None)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
     return found
 
 
-def test_no_module_imports_scipy_at_module_level():
-    """scipy is an optional extra: a module loads it only inside the
-    function that needs it, so importing swarmgame never loads it."""
+def test_no_module_imports_scipy():
+    """numpy is the only runtime dependency: no module imports scipy, not
+    even inside a function."""
     for path in Path(swarmgame.__file__).parent.glob("*.py"):
-        for name, function in _scipy_imports(path):
-            assert function is not None, (path.name, name)
+        assert _scipy_imports(path) == [], path.name

@@ -44,6 +44,21 @@ def test_mul_truncation_semantics():
     )
 
 
+def test_mul_matches_fftconvolve():
+    # scipy is a test-only oracle: the full linear convolution, truncated.
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(3)
+    for degrees in [(0, 0, 0), (3, 3, 3), (11, 11, 11), (2, 0, 6), (1, 4, 0)]:
+        for _ in range(5):
+            a, b = random_series(rng, degrees), random_series(rng, degrees)
+            full = fftconvolve(a.coefficients, b.coefficients)
+            want = full[tuple(slice(d + 1) for d in degrees)]
+            np.testing.assert_allclose(
+                series_mul(a, b).coefficients, want, rtol=0.0, atol=1e-12
+            )
+
+
 def test_div_self():
     rng = np.random.default_rng(1)
     a = random_series(rng, unit_constant=True)
