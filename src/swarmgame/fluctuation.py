@@ -4,11 +4,12 @@ The attacker's node count is a Poisson process sampled at exponentially
 spaced observation epochs, so one interval's capture count is geometric.
 Below a strict majority the observed count is an absorbing Markov chain,
 and the xi-weighted mass of its pre-exit epochs at each level is a
-coefficient of a 1-D rational generating function.  That gives the joint
-functional of the exit index nu (the first observation at which the
-attacker holds a strict majority), the pre-exit and exit counts and the
-ally discount; and the exit-index PGF.  At xi = 1 the expected number of
-pre-exit epochs (Kemeny & Snell, Finite Markov Chains, 1960) is a finite
+coefficient of a 1-D rational generating function, one pass over the
+levels with no per-level memory.  That gives the joint functional of the
+exit index nu (the first observation at which the attacker holds a
+strict majority), the pre-exit and exit counts and the ally discount;
+and the exit-index PGF.  At xi = 1 the expected number of pre-exit
+epochs (Kemeny & Snell, Finite Markov Chains, 1960) is a finite
 geometric sum, so E[nu] and the exact probabilities of the simulator's
 own events (``pathwise_events``) are closed forms, O(1) at any M.
 """
@@ -109,47 +110,21 @@ def sigma_transform(b: float, rho: float, candidates: int) -> float:
     return (1.0 - rho + rho / b) ** candidates
 
 
-def _pre_exit_mass(
-    xi: float, y: float, z: float, params: SwarmParams, size: int
-) -> np.ndarray:
-    """xi-weighted mass h_0..h_{size-1} of pre-exit epochs by attacker level.
-
-    Over an interval of mean d the weight of k captures is c r^k, with
-    c = interval_transform(0, z, d) and r = lambda_a d c y, so h_i is the
-    coefficient of u^i in H(u) = c0 (1 - r u) / ((1 - r0 u)(1 - xi c - r u)),
-    where c0, r0 belong to the first interval (mean delta0).  Its first
-    factor is expanded directly and the rest by one first-order recurrence,
-    so the pole r / (1 - xi c) stays exactly 1 at xi = y = z = 1; rounded
-    second-order coefficients would move it and lose about thr ulps.  The
-    recurrence is scipy's lfilter([1, -r], [a0, -r], first) in lfilter's
-    own operation order (coefficients divided by a0, then direct form II
-    transposed), so h is bitwise the filter's.  Only ``phi`` calls it.
-    """
-    la, lh = params.lambda_a, params.lambda_h
-    d0, d = params.delta0, params.delta
-    c0 = interval_transform(0.0, z, d0, la, lh)
-    c = interval_transform(0.0, z, d, la, lh)
-    r = la * d * c * y
-    # 1 - xi c, written without the cancellation near xi c = 1
-    a0 = c * (1.0 - xi + la * d + lh * d * (1.0 - z))
-    first = c0 * (la * d0 * c0 * y) ** np.arange(size)
-    b0, b1 = 1.0 / a0, -r / a0  # b1 is also the normalized a1
-    h, state = [], 0.0
-    for x in first.tolist():
-        out = state + b0 * x
-        state = x * b1 - out * b1
-        h.append(out)
-    return np.array(h)
-
-
 def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
     """Joint transform of (nu, pre-exit count, exit count, ally discount).
 
     Pre-exit intervals carry the marks y = g0 g1 b and z = z0 z1, the exit
-    interval y = g1 b and z = z1.  The ally-acceptance probability rho
-    enters only through the factor E[b^-B]; at b = 1 (in particular for
-    the exit-index marginal) it has no effect.  That factor is folded
-    into the capture marks, so it cannot overflow.
+    interval y = g1 b and z = z1.  With each capture's g1 b taken out, k
+    pre-exit captures in an interval of mean d weigh c r^k, c =
+    interval_transform(0, z, d) and r = lambda_a d c g0, so the xi-weighted
+    mass h_i of pre-exit epochs at level i < thr is the coefficient of u^i
+    in c0 (1 - r u) / ((1 - r0 u)(1 - xi c - r u)), c0 and r0 the first
+    interval's.
+    One pass runs (1 - xi c) h_i by its first-order recurrence, whose pole
+    is exactly 1 at xi = g0 = z0 z1 = 1, and sums the exits by Horner's
+    rule; nothing divides by 1 - xi c, which underflows with lambda_a delta.
+    The ally-acceptance probability rho enters only through the factor
+    E[b^-B], folded into the capture marks, so it cannot overflow.
     """
     la, lh = params.lambda_a, params.lambda_h
     if la == 0.0:
@@ -158,21 +133,32 @@ def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
         return 1.0 if point.xi == 1.0 else 0.0
 
     thr, n = majority_threshold(params.M), params.candidates
-    xi, b, y, z = point.xi, point.b, point.g1 * point.b, point.z1
+    d0, d = params.delta0, params.delta
+    xi, b, g0, z = point.xi, point.b, point.g0, point.z1
+    y, zp = point.g1 * b, point.z0 * z  # the exit and pre-exit (z) marks
 
-    def exit_weight(mean, short, s):
-        """Weight of an exit interval that brings at least `short` captures."""
-        r = la * mean * interval_transform(0.0, z, mean, la, lh) * s
-        return interval_transform(y, z, mean, la, lh) * r**short
+    def ratio(mean, mark):
+        """lambda_a mean c: k captures in one interval weigh c ratio^k."""
+        return la * mean * interval_transform(0.0, mark, mean, la, lh)
 
-    def exit_mass(s):
-        """The functional without the allies, each capture marked by s."""
-        h = _pre_exit_mass(xi, point.g0 * s, point.z0 * z, params, thr)
-        # The attacker crosses in the very first interval, or at a later
-        # epoch after a run of pre-exit epochs that leaves it at level i < thr.
-        return xi * exit_weight(params.delta0, thr, s) + xi * xi * float(
-            h @ exit_weight(params.delta, thr - np.arange(thr), s)
-        )
+    c0 = interval_transform(0.0, zp, d0, la, lh)
+    r0, r, R = g0 * ratio(d0, zp), g0 * ratio(d, zp), ratio(d, z)
+    # q = r / (g0 (1 - xi c)) with no cancellation near xi c = 1; lh / la
+    # first would be inf * 0 where lambda_a is tiny.
+    q = 1.0 / ((1.0 - xi) / la / d + 1.0 + lh * (1.0 - zp) / la)
+    pole = q * g0
+    k = total = before = 0.0
+    level = c0  # c0 r0^i, the first interval's mass at level i
+    for _ in range(thr):
+        k = pole * k + level - r * before
+        total = total * R + k
+        before, level = level, level * r0
+    # The attacker crosses in the very first interval, or at a later epoch
+    # after a run of pre-exit epochs that leaves it at level i < thr; the
+    # exit ratio over 1 - xi c is R / (1 - xi c) = (c_z / c) q.
+    c, c_z = (interval_transform(0.0, v, d, la, lh) for v in (zp, z))
+    exit_mass = xi * interval_transform(y, z, d0, la, lh) * ratio(d0, z) ** thr
+    exit_mass += xi * xi * interval_transform(y, z, d, la, lh) * (c_z / c * q) * total
 
     # E[b^-B] grows like |b|^-n, while every one of the at least thr
     # captures carries a factor y = g1 b, so the mass underflows where the
@@ -182,7 +168,7 @@ def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
     # ((1 - rho) b + rho)^n b^(thr - n) has no factor above 1 in magnitude;
     # as thr - n = 2, it is 0 at b = 0, where sigma itself is singular.
     scale = ((1.0 - rho) * b + rho) ** n * b ** (thr - n) * point.g1**thr
-    return scale * exit_mass(1.0)
+    return scale * exit_mass
 
 
 def exit_index_pgf(xi: float, params: SwarmParams) -> float:
@@ -259,7 +245,7 @@ def pathwise_events(params: SwarmParams, rho: float = 0.0) -> PathwiseEvents:
     (1 + lambda_a delta), at even M, where exits from level thr - 1 = M/2
     are not safe.  E[A_nu] is Wald's identity, lambda_a (delta0 + (E[nu] -
     1) delta) = lambda_a (delta0 + delta (1 - r0^thr)) + D, with r0 and D
-    as in ``_first_interval``; neither needs ``phi``'s ``_pre_exit_mass``.
+    as in ``_first_interval``; neither needs ``phi``'s pass over the levels.
     With lambda_h = 0 every exit bursts in Regular; the overshoot past thr
     is geometric with the ratio of the crossing epoch (memoryless), so
     Safety is the binomial PGF at r0 or r.  With lambda_h > 0
@@ -304,8 +290,10 @@ def _honest_race(params: SwarmParams, thr: int, n: int) -> np.ndarray:
     generating functions F = c0 / (1 - a0 u - b0 v) and W = c G / (1 - a u
     - b v), so F(A, H) = a0 F(A - 1, H) + b0 F(A, H - 1) and W(A, H) =
     c G(A, H) + a W(A - 1, H) + b W(A, H - 1), which below thr reads
-    (a + b) W = c F + a W(A - 1, .) + b W(., H - 1).  A point needs only
-    two on the anti-diagonal before it, so one sweep over A + H = k carries
+    (a + b) W = c F + a W(A - 1, .) + b W(., H - 1); carrying (a + b) W,
+    weighted lambda_a / (lambda_a + lambda_h) and lambda_h / (lambda_a +
+    lambda_h), needs no 1 / (a + b) to overflow.  A point needs only two
+    on the anti-diagonal before it, so one sweep over A + H = k carries
     both masses; H = thr leaves the race, so each point is zeroed there.
     The last entry stands for all A >= thr + n: their sum obeys (1 - a0)
     S(H) = a0 F(thr + n - 1, H) + b0 S(H - 1), likewise for W with a and b,
@@ -320,14 +308,15 @@ def _honest_race(params: SwarmParams, thr: int, n: int) -> np.ndarray:
 
     (c0, a0, b0), (c, a, b) = step(params.delta0), step(params.delta)
     last = thr + n
-    # Row 0 carries F, row 1 W; column A holds the point (A, k - A).
+    # Row 0 carries F, row 1 W ((a + b) W below thr); column A holds the
+    # point (A, k - A).
     scale = np.ones((2, last + 1))
-    scale[1, :thr] = 1.0 / (a + b)
     scale[:, last] = 1.0 / (c0 + b0), 1.0 / (c + b)  # 1 - a0, 1 - a, uncancelled
     up, left = scale * [[a0], [a]], scale * [[b0], [b]]
-    fresh = np.where(np.arange(last + 1) < thr, c * scale[1], 0.0)
+    up[1, : thr + 1], left[1, :thr] = la / (la + lh), lh / (la + lh)
+    fresh = np.where(np.arange(last + 1) < thr, c, 0.0)
     x = np.zeros((2, last + 1))
-    x[:, 0] = c0, fresh[0] * c0
+    x[:, 0] = c0, c * c0
     total, behind = x.copy(), np.zeros_like(x)
     for k in range(1, last + thr):
         behind[:, 1:] = x[:, :-1]  # (A - 1, H); column 0 stays zero

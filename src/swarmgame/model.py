@@ -18,6 +18,7 @@ once and every q1 of a curve in one vectorized pass.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -70,6 +71,8 @@ class SwarmParams:
     ally_unit_cost: float = 3.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.M, numbers.Integral):
+            raise ValueError(f"M must be an integer, got {self.M}")
         if self.M < 4:
             raise ValueError(f"M must be at least 4, got {self.M}")
         # Money and thresholds take M to float; compared exactly, as an int.

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from swarmgame.config import ConfigError, parse_config
+from swarmgame.config import ConfigError, RunConfig, parse_config
 from swarmgame.model import SwarmParams, total_cost
 
 TABLE_CONFIG = """\
@@ -90,6 +90,8 @@ def test_invariant_violations_surface_as_config_errors():
         parse_config(TABLE_CONFIG + "grid_size = 1\n")
     with pytest.raises(ConfigError, match="delta0"):
         parse_config(TABLE_CONFIG.replace("delta0 = 1", "delta0 = -2"))
+    with pytest.raises(ConfigError, match="M must be an integer, got 20.5"):
+        RunConfig(M=20.5, drone_value=1.0, lambda_a=1.0, delta0=1.0, delta=1.0)
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,11 @@ from dataclasses import astuple
 import mpmath
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 from swarmgame.fluctuation import (
     PathwiseEvents,
     TransformPoint,
     _honest_race,
-    _pre_exit_mass,
     exit_index_pgf,
     expected_exit_index,
     interval_transform,
@@ -72,8 +70,13 @@ def test_phi_normalization_at_ones():
         params(M=10, lambda_a=3.0, delta0=0.5),
         params(lambda_h=5.0),
         params(lambda_a=0.0),
+        params(lambda_a=1e-300, lambda_h=1e10),  # lh / la would be inf
     ):
         assert phi(ones, p) == pytest.approx(1.0, abs=1e-9)
+    # lambda_a delta underflows: 1 - xi c does too, and nothing divides by it
+    p = params(lambda_a=1e-200, delta=1e-200)
+    assert phi(ones, p) == pytest.approx(1.0, abs=1e-9)
+    assert exit_index_pgf(1.0, p) == 1.0
 
 
 def test_pgf_bounds_and_monotone():
@@ -220,32 +223,6 @@ def _phi_series(point, params, rho):
     return sigma * d_operator(lam)
 
 
-def test_pre_exit_mass_is_bitwise_lfilter():
-    # The recurrence must reproduce scipy's first-order filter bit for bit,
-    # so that E[nu], phi and the PGF keep their exact values.
-    rng = np.random.default_rng(10)
-    for case in range(400):
-        M = 5000 if case < 10 else int(rng.integers(4, 5001))
-        p = params(
-            M=M,
-            lambda_a=rng.uniform(0.05, 4.0),
-            lambda_h=rng.uniform(0.01, 3.0) if case % 4 else 0.0,
-            delta0=rng.uniform(0.2, 3.0),
-            delta=rng.uniform(0.2, 3.0),
-        )
-        assert p.delta0 != p.delta
-        xi, y, z = (1.0, 1.0, 1.0) if case % 5 == 0 else rng.uniform(-1.0, 1.0, 3)
-        la, lh, d0, d = p.lambda_a, p.lambda_h, p.delta0, p.delta
-        c0 = interval_transform(0.0, z, d0, la, lh)
-        c = interval_transform(0.0, z, d, la, lh)
-        r = la * d * c * y
-        a0 = c * (1.0 - xi + la * d + lh * d * (1.0 - z))
-        thr = majority_threshold(M)
-        first = c0 * (la * d0 * c0 * y) ** np.arange(thr)
-        want = lfilter([1.0, -r], [a0, -r], first)
-        assert np.array_equal(_pre_exit_mass(xi, y, z, p, thr), want), case
-
-
 def test_phi_matches_series_reference():
     rng = np.random.default_rng(2026)
     for _ in range(120):
@@ -292,19 +269,21 @@ def mp_phi(point, p, rho):
         r0, r = la * d0 * c0 * yp, la * d * c * yp
         a0 = 1 - xi * c
         t = r / a0
-        partial, t_power, h = mpmath.mpf(0), mpmath.mpf(1), []
+        partial, t_power, r0_power, h = mpmath.mpf(0), mpmath.mpf(1), c0 / a0, []
         for i in range(thr):
             if i:
                 t_power *= t
                 partial = r0 * partial + t_power
-            h.append(c0 * (r0**i / a0 + xi * c / a0 * partial))
+                r0_power *= r0
+            h.append(r0_power + c0 * xi * c / a0 * partial)
 
-        def exit_weight(mean, short):
-            ratio = la * mean * transform(0, z1, mean) * g1
-            return transform(y, z1, mean) * ratio**short
+        def exit_weight(mean):
+            """Overshoot weight and ratio of an exit interval."""
+            return transform(y, z1, mean), la * mean * transform(0, z1, mean) * g1
 
-        lam = xi * exit_weight(d0, thr) + xi**2 * mpmath.fsum(
-            h[i] * exit_weight(d, thr - i) for i in range(thr)
+        (w0, R0), (w, R) = exit_weight(d0), exit_weight(d)
+        lam = xi * w0 * R0**thr + xi**2 * w * mpmath.fsum(
+            h[i] * R ** (thr - i) for i in range(thr)
         )
         rho = mpmath.mpf(rho)
         return ((1 - rho) * b + rho) ** n * b ** (thr - n) * lam
@@ -338,6 +317,28 @@ def test_phi_matches_mpmath_at_large_swarm():
         if abs(want) > 1e-290:
             assert got == pytest.approx(float(want), rel=1e-11), case
         else:  # below the normal range: it may only underflow
+            assert abs(got) <= 1e-290, case
+    # Signed marks make the terms alternate, so each case is compared with
+    # the functional at the marks' magnitudes, which bounds every term.
+    for case in range(60):
+        M = 5000 if case < 6 else int(rng.integers(4, 5001))
+        p = params(
+            M=M,
+            lambda_a=rng.uniform(0.2, 4.0),
+            lambda_h=rng.uniform(0.01, 3.0) if case % 4 else 0.0,
+            delta0=rng.uniform(0.2, 3.0),
+            delta=rng.uniform(0.2, 3.0),
+        )
+        marks = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.0, 6) ** min(
+            1.0, 50 / M
+        )
+        rho = rng.uniform()
+        want = mp_phi(TransformPoint(*marks), p, rho)
+        majorant = mp_phi(TransformPoint(*np.abs(marks)), p, rho)
+        got = phi(TransformPoint(*marks), p, rho)
+        if majorant > 1e-290:
+            assert abs(got - want) <= 1e-12 * majorant, case
+        else:
             assert abs(got) <= 1e-290, case
 
 
@@ -469,6 +470,20 @@ def test_honest_race_matches_mpmath(M):
         events = pathwise_events(p, rho)
         assert events.burst_regular == pytest.approx(float(want[0]), rel=3e-14)
         assert events.burst_safety == pytest.approx(float(safety), rel=3e-14)
+
+
+def test_pathwise_events_at_underflowing_rates():
+    # (lambda_a + lambda_h) delta underflows, so 1 / (a + b) would overflow:
+    # every epoch brings at most one event, attacker or honest alike, and
+    # the race is an equal-rate one from (0, 0).
+    for rate in (1e-160, 1e-200):
+        p = params(lambda_a=rate, lambda_h=rate, delta0=1.0, delta=rate)
+        for rho in (0.0, 0.3):
+            events = pathwise_events(p, rho)
+            assert events.burst_regular == pytest.approx(0.5, rel=1e-14)
+            assert events.burst_safety == pytest.approx(
+                0.5 * (1.0 - rho) ** p.candidates, rel=1e-14
+            )
 
 
 @pytest.mark.parametrize("M", [20, 121, 1000])

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from swarmgame.kernels import binom_pmf, pois_cdf, pois_tail
@@ -40,6 +41,11 @@ def table_params(**overrides):
 def test_params_invariants():
     with pytest.raises(ValueError):
         table_params(M=3)
+    # A float M would index a count vector or read 20.5 as odd.
+    for M in (20.0, 20.5, 3.5):
+        with pytest.raises(ValueError, match=f"M must be an integer, got {M}"):
+            table_params(M=M)
+    assert table_params(M=np.int64(20)).candidates == 9
     with pytest.raises(ValueError):
         table_params(lambda_a=-1.0)
     with pytest.raises(ValueError):
