@@ -134,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads for simulate (output is the same for any count)",
+        help="worker threads for simulate, capped at the CPU count "
+        "(output is the same for any count)",
     )
     return parser
 

@@ -23,6 +23,10 @@ large means nor cancels to zero in the far tail.  One table per mean
 holds both sums over a closed-form support, outside which every pmf is
 0.0 in float64; calls share the table of the last mean asked, and counts
 past the support need none.
+
+A binomial mixture's weights fall away from their mode by the ratio
+recurrence too, from a mode weight of 2^600, and are divided by their
+mass: no log-space terms of size n round them.
 """
 
 import functools
@@ -41,10 +45,10 @@ __all__ = [
 ]
 
 # Binomial weights a mixture evaluates at once: 8 MB of float64 per
-# block, so its memory stays bounded at any n.
+# array of a block, so its memory stays bounded at any n.
 _BLOCK_ELEMENTS = 1 << 20
 
-# The ratio recurrence runs on pmfs times 2^600, so none it tables falls
+# The ratio recurrences run on pmfs times 2^600, so none they table falls
 # to a subnormal, where a step by a ratio above 1/2 would round back to
 # the same value; scaling by a power of two leaves normal values exact.
 _SCALE = 2.0**600
@@ -70,26 +74,17 @@ _STIRLERR = np.array([
 ])
 
 
-def _stirlerr_series(k):
-    """stirlerr(k) for k > 15, a float or an array: five terms in 1/k."""
+def _stirlerr(k: int) -> float:
+    """stirlerr(k) at a count k >= 1: Loader's table up to 15, then five
+    terms of the series in 1/k.  Pmfs call it in loops, so it takes no
+    numpy call beyond the table's index."""
+    if k <= 15:
+        return float(_STIRLERR[k])
+    k = float(k)
     kk = k * k
     return (
         1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk
     ) / k
-
-
-def _stirlerr(k):
-    """stirlerr(k) at a count k >= 1, or at each count of a float array.
-
-    Loader's table up to 15, the series above.  Scalar pmfs call it in
-    loops, so a scalar takes no numpy call beyond the table's index.
-    """
-    if isinstance(k, np.ndarray):
-        out = _stirlerr_series(k)
-        small = k <= 15
-        out[small] = _STIRLERR[k[small].astype(np.intp)]
-        return out
-    return float(_STIRLERR[k]) if k <= 15 else _stirlerr_series(float(k))
 
 
 def _bd0(x: float, m: float) -> float:
@@ -284,55 +279,41 @@ def binom_pmf(j: int, n: int, p: float) -> float:
     return math.exp(log_w) * math.sqrt(n / j / (n - j) / (2.0 * math.pi))
 
 
-def _log_binomials(n: int) -> np.ndarray:
-    """log C(n, j) for j = 0..n, from Stirling's formula with no large terms.
-
-    With x = j/n and stirlerr at j, n - j and n, log C(n, j) is
-        -(j + 1/2) log x - (n - j + 1/2) log(1 - x) - log sqrt(2 pi n)
-        + stirlerr(n) - stirlerr(j) - stirlerr(n - j),
-    whose terms are at most about n log 2 in size.  The difference of
-    log-factorials, lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1),
-    carries the rounding of terms near n log n: about 1e-10 at n = 5e4.
-    """
-    out = np.zeros(n + 1)
-    if n < 2:
-        return out
-    j = np.arange(1.0, n)
-    part = (j + 0.5) * np.log(j / n) + _stirlerr(j)
-    out[1:n] = _stirlerr(n) - math.log(math.sqrt(2.0 * math.pi * n)) - part - part[::-1]
-    return out
-
-
 def binomial_mixture(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map rho -> E[values[B]], B ~ Binomial(len(values) - 1, rho).
 
-    The rho-free log binomial coefficients are computed here, once; the
-    returned function takes a 1-D array of rho in [0, 1].  For interior
-    rho the weights come from log space, and each row is reduced on its
-    own to its weighted sum and its weight mass, so one rho's result does
-    not depend on the other rho of the call.  The result is their ratio:
-    dividing by the mass cancels any rounding the weights share.  At
-    n = 5 * 10^4 it was measured within 1e-14 of mpmath.  At rho = 0 and
-    rho = 1 the single weight is exact, so the result is values[0] and
-    values[-1].
+    The returned function takes a 1-D array of rho in [0, 1].  A row's
+    weights are its binomial pmfs times a constant, by the ratio
+    recurrence w(j)/w(j - 1) = rho/g(j), g(j) = (1 - rho) j/(n + 1 - j),
+    as ``_pois_table`` takes its pmfs.  With m = max(rho, g), the weights
+    rise by rho/m into each column and fall by g/m out of it: every step
+    is at most 1, so the weights fall away from the mode, whose weight is
+    ``_SCALE`` exactly, and no step divides by 1 - rho.  At rho = 0 and
+    rho = 1 every other weight is 0, so the result is values[0] and
+    values[-1].  Each row is reduced on its own to its weighted sum and
+    its weight mass, and the result is their ratio, so one rho's result
+    does not depend on the other rho of its call.
     """
     values = np.asarray(values, dtype=float)
     n = values.size - 1
-    j = np.arange(n + 1)
-    log_coef = _log_binomials(n)
+    j = np.arange(1.0, n + 1.0)
+    fall = j / (n + 1.0 - j)
     rows = max(1, _BLOCK_ELEMENTS // (n + 1))
 
     def mixture(rho: np.ndarray) -> np.ndarray:
-        # Rows at rho = 0 and rho = 1 hold one weight, exactly 1.
-        out = np.where(rho == 0.0, values[0], values[-1])
-        inner = np.flatnonzero((rho > 0.0) & (rho < 1.0))
-        for start in range(0, inner.size, rows):
-            block = inner[start : start + rows]
-            log_w = np.multiply.outer(np.log(rho[block]), j)
-            log_w += np.multiply.outer(np.log1p(-rho[block]), n - j)
-            log_w += log_coef
-            w = np.exp(log_w, out=log_w)
-            out[block] = (w * values).sum(axis=1) / w.sum(axis=1)
+        out = np.empty(rho.size)
+        for start in range(0, rho.size, rows):
+            r = rho[start : start + rows, None]
+            g = (1.0 - r) * fall
+            m = np.maximum(g, r)
+            w = np.empty((r.size, n + 1))
+            w[:, 0] = _SCALE
+            np.divide(r, m, out=w[:, 1:])
+            down = np.divide(g, m, out=g)
+            np.multiply.accumulate(w, axis=1, out=w)
+            np.multiply.accumulate(down[:, ::-1], axis=1, out=down[:, ::-1])
+            w[:, :-1] *= down
+            out[start : start + rows] = (w * values).sum(axis=1) / w.sum(axis=1)
         return out
 
     return mixture

@@ -264,11 +264,11 @@ class _CostCurve:
     p_prior, q0 and the tails P{X >= thr + j}, j = 0..n, do not depend on
     rho, so they are computed once, from one table of the Poisson sums
     that the scalar calls and ``pois_tails`` share, and q1 is the tails'
-    binomial mixture over the allies (``kernels.binomial_mixture``), which
-    sets up its weights once too.  It reduces each rho on its own, so a
-    rho's q1 does not depend on the other rho of its curve; at M = 10^5 it
-    and ``burst_prob_safety`` were both measured within 1e-14 of mpmath.
-    At rho = 0 the single weight is exact, so q1 = q0.
+    binomial mixture over the allies (``kernels.binomial_mixture``).  It
+    reduces each rho on its own, so a rho's q1 does not depend on the
+    other rho of its curve; at M = 10^5 it was measured within 1.2e-14 of
+    mpmath for q1 from 1 down to 1e-113, and ``burst_prob_safety`` within
+    6.2e-15.  At rho = 0 every weight but the first is 0, so q1 = q0.
     ally_cost and the total keep ``total_cost``'s formulas.
     """
 

@@ -29,6 +29,7 @@ episode ``estimate(episodes=1, seed=seed)`` aggregates.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -341,8 +342,11 @@ def estimate(
     worker count.  The sums are exact integers but for nu's squared
     deviations, taken in float64 about the chunk's own mean: E[nu^2] -
     mean^2 would cancel where nu's spread is small beside its mean, as
-    at large M; ``_pooled_m2`` pools them.
+    at large M; ``_pooled_m2`` pools them.  The pool starts no more
+    threads than there are chunks or CPUs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     sizes = _plan(params, rho, episodes)
     half = params.M / 2
 
@@ -368,7 +372,10 @@ def estimate(
             float((deviation**2).sum()),
         )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # map submits every chunk at once, and the pool starts a thread per
+    # submission until it reaches max_workers.
+    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run, range(len(sizes))))
     regular, safety, safe, a_sum, censored, done, nu_sum, _ = map(sum, zip(*results))
     nu_m2 = _pooled_m2(result[-3:] for result in results)

@@ -312,7 +312,8 @@ def test_subnormal_mean():
 @pytest.mark.parametrize("n", [1, 5, 30])
 def test_binomial_mixture_against_exact_oracle(n):
     values = [0.9**j / (j + 1) for j in range(n + 1)]
-    rho = [0.01, 0.1, 0.37, 0.5, 0.93, 0.999]
+    # Subnormal rho and rho = 1 - 2**-53: no step may divide by 1 - rho.
+    rho = [5e-324, 1e-300, 1e-17, 0.01, 0.1, 0.37, 0.5, 0.93, 0.999, 1 - 2**-53]
     got = binomial_mixture(values)(np.array(rho))
     for r, value in zip(rho, got.tolist()):
         p = Fraction(r)
@@ -329,9 +330,32 @@ def test_binomial_mixture_endpoints_are_exact():
     assert got.tolist() == [values[0], values[-1], values[0]]
 
 
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_binomial_mixture_moments_at_large_n(n):
+    """E[B/n] = rho and E[(B/n)^2] = rho^2 + rho (1 - rho)/n.
+
+    Weights exp(log C(n, j) + j log rho + ...) put them 1.2e-11 off at
+    n = 10^6, rho = 1e-6: log C(n, j) carries the rounding of terms of
+    size n.
+    """
+    rho = np.array([1e-6, 1e-4, 0.1, 0.9])
+    share = np.arange(n + 1) / n
+    mean = binomial_mixture(share)(rho)
+    square = binomial_mixture(share * share)(rho)
+    np.testing.assert_allclose(mean, rho, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(square, rho**2 + rho * (1 - rho) / n, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("value", [1e-310, 3e-320])
+def test_binomial_mixture_of_a_subnormal_constant_is_exact(value):
+    """Weights times a subnormal value stay normal, so none rounds away."""
+    got = binomial_mixture(np.full(41, value))(np.array([0.1, 0.37, 0.9]))
+    assert got.tolist() == [value] * 3
+
+
 def test_binomial_mixture_rows_do_not_depend_on_their_call():
-    # n + 1 = 2^19 + 1 weights fill one row block, so the three interior
-    # rho below run in three blocks, around the exact endpoints.
+    # n + 1 = 2^19 + 1 weights fill one row block, so the five rho below
+    # run in five blocks, each on its own.
     n = 1 << 19
     values = np.linspace(1.0, 0.0, n + 1) ** 3
     mixture = binomial_mixture(values)

@@ -249,10 +249,10 @@ def test_large_swarm_curve(mean_shift, index):
 
     The exit-count mean sits at thr + mean_shift * n, so q1 at grid
     point ``index`` is strictly between 0 and 1 (with mean_shift = 0 the
-    total there is not pinned by p_prior = 0 either).  The curve's log
-    binomial coefficients and the scalar path's ``binom_pmf`` weights are
-    both Stirling forms with no terms near n log n, and both divide by
-    the weight mass.
+    total there is not pinned by p_prior = 0 either).  The curve's weights
+    come from the binomial ratio recurrence and the scalar path's from
+    ``binom_pmf``'s Stirling forms; neither has terms near n log n, and
+    both divide by the weight mass.
     """
     p = large_swarm_params(mean_shift)
     curve = sweep(p, 101)

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from functools import partial
 
@@ -111,6 +112,33 @@ def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
     monkeypatch.setattr(sim, "_chunk", no_chunk)
     with pytest.raises(ValueError, match="at most"):
         estimate(params(lambda_a=1e300), episodes=10_000, seed=1, workers=2)
+
+
+def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
+    """A pool starts a thread per chunk submitted, up to max_workers."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    p = params()
+    episodes = 2 * sim.CHUNK + 1
+    serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+    assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=10**6) == serial
+    assert len(asked) == 1 and 1 <= asked[0] <= min(3, os.cpu_count() or 1)
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        estimate(p, episodes=episodes, seed=5, workers=0)
 
 
 @pytest.mark.parametrize("M, lambda_a", [(10**17, 1e3), (2**63 - 2, 1e6)])
