@@ -8,9 +8,11 @@ diffed byte-for-byte and plotted with any external tool.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, parse_config
@@ -22,8 +24,11 @@ from .optimize import optimize as optimize_rho
 from .optimize import sweep as sweep_curve
 from .sim import REGULAR, SAFETY, SimStats, estimate
 
-# Column order of the CSV rows and of analyze's printout.
+# Column order of the CSV rows and of analyze's printout.  A row is one
+# %-format; "%.12g" formats a float as f"{x:.12g}" does.
 COLUMNS = ("rho", "ally_cost", "p_prior", "q0", "q1", "total")
+_ROW = ",".join(["%.12g"] * len(COLUMNS)) + "\n"
+_FIELDS = attrgetter(*COLUMNS)
 
 
 def _fmt(value: float) -> str:
@@ -31,19 +36,19 @@ def _fmt(value: float) -> str:
 
 
 def _csv_rows(curve) -> str:
-    rows = [COLUMNS] + [[_fmt(getattr(p, name)) for name in COLUMNS] for p in curve]
-    return "".join(",".join(row) + "\n" for row in rows)
+    return ",".join(COLUMNS) + "\n" + "".join([_ROW % _FIELDS(p) for p in curve])
 
 
-def _write_csv(path: str, curve) -> int:
-    """Write the curve's CSV rows; exit code 2 if the path is unwritable."""
+def _write_csv(path: str, curve, summary: str = "") -> int:
+    """Write the curve's CSV rows, then print summary and where they went;
+    exit code 2, with nothing printed to stdout, if the path is unwritable."""
     out = Path(path)
     try:
         out.write_text(_csv_rows(curve))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(curve)} grid points to {out}")
+    print(f"{summary}wrote {len(curve)} grid points to {out}")
     return 0
 
 
@@ -104,11 +109,10 @@ def _cmd_sweep(config: RunConfig, args) -> int:
 def _cmd_optimize(config: RunConfig, args) -> int:
     params = _resolve_params(config)
     result = optimize_rho(params, tolerance=config.tolerance, grid_size=config.grid_size)
-    print(f"rho_star   = {_fmt(result.rho_star)}")
-    print(f"cost_star  = {_fmt(result.cost_star)}")
-    print(f"feasible   = {result.feasible}")
-    print(f"n_required = {result.n_required}")
-    return _write_csv(args.out or "optimize.csv", result.curve)
+    summary = (f"rho_star   = {_fmt(result.rho_star)}\n"
+               f"cost_star  = {_fmt(result.cost_star)}\n"
+               f"feasible   = {result.feasible}\nn_required = {result.n_required}\n")
+    return _write_csv(args.out or "optimize.csv", result.curve, summary)
 
 
 _COMMANDS = {
@@ -119,6 +123,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process, built on the first call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swarmgame",
@@ -148,8 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, key) is not None
     }
     try:
-        # Overrides rebuild the config, so they pass the same checks as keys.
-        config = replace(parse_config(Path(args.config).read_text()), **overrides)
+        config = parse_config(Path(args.config).read_text())
+        if overrides:  # rebuilt, so overrides pass the same checks as keys
+            config = replace(config, **overrides)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     except OSError as exc:

@@ -284,19 +284,20 @@ class _CostCurve:
         self.q0 = burst_prob_regular(params)
         self.q1 = binomial_mixture(pois_tails(counts, exit_mean_count(params)))
 
-    def breakdowns(self, rho: Sequence[float]) -> list[CostBreakdown]:
-        """``total_cost(params, r)`` for each r in rho, each within [0, 1]."""
+    def columns(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """q1, ally_cost and total at each rho of a float array in [0, 1]."""
         params = self.params
-        rho = np.asarray(rho, dtype=float)
         V, p, q0 = params.swarm_value, self.p_prior, self.q0
         q1 = self.q1(rho)
         c = params.ally_unit_cost * (params.M / 2 - 1) * rho
-        total = V * q0 + p * (c + V * (q1 - q0))
-        columns = (rho.tolist(), q1.tolist(), c.tolist(), total.tolist())
-        return [
-            CostBreakdown(rho=r, p_prior=p, q0=q0, q1=b, ally_cost=a, total=t)
-            for r, b, a, t in zip(*columns)
-        ]
+        return q1, c, V * q0 + p * (c + V * (q1 - q0))
+
+    def breakdowns(self, rho: Sequence[float]) -> list[CostBreakdown]:
+        """``total_cost(params, r)`` for each r in rho, each within [0, 1]."""
+        rho = np.asarray(rho, dtype=float)
+        p, q0 = self.p_prior, self.q0
+        columns = [rho.tolist()] + [column.tolist() for column in self.columns(rho)]
+        return [CostBreakdown(r, p, q0, b, a, t) for r, b, a, t in zip(*columns)]
 
 
 def min_allies(params: SwarmParams, rho: float) -> AllyRequirement:

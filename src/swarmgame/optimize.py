@@ -8,9 +8,10 @@ diminishing it rises and then falls: the cost has at most one interior
 local minimum, and re-gridding the bracket around the best grid point
 finds it.  Grid and refinement evaluate the curve through one
 ``model._CostCurve`` (rho-free quantities once per curve, each grid in
-one vectorized pass).  Feasibility of the reservation (the minimal ally
-count for it to pay off) is reported at the optimum, never used to
-restrict the search.
+one vectorized pass).  The refinement works on the rho and total
+columns alone; only the coarse grid becomes ``CostBreakdown`` objects.
+Feasibility of the reservation (the minimal ally count for it to pay
+off) is reported at the optimum, never used to restrict the search.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ def sweep(params: SwarmParams, grid_size: int) -> list[CostBreakdown]:
     return _CostCurve(params).breakdowns(_grid(grid_size))
 
 
-def _bracket(points: list[CostBreakdown]) -> tuple[CostBreakdown, list[CostBreakdown]]:
-    """The least-total point of a rho-ordered list (ties to the smaller
-    rho), and the bracket it sits in: itself and its neighbours."""
-    i = min(range(len(points)), key=lambda k: points[k].total)
-    return points[i], points[max(i - 1, 0) : i + 2]
-
-
 def optimize(
     params: SwarmParams, tolerance: float = 1e-5, grid_size: int = 101
 ) -> OptimalRho:
@@ -74,20 +68,28 @@ def optimize(
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     engine = _CostCurve(params)
-    curve = engine.breakdowns(_grid(grid_size))
-    best, held = _bracket(curve)
+    rho = _grid(grid_size)
+    curve = engine.breakdowns(rho)
+    total = np.array([point.total for point in curve])
+    i = int(total.argmin())  # the first least total: ties to the smaller rho
     step = 1.0 / (grid_size - 1)
-    while best.rho + step > best.rho:
-        rho = best.rho + step * _REFINE
-        points = held + engine.breakdowns(rho[(rho >= 0.0) & (rho <= 1.0)])
-        best, held = _bracket(sorted(points, key=lambda point: point.rho))
+    while rho[i] + step > rho[i]:
+        new = rho[i] + step * _REFINE
+        new = new[(new >= 0.0) & (new <= 1.0)]
+        # Held points first: the stable sort keeps them ahead of a new equal rho.
+        held = slice(max(i - 1, 0), i + 2)
+        rho = np.concatenate((rho[held], new))
+        total = np.concatenate((total[held], engine.columns(new)[2]))
+        order = rho.argsort(kind="stable")
+        rho, total = rho[order], total[order]
+        i = int(total.argmin())
         if 2.0 * step <= tolerance:
             break
         step /= _SIDE
-    requirement = min_allies(params, best.rho)
+    requirement = min_allies(params, float(rho[i]))
     return OptimalRho(
-        rho_star=best.rho,
-        cost_star=best.total,
+        rho_star=float(rho[i]),
+        cost_star=float(total[i]),
         feasible=requirement.feasible,
         n_required=requirement.n,
         curve=tuple(curve),

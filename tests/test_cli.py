@@ -15,7 +15,7 @@ from swarmgame import cli
 from swarmgame.cli import main
 from swarmgame.fluctuation import PathwiseEvents, exit_index_pgf, pathwise_events
 from swarmgame.kernels import pois_tail
-from swarmgame.model import SwarmParams, total_cost
+from swarmgame.model import CostBreakdown, SwarmParams, total_cost
 from swarmgame.optimize import optimize
 from swarmgame.sim import estimate
 from tests.test_fluctuation import dense_chain_events
@@ -313,12 +313,71 @@ def test_missing_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["sweep", "optimize"])
 def test_unwritable_out_exits_2(config_path, tmp_path, capsys, command):
+    # The CSV is written before anything is printed, so a failed write
+    # leaves stdout empty: no rho_star without its curve.
     for out in (tmp_path / "missing" / "curve.csv", tmp_path):
         assert run([command, "--config", config_path, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write output: ")
-        assert str(out) in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+        assert str(out) in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_optimize_stdout_then_csv(config_path, tmp_path, capsys):
+    out = tmp_path / "opt.csv"
+    assert run(["optimize", "--config", config_path, "--out", out]) == 0
+    params = SwarmParams(M=20, drone_value=1500, lambda_a=1.0, expected_nu=3.0)
+    result = optimize(params)
+    assert capsys.readouterr().out == (
+        f"rho_star   = {result.rho_star:.12g}\n"
+        f"cost_star  = {result.cost_star:.12g}\n"
+        f"feasible   = {result.feasible}\n"
+        f"n_required = {result.n_required}\n"
+        f"wrote 101 grid points to {out}\n"
+    )
+
+
+def test_commands_share_one_parser(config_path, tmp_path, capsys, monkeypatch):
+    """One process, several commands: the parser is built once, an
+    argparse error leaves it usable, the config is rebuilt only for an
+    override, and an override reaches only its own call."""
+    real, rebuilt = cli.replace, []
+
+    def spy(config, **overrides):
+        rebuilt.append(overrides)
+        return real(config, **overrides)
+
+    monkeypatch.setattr(cli, "replace", spy)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    parser = cli._build_parser()
+    assert run(["sweep", "--config", config_path, "--out", first]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert run(["analyze", "--config", config_path, "--rho", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("rho        = 0.5\n")
+    assert run(["analyze", "--config", config_path]) == 0
+    assert capsys.readouterr().out.startswith("rho        = 0\n")
+    assert run(["sweep", "--config", config_path, "--out", second]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert cli._build_parser() is parser
+    assert rebuilt == [{"rho": 0.5}]
+
+
+def test_csv_rows_match_per_field_format():
+    """One %-format per row prints each field as f"{x:.12g}" did."""
+    values = [
+        0.0, 1.0, 5e-324, 1.56528318912e-312, 1e-4,  # q1 can be subnormal
+        1499999999.87654, 0.1234567890125, 0.9999999999995,  # both round
+    ]
+    curve = [CostBreakdown(*values[k : k + 6]) for k in range(len(values) - 5)]
+    curve.append(CostBreakdown(*values[-6:][::-1]))
+    rows = [cli.COLUMNS] + [
+        [f"{getattr(point, name):.12g}" for name in cli.COLUMNS] for point in curve
+    ]
+    assert cli._csv_rows(curve) == "".join(",".join(row) + "\n" for row in rows)
 
 
 # Runs in a fresh interpreter that refuses every scipy import: numpy is

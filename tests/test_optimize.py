@@ -1,9 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 
+from swarmgame.fluctuation import expected_exit_index
 from swarmgame.kernels import pois_tail
 from swarmgame.model import (
     SwarmParams,
@@ -17,7 +20,7 @@ from swarmgame.model import (
     prior_safe_prob,
     total_cost,
 )
-from swarmgame.optimize import optimize, sweep
+from swarmgame.optimize import _REFINE, _SIDE, optimize, sweep
 
 
 def params(**overrides):
@@ -127,6 +130,59 @@ def test_optimize_feasibility_consistent():
     requirement = min_allies(p, result.rho_star)
     assert result.feasible == requirement.feasible
     assert result.n_required == requirement.n
+
+
+def reference_optimize(p, tolerance=1e-5, grid_size=101):
+    """The refinement on CostBreakdown objects that optimize's arrays
+    replaced: re-grid around the least total of a rho-sorted list (ties
+    to the smaller rho) and hold the point and its two neighbours."""
+
+    def bracket(points):
+        i = min(range(len(points)), key=lambda k: points[k].total)
+        return points[i], points[max(i - 1, 0) : i + 2]
+
+    engine = _CostCurve(p)
+    curve = engine.breakdowns(np.arange(grid_size) / (grid_size - 1))
+    best, held = bracket(curve)
+    step = 1.0 / (grid_size - 1)
+    while best.rho + step > best.rho:
+        rho = best.rho + step * _REFINE
+        points = held + engine.breakdowns(rho[(rho >= 0.0) & (rho <= 1.0)])
+        best, held = bracket(sorted(points, key=lambda point: point.rho))
+        if 2.0 * step <= tolerance:
+            break
+        step /= _SIDE
+    requirement = min_allies(p, best.rho)
+    return best.rho, best.total, requirement.feasible, requirement.n, curve
+
+
+def auto_nu(p):
+    return replace(p, expected_nu=expected_exit_index(p))
+
+
+@pytest.mark.parametrize(
+    "p, kwargs, rho_star",
+    [
+        (params(lambda_a=0.0), {}, 0.0),  # flat cost
+        (params(drone_value=0.0), {}, 0.0),
+        (auto_nu(params(M=120, expected_nu=None)), {}, 0.64385152),  # interior
+        (auto_nu(params(expected_nu=None)), {}, 1.0),  # boundary
+        # The bracket stops shrinking before it is 1e-300 wide.
+        (auto_nu(params(expected_nu=None)), dict(tolerance=1e-300), 0.9999999999999987),
+        (interior_minimum_params(), dict(grid_size=2), None),
+        (interior_minimum_params(), dict(grid_size=3), None),
+    ],
+)
+def test_optimize_matches_object_reference(p, kwargs, rho_star):
+    """Bitwise: the array refinement picks the points the object one did."""
+    rho, cost, feasible, n, curve = reference_optimize(p, **kwargs)
+    result = optimize(p, **kwargs)
+    assert (result.rho_star, result.cost_star) == (rho, cost)
+    assert (result.feasible, result.n_required) == (feasible, n)
+    assert [point.total for point in result.curve] == [point.total for point in curve]
+    assert result.curve == tuple(curve)
+    if rho_star is not None:
+        assert rho == rho_star
 
 
 def test_optimize_rejects_bad_tolerance():
