@@ -290,6 +290,50 @@ def test_golden_estimate(label, rho, stats, workers):
     assert estimate(p, episodes=10_000, seed=11, rho=rho, workers=workers) == stats
 
 
+# One row per branch of the ally draw, at an attack rate whose overshoot
+# is about as large as the ally count, so the Safety burst turns on the
+# count drawn for each episode: n = 59 at rho = 0.5 (inversion), n = 59
+# at rho = 0.9 (n less an inversion at 1 - rho), n = 499 (BTPE).
+GOLDEN_ALLY_STATS = [
+    # (M, lambda_a, rho, burst_safety, burst_safety_se)
+    (120, 30.0, 0.5, 0.3795, 0.004852625577973228),
+    (120, 30.0, 0.9, 0.1772, 0.003818378713537985),
+    (1000, 250.0, 0.5, 0.3687, 0.004824523914336004),
+]
+GOLDEN_ALLY_COMMON = {
+    120: dict(
+        prior_safe_rate=0.967,
+        prior_safe_se=0.00178636502428815,
+        mean_nu=2.9998,
+        mean_nu_se=0.014361754628178272,
+        mean_a_exit=90.9828,
+    ),
+    1000: dict(
+        prior_safe_rate=0.9952,
+        prior_safe_se=0.0006911555541265676,
+        mean_nu=2.9783,
+        mean_nu_se=0.014159905049116676,
+        mean_a_exit=753.1089,
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("M, lambda_a, rho, burst, burst_se", GOLDEN_ALLY_STATS)
+def test_golden_estimate_ally_draws(M, lambda_a, rho, burst, burst_se, workers):
+    p = params(M=M, lambda_a=lambda_a, lambda_h=0.5)
+    stats = SimStats(
+        episodes=10000,
+        burst_regular=1.0,
+        burst_regular_se=0.0,
+        burst_safety=burst,
+        burst_safety_se=burst_se,
+        censored_count=0,
+        **GOLDEN_ALLY_COMMON[M],
+    )
+    assert estimate(p, episodes=10_000, seed=11, rho=rho, workers=workers) == stats
+
+
 def test_golden_exit_indices():
     nu, censored = sample_exit_indices(params(lambda_h=0.5), 10_000, seed=11)
     assert (int(nu.sum()), len(nu), censored) == (120082, 10000, 0)
