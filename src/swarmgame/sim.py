@@ -10,10 +10,10 @@ after it, epoch ends, captures and honest arrivals are independent
 Poisson processes, so each outcome is drawn from a few laws of their
 arrival times (gamma) and of the counts around them (Poisson, or
 binomial, as a Poisson process's points given their count on an
-interval are uniform there).  A chunk costs a dozen numpy calls
-whatever M or the exit index; ``_chunk`` states the laws.  Only a
-crossing at or past ``MAX_EXIT_TIME``, which keeps every count inside
-int64, censors an episode.
+interval are uniform there).  A chunk costs a dozen numpy draws whatever
+the exit index, its allies one table search whatever M (``_allies``);
+``_chunk`` states the laws.  Only a crossing at or past ``MAX_EXIT_TIME``,
+which keeps every count inside int64, censors an episode.
 
 One kernel, ``_chunk``, draws a chunk of episodes from its own
 counter-based random streams keyed on (seed, chunk index), and returns
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -65,10 +66,12 @@ MAX_EXIT_TIME = 2.0**50
 # Largest majority threshold: counts near it, plus an overshoot, stay
 # inside int64.
 MAX_THRESHOLD = 2**62
+# Ulps of 1 per table entry within which a uniform is near a cut (``_allies``).
+_CUT_ULPS = 4
 
 
-def _plan(params: SwarmParams, rho: float, episodes: int) -> list[int]:
-    """Validate inputs before any chunk runs; return the chunks' sizes."""
+def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
+    """Validate inputs before any chunk runs; return the number of chunks."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if episodes < 1:
@@ -85,7 +88,7 @@ def _plan(params: SwarmParams, rho: float, episodes: int) -> list[int]:
             f"the majority threshold M // 2 + 1 must be at most {MAX_THRESHOLD} "
             f"for the simulator, got {threshold}"
         )
-    return [min(CHUNK, episodes - start) for start in range(0, episodes, CHUNK)]
+    return -(-episodes // CHUNK)
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,39 @@ def _arrival(rng: np.random.Generator, count: np.ndarray, rate: float) -> np.nda
         return rng.standard_gamma(count) / rate
 
 
+def _allies(rng: np.random.Generator, n: int, rho: float, size: int) -> np.ndarray:
+    """``rng.binomial(n, rho, size=size)``, bit for bit, by one table search.
+
+    Where n p <= 30, p = min(rho, 1 - rho), numpy walks each uniform U down
+    the pmf terms px_x (U -= px_x while U > px_x): x is the first count
+    whose cumulative pmf reaches U (n - x if rho > 0.5), one search in the
+    table of those sums, its terms built by numpy's own expressions.  The
+    walk and the sums drift apart by up to an ulp a term, so a uniform
+    within ``_CUT_ULPS`` (bound + 2) ulps of a cut, or past the bound (where
+    numpy redraws), rewinds the stream for numpy to draw, as do BTPE, rho =
+    0 and n = 0.
+    """
+    p = min(rho, 1.0 - rho)
+    if n == 0 or rho == 0 or p * n > 30.0:
+        return rng.binomial(n, rho, size=size)
+    q = 1.0 - p
+    bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
+    terms = [math.exp(n * math.log(q))]
+    for x in range(1, bound + 1):
+        terms.append((n - x + 1) * p * terms[-1] / (x * q))
+    cut = np.cumsum(terms)
+    tol = _CUT_ULPS * (bound + 2) * 2.0**-53
+    # j counts the edges of the windows cut +- tol (made nondecreasing, the
+    # last dropped) below U: odd iff U is near a cut or past the bound, else 2x.
+    edges = np.maximum.accumulate(np.column_stack((cut - tol, cut + tol)).ravel()[:-1])
+    state = rng.bit_generator.state
+    j = edges.searchsorted(rng.random(size))
+    if (j & 1).any():
+        rng.bit_generator.state = state
+        return rng.binomial(n, rho, size=size)
+    return j >> 1 if rho <= 0.5 else n - (j >> 1)
+
+
 def _share(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
     """part / whole as a probability: 0 where whole is 0."""
     return np.divide(part, whole, out=np.zeros(part.shape), where=whole > 0)
@@ -221,9 +257,9 @@ def _chunk(
     uniform before it: that is why the splits above are binomial, and
     why the processes' order within an epoch need not be drawn.  Every
     Poisson mean is below MAX_EXIT_TIME, so a = 0 or a tiny a delta (X =
-    inf) simply censors, with no epoch stepped.  The allies have their
-    own stream, so rho changes nothing else, and at rho = 0 Safety is
-    Regular.
+    inf) simply censors, with no epoch stepped.  The allies are numpy's
+    Binomial(M/2 - 1, rho) draws from their own stream, by a table search
+    (``_allies``): rho changes nothing else; at rho = 0 Safety is Regular.
     """
     rng, ally_rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
@@ -276,7 +312,7 @@ def _chunk(
     nu = np.where(exited, 1, np.where(done, ends + 2, 0))
     a_exit = np.where(done, threshold + over, a1 + before)
     a_prior = np.where(exited, 0, a1 + before)
-    allies = ally_rng.binomial(params.candidates, rho, size=size)
+    allies = _allies(ally_rng, params.candidates, rho, size)
     # mu never exceeds nu once set, so nu < mu reduces to mu unset.
     regular = ~censored & (mu == 0)
     safety = regular & (a_exit - allies >= threshold)
@@ -300,32 +336,38 @@ def sample_exit_indices(
 
     Runs the chunks of ``estimate``, so episode i here is episode i there.
     """
-    sizes = _plan(params, 0.0, episodes)
     collected = []
     censored_total = 0
-    for index, size in enumerate(sizes):
+    for index in range(_plan(params, 0.0, episodes)):
+        size = min(CHUNK, episodes - index * CHUNK)
         nu, *_, censored = _chunk(params, 0.0, seed, index, size)
         censored_total += int(censored.sum())
         collected.append(nu[~censored])
     return np.concatenate(collected), censored_total
 
 
-def _pooled_m2(parts) -> float:
-    """Squared deviations about the pooled mean, folded part by part.
+def _pooled(a: tuple, b: tuple) -> tuple:
+    """Pool two (count, sum, squared deviations about the mean) parts: add
+    the deviations and delta^2 n_a n_b / (n_a + n_b), delta the difference
+    of the means (Chan, Golub and LeVeque, "Algorithms for computing the
+    sample variance", 1983)."""
+    (count, total, m2), (part_count, part_sum, part_m2) = a, b
+    if count and part_count:
+        delta = part_sum / part_count - total / count
+        m2 += delta * delta * count * part_count / (count + part_count)
+    return count + part_count, total + part_sum, m2 + part_m2
 
-    Each part is (count, sum, squared deviations about its own mean).
-    Pooling two parts adds their squared deviations and delta^2 n_a n_b /
-    (n_a + n_b), delta the difference of their means (Chan, Golub and
-    LeVeque, "Algorithms for computing the sample variance", 1983).
-    """
-    count, total, m2 = 0, 0, 0.0
-    for part_count, part_sum, part_m2 in parts:
-        if count and part_count:
-            delta = part_sum / part_count - total / count
-            m2 += delta * delta * count * part_count / (count + part_count)
-        m2 += part_m2
-        count, total = count + part_count, total + part_sum
-    return m2
+
+def _in_order(pool: ThreadPoolExecutor, fn, count: int, window: int):
+    """Yield fn(0), ..., fn(count - 1) from the pool in order, with at most
+    ``window`` submitted and not yet yielded (``Executor.map`` submits all)."""
+    pending = deque()
+    for index in range(count):
+        pending.append(pool.submit(fn, index))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def estimate(
@@ -337,22 +379,22 @@ def estimate(
 ) -> SimStats:
     """Aggregate independent episodes into SimStats, both strategies at once.
 
-    Each chunk is reduced to sums as soon as it is simulated, and the
-    sums are folded in chunk order, so the outcome is identical for any
-    worker count.  The sums are exact integers but for nu's squared
-    deviations, taken in float64 about the chunk's own mean: E[nu^2] -
-    mean^2 would cancel where nu's spread is small beside its mean, as
-    at large M; ``_pooled_m2`` pools them.  The pool starts no more
-    threads than there are chunks or CPUs.
+    Each chunk is reduced to sums as soon as it is simulated, and the sums
+    are folded in chunk order, so the outcome is identical for any worker
+    count.  The sums are exact integers but for nu's squared deviations,
+    taken in float64 about the chunk's own mean: E[nu^2] - mean^2 would
+    cancel where nu's spread is small beside its mean, as at large M;
+    ``_pooled`` pools them.  The pool starts no more threads than there are
+    chunks or CPUs this process may run on, two chunks in flight per thread.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    sizes = _plan(params, rho, episodes)
+    chunks = _plan(params, rho, episodes)
     half = params.M / 2
 
-    def run(index: int) -> tuple[int | float, ...]:
+    def run(index: int) -> tuple[list[int], tuple[int, int, float]]:
         nu, _, a_prior, a_exit, _, regular, safety, censored = _chunk(
-            params, rho, seed, index, sizes[index]
+            params, rho, seed, index, min(CHUNK, episodes - index * CHUNK)
         )
         done = ~censored
         count, total = int(done.sum()), int(nu[done].sum())
@@ -361,24 +403,20 @@ def estimate(
         exits = a_exit[done]
         exit_sum = (int((exits >> 32).sum()) << 32) + int((exits & 0xFFFFFFFF).sum())
         deviation = nu[done] - (total / count if count else 0.0)
-        return (
-            int(regular.sum()),
-            int(safety.sum()),
-            int((a_prior < half).sum()),
-            exit_sum,
-            int(censored.sum()),
-            count,
-            total,
-            float((deviation**2).sum()),
-        )
+        sums = [int(c.sum()) for c in (regular, safety, a_prior < half, censored)]
+        return sums + [exit_sum], (count, total, float((deviation**2).sum()))
 
-    # map submits every chunk at once, and the pool starts a thread per
-    # submission until it reaches max_workers.
-    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    # The pool starts a thread per submission until it reaches max_workers.
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = min(workers, chunks, cpus)
+    sums, pooled = [0] * 5, (0, 0, 0.0)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, range(len(sizes))))
-    regular, safety, safe, a_sum, censored, done, nu_sum, _ = map(sum, zip(*results))
-    nu_m2 = _pooled_m2(result[-3:] for result in results)
+        for part_sums, part in _in_order(pool, run, chunks, 2 * threads):
+            sums = [a + b for a, b in zip(sums, part_sums)]
+            pooled = _pooled(pooled, part)
+    regular, safety, safe, censored, a_sum = sums
+    done, nu_sum, nu_m2 = pooled
 
     def rate(count: int) -> tuple[float, float]:
         """A share of the episodes and its binomial standard error."""

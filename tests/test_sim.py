@@ -2,6 +2,7 @@ import math
 import os
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,13 +115,16 @@ def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
         estimate(params(lambda_a=1e300), episodes=10_000, seed=1, workers=2)
 
 
-def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
-    """A pool starts a thread per chunk submitted, up to max_workers."""
-    asked = []
+def serial_pools(monkeypatch) -> list:
+    """Swap estimate's thread pool for one that runs each call when its
+    result is read; return the pools made, each with its max_workers and
+    the most calls it held submitted and not yet read (peak)."""
+    pools = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            self.max_workers, self.pending, self.peak = max_workers, 0, 0
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -128,17 +132,56 @@ def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            self.pending += 1
+            self.peak = max(self.peak, self.pending)
 
+            def result():
+                self.pending -= 1
+                return fn(*args)
+
+            return SimpleNamespace(result=result)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+    return pools
+
+
+def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
+    """A pool starts a thread per chunk submitted, up to max_workers."""
     p = params()
     episodes = 2 * sim.CHUNK + 1
     serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+    pools = serial_pools(monkeypatch)
     assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=10**6) == serial
-    assert len(asked) == 1 and 1 <= asked[0] <= min(3, os.cpu_count() or 1)
+    assert len(pools) == 1 and 1 <= pools[0].max_workers <= min(3, os.cpu_count() or 1)
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         estimate(p, episodes=episodes, seed=5, workers=0)
+
+
+def test_estimate_threads_are_capped_by_the_usable_cpus(monkeypatch):
+    p = params()
+    episodes = 3 * sim.CHUNK
+    serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pools = serial_pools(monkeypatch)
+    assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=4) == serial
+    assert [pool.max_workers for pool in pools] == [1]
+
+
+def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch):
+    """At most two chunks per thread are submitted and not yet folded."""
+
+    def cheap_chunk(params, rho, seed, index, size):
+        counts, flags = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=bool)
+        return (counts,) * 5 + (flags,) * 3
+
+    monkeypatch.setattr(sim, "_chunk", cheap_chunk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pools = serial_pools(monkeypatch)
+    for chunks in (10, 1000):
+        stats = estimate(params(), episodes=chunks * sim.CHUNK, seed=1, workers=2)
+        assert stats.mean_nu == 0.0 and stats.censored_count == 0
+    assert [(pool.max_workers, pool.peak) for pool in pools] == [(2, 4), (2, 4)]
 
 
 @pytest.mark.parametrize("M, lambda_a", [(10**17, 1e3), (2**63 - 2, 1e6)])
@@ -395,6 +438,34 @@ def test_estimate_matches_pathwise_events(overrides, rho):
     assert abs(stats.mean_a_exit - exact.mean_exit_count) <= 3 * math.sqrt(
         variance / episodes
     )
+
+
+ALLY_RHOS = (0.0, 1e-7, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
+
+
+def assert_allies_are_numpys(n, rho, seed):
+    fast = np.random.Generator(np.random.Philox(seed))
+    slow = np.random.Generator(np.random.Philox(seed))
+    got = sim._allies(fast, n, rho, sim.CHUNK)
+    expected = slow.binomial(n, rho, size=sim.CHUNK)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected), (n, rho, seed)
+
+
+# n = 60 at rho = 0.5 is the last inversion case, n p = 30; 61 is BTPE.
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 30, 59, 60, 61, 100, 499, 10**3, 10**6])
+def test_ally_draw_is_numpys_binomial(n):
+    for rho in ALLY_RHOS:
+        for seed in range(3):
+            assert_allies_are_numpys(n, rho, seed)
+
+
+def test_ally_draw_near_a_cut_is_numpys_binomial(monkeypatch):
+    # Every uniform counts as near a cut, so every draw rewinds to numpy's.
+    monkeypatch.setattr(sim, "_CUT_ULPS", 2.0**60)
+    for n in (1, 9, 59, 60, 10**6):
+        for rho in ALLY_RHOS:
+            assert_allies_are_numpys(n, rho, seed=4)
 
 
 def test_seeds_past_int64_are_distinct_streams():
