@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -361,13 +360,13 @@ def _pooled(a: tuple, b: tuple) -> tuple:
 def _in_order(pool: ThreadPoolExecutor, fn, count: int, window: int):
     """Yield fn(0), ..., fn(count - 1) from the pool in order, with at most
     ``window`` submitted and not yet yielded (``Executor.map`` submits all)."""
-    pending = deque()
+    pending = []
     for index in range(count):
         pending.append(pool.submit(fn, index))
         if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+            yield pending.pop(0).result()
+    for future in pending:
+        yield future.result()
 
 
 def estimate(
