@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 from operator import attrgetter
@@ -40,11 +42,17 @@ def _csv_rows(curve) -> str:
 
 
 def _write_csv(path: str, curve, summary: str = "") -> int:
-    """Write the curve's CSV rows, then print summary and where they went;
-    exit code 2, with nothing printed to stdout, if the path is unwritable."""
+    """Write the curve's CSV rows over the target in place, then cut a regular
+    file to length (ext4 starts writeback at close of a file opened O_TRUNC);
+    print summary and where they went; exit code 2, with nothing printed to
+    stdout, if the path is unwritable."""
     out = Path(path)
     try:
-        out.write_text(_csv_rows(curve))
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w") as f:
+            f.write(_csv_rows(curve))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                f.truncate()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
@@ -166,11 +174,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        return _COMMANDS[args.command](config, args)
+        code = _COMMANDS[args.command](config, args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
     except (RuntimeError, MemoryError) as exc:
         cause = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {cause}{exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        if sys.stdout is not sys.__stdout__:  # redirected in process
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import astuple
 from pathlib import Path
@@ -315,13 +316,171 @@ def test_missing_config_exits_2(tmp_path, capsys):
 def test_unwritable_out_exits_2(config_path, tmp_path, capsys, command):
     # The CSV is written before anything is printed, so a failed write
     # leaves stdout empty: no rho_star without its curve.
-    for out in (tmp_path / "missing" / "curve.csv", tmp_path):
+    (tmp_path / "f.txt").write_text("")
+    under_file = tmp_path / "f.txt" / "x.csv"  # ENOTDIR
+    for out in (tmp_path / "missing" / "curve.csv", tmp_path, under_file):
         assert run([command, "--config", config_path, "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write output: ")
         assert str(out) in captured.err
         assert "Traceback" not in captured.err
+
+
+def _fresh_csv(command, config_path, tmp_path, capsys):
+    """The CSV bytes a command writes to a path that does not exist yet."""
+    fresh = tmp_path / f"fresh-{command}.csv"
+    assert run([command, "--config", config_path, "--out", fresh]) == 0
+    capsys.readouterr()
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+@pytest.mark.parametrize("old", [b"x" * 100_000, b"rho\n"], ids=["longer", "shorter"])
+def test_out_is_overwritten_in_place(config_path, tmp_path, capsys, command, old):
+    """Over an existing file the bytes equal a fresh write's; the inode is
+    kept, so a hard link sees the new bytes."""
+    want = _fresh_csv(command, config_path, tmp_path, capsys)
+    out, link = tmp_path / "curve.csv", tmp_path / "hard.csv"
+    out.write_bytes(old)
+    os.link(out, link)
+    inode = out.stat().st_ino
+    assert run([command, "--config", config_path, "--out", out]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote 101 grid points to {out}\n")
+    assert out.read_bytes() == want
+    assert out.stat().st_ino == inode
+    assert link.read_bytes() == want
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_out_symlink_writes_through(config_path, tmp_path, capsys, command):
+    want = _fresh_csv(command, config_path, tmp_path, capsys)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"x" * 100_000)
+    link.symlink_to(target)
+    assert run([command, "--config", config_path, "--out", link]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == want
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_out_fifo_receives_exactly_the_csv(config_path, tmp_path, capsys, command):
+    """A FIFO cannot be cut to length; the write must not try."""
+    want = _fresh_csv(command, config_path, tmp_path, capsys)
+    fifo, got = tmp_path / "curve.fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        assert run([command, "--config", config_path, "--out", fifo]) == 0
+    finally:
+        if reader.is_alive() and not got:  # unblock the reader if nothing opened the FIFO
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+    assert got == [want]
+    assert capsys.readouterr().out.endswith(f"wrote 101 grid points to {fifo}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_out_dev_stdout_into_a_pipe(config_path, tmp_path, capsys, command):
+    want = _fresh_csv(command, config_path, tmp_path, capsys).decode()
+    result = subprocess.run(
+        [sys.executable, "-m", "swarmgame.cli", command, "--config", str(config_path),
+         "--out", "/dev/stdout"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(want)
+    assert result.stdout.endswith("wrote 101 grid points to /dev/stdout\n")
+    if command == "sweep":
+        assert result.stdout == want + "wrote 101 grid points to /dev/stdout\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_out_is_never_opened_with_truncation(
+    config_path, tmp_path, capsys, monkeypatch, command
+):
+    real, opened = os.open, []
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((path, flags))
+        return real(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", spy)
+    out = tmp_path / "curve.csv"
+    for _ in range(2):  # once to create the file, once over it
+        assert run([command, "--config", config_path, "--out", out]) == 0
+    writes = [flags for path, flags in opened if Path(path) == out]
+    assert len(writes) == 2
+    for flags in writes:
+        assert flags & os.O_TRUNC == 0
+        assert flags & os.O_CREAT and flags & os.O_WRONLY
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_default_out_is_command_csv_in_cwd(
+    config_path, tmp_path, capsys, monkeypatch, command
+):
+    """Without --out the CSV goes to <command>.csv in the working
+    directory; a second run overwrites it in place."""
+    want = _fresh_csv(command, config_path, tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    default = tmp_path / f"{command}.csv"
+    assert run([command, "--config", config_path]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote 101 grid points to {command}.csv\n")
+    assert default.read_bytes() == want
+    inode = default.stat().st_ino
+    assert run([command, "--config", config_path]) == 0
+    assert default.read_bytes() == want
+    assert default.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "optimize"])
+def test_closed_stdout_exits_1_without_traceback(config_path, tmp_path, command, buffered):
+    """The reader goes away before anything is printed: exit code 1 and a
+    quiet stderr, whether print or the flush meets the closed pipe."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "swarmgame.cli", command, "--config", str(config_path),
+         "--out", str(tmp_path / "curve.csv")],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert code == 1, err
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+def test_broken_pipe_in_process_is_raised(config_path, monkeypatch):
+    """A redirected stdout is not the process's fd 1: main leaves fd 1
+    alone and raises, as before."""
+
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        run(["analyze", "--config", config_path])
 
 
 def test_optimize_stdout_then_csv(config_path, tmp_path, capsys):
