@@ -15,7 +15,6 @@ from .fluctuation import (
     interval_transform,
     pathwise_events,
     phi,
-    sigma_transform,
 )
 from .kernels import binom_pmf, pois_cdf, pois_pmf, pois_tail
 from .model import (
@@ -74,7 +73,6 @@ __all__ = [
     "pois_pmf",
     "pois_tail",
     "prior_safe_prob",
-    "sigma_transform",
     "simulate_episode",
     "sweep",
     "total_cost",

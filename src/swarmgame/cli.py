@@ -14,23 +14,22 @@ import os
 import stat
 import sys
 from dataclasses import replace
-from operator import attrgetter
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, parse_config
 from .fluctuation import expected_exit_index
-from .model import SwarmParams, _CostCurve
+from .model import CostBreakdown, SwarmParams, _CostCurve
 # Not called here: the benchmark's tracer patches this name (ROADMAP item 1).
 from .model import total_cost  # noqa: F401
 from .optimize import optimize as optimize_rho
 from .optimize import sweep as sweep_curve
 from .sim import REGULAR, SAFETY, SimStats, estimate
 
-# Column order of the CSV rows and of analyze's printout.  A row is one
-# %-format; "%.12g" formats a float as f"{x:.12g}" does.
-COLUMNS = ("rho", "ally_cost", "p_prior", "q0", "q1", "total")
+# The CSV's rows and analyze's printout are CostBreakdown tuples, in their
+# field order.  A row is one %-format; "%.12g" formats a float as
+# f"{x:.12g}" does.
+COLUMNS = CostBreakdown._fields
 _ROW = ",".join(["%.12g"] * len(COLUMNS)) + "\n"
-_FIELDS = attrgetter(*COLUMNS)
 
 
 def _fmt(value: float) -> str:
@@ -38,7 +37,7 @@ def _fmt(value: float) -> str:
 
 
 def _csv_rows(curve) -> str:
-    return ",".join(COLUMNS) + "\n" + "".join([_ROW % _FIELDS(p) for p in curve])
+    return ",".join(COLUMNS) + "\n" + "".join([_ROW % row for row in curve])
 
 
 def _write_csv(path: str, curve, summary: str = "") -> int:
@@ -91,8 +90,8 @@ def _print_stats(label: str, stats: SimStats, burst: float, burst_se: float) -> 
 
 def _cmd_analyze(config: RunConfig, args) -> int:
     point = _CostCurve(_resolve_params(config)).breakdowns([config.rho])[0]
-    for name in COLUMNS:
-        print(f"{name:<10} = {_fmt(getattr(point, name))}")
+    for name, value in zip(COLUMNS, point):
+        print(f"{name:<10} = {_fmt(value)}")
     return 0
 
 
@@ -153,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key)
@@ -174,18 +173,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        code = _COMMANDS[args.command](config, args)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return _COMMANDS[args.command](config, args)
     except (RuntimeError, MemoryError) as exc:
         cause = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {cause}{exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:  # argparse's --help exits through here too
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
     except BrokenPipeError:
         if sys.stdout is not sys.__stdout__:  # redirected in process
             raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit
         return 1
-    return code
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ __all__ = [
     "TransformPoint",
     "interval_transform",
     "interval_transform_series",
-    "sigma_transform",
     "phi",
     "exit_index_pgf",
     "expected_exit_index",
@@ -99,17 +98,6 @@ def interval_transform_series(
     return TruncSeries.constant(1.0, degrees) / denom
 
 
-def sigma_transform(b: float, rho: float, candidates: int) -> float:
-    """E[b^-B] for B ~ Binomial(candidates, rho)."""
-    if b == 0.0:
-        raise ZeroDivisionError("sigma transform is singular at b = 0")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    if candidates < 0:
-        raise ValueError(f"candidates must be nonnegative, got {candidates}")
-    return (1.0 - rho + rho / b) ** candidates
-
-
 def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
     """Joint transform of (nu, pre-exit count, exit count, ally discount).
 
@@ -160,7 +148,7 @@ def phi(point: TransformPoint, params: SwarmParams, rho: float = 0.0) -> float:
     exit_mass = xi * interval_transform(y, z, d0, la, lh) * ratio(d0, z) ** thr
     exit_mass += xi * xi * interval_transform(y, z, d, la, lh) * (c_z / c * q) * total
 
-    # E[b^-B] grows like |b|^-n, while every one of the at least thr
+    # sigma = E[b^-B] grows like |b|^-n, while every one of the at least thr
     # captures carries a factor y = g1 b, so the mass underflows where the
     # product does not (M = 5000, b = 1/2, rho = 0.9, lambda_a = 1: sigma
     # overflows, the product is about 4e-57).  The mass is homogeneous of

@@ -14,14 +14,17 @@ exactly to the Regular strategy.
 ``total_cost`` is the single-point reference: the library's one-rho API
 and the tests' oracle.  The CLI computes every cost, ``analyze``'s one
 rho included, through ``_CostCurve``, which computes the rho-free parts
-once and every q1 of a curve in one vectorized pass.
+once and every q1 of a curve in one vectorized pass.  A ``CostBreakdown``
+is a named tuple whose fields are the CSV's columns in order, so the CLI
+prints each one as it is.
 """
 
 import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -127,15 +130,15 @@ class SwarmParams:
         return self.M // 2 - 1
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    """All intermediate quantities behind one total-cost evaluation."""
+class CostBreakdown(NamedTuple):
+    """All intermediate quantities behind one total-cost evaluation, in the
+    order of the CLI's columns: one row of a cost curve's CSV."""
 
     rho: float
+    ally_cost: float
     p_prior: float  # P{attacker below threshold at the prior epoch}
     q0: float       # burst probability, Regular strategy
     q1: float       # burst probability, Safety strategy at this rho
-    ally_cost: float
     total: float
 
 
@@ -295,9 +298,9 @@ class _CostCurve:
     def breakdowns(self, rho: Sequence[float]) -> list[CostBreakdown]:
         """``total_cost(params, r)`` for each r in rho, each within [0, 1]."""
         rho = np.asarray(rho, dtype=float)
-        p, q0 = self.p_prior, self.q0
-        columns = [rho.tolist()] + [column.tolist() for column in self.columns(rho)]
-        return [CostBreakdown(r, p, q0, b, a, t) for r, b, a, t in zip(*columns)]
+        q1, c, total = (column.tolist() for column in self.columns(rho))
+        rows = zip(rho.tolist(), c, repeat(self.p_prior), repeat(self.q0), q1, total)
+        return list(map(CostBreakdown._make, rows))
 
 
 def min_allies(params: SwarmParams, rho: float) -> AllyRequirement:

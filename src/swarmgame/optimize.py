@@ -9,7 +9,8 @@ local minimum, and re-gridding the bracket around the best grid point
 finds it.  Grid and refinement evaluate the curve through one
 ``model._CostCurve`` (rho-free quantities once per curve, each grid in
 one vectorized pass).  The refinement works on the rho and total
-columns alone; only the coarse grid becomes ``CostBreakdown`` objects.
+columns alone; only the coarse grid becomes ``CostBreakdown`` rows, the
+CSV's rows in its column order.
 Feasibility of the reservation (the minimal ally count for it to pay
 off) is reported at the optimum, never used to restrict the search.
 """

@@ -467,6 +467,26 @@ def test_closed_stdout_exits_1_without_traceback(config_path, tmp_path, command,
     assert "Exception ignored" not in err
 
 
+def test_help_into_closed_stdout_exits_1_quietly(tmp_path):
+    """argparse writes --help into stdout's buffer and exits; the flush
+    meets the closed pipe in main, not at interpreter exit.  (Unbuffered,
+    argparse itself drops the write error and exits 0.)"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "swarmgame.cli", "--help"],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (1, "")
+
+
 def test_broken_pipe_in_process_is_raised(config_path, monkeypatch):
     """A redirected stdout is not the process's fd 1: main leaves fd 1
     alone and raises, as before."""

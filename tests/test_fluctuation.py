@@ -16,7 +16,6 @@ from swarmgame.fluctuation import (
     interval_transform_series,
     pathwise_events,
     phi,
-    sigma_transform,
 )
 from swarmgame.kernels import binom_pmf
 from swarmgame.model import SwarmParams, majority_threshold
@@ -52,6 +51,12 @@ def test_interval_transform_geometric_mass_at_zero():
     # geometric with success probability 1/(1 + la*mean)
     assert interval_transform(0.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(0.5)
     assert interval_transform(0.0, 1.0, 2.0, 1.5, 0.0) == pytest.approx(1.0 / 4.0)
+
+
+def sigma_transform(b, rho, candidates):
+    """E[b^-B] for B ~ Binomial(candidates, rho): the ally factor that
+    ``phi`` folds into its capture marks, as ``_phi_series`` applies it."""
+    return (1.0 - rho + rho / b) ** candidates
 
 
 def test_sigma_transform():

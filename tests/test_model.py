@@ -234,6 +234,29 @@ def test_choose_strategy():
     assert choose_strategy(paid, 0.2, 0.2).strategy == "Regular"
 
 
+def test_choose_strategy_agrees_with_the_cost_curve():
+    """With the matrix (0, V; c, c + V) and p_prior > 0, Safety wins at rho
+    exactly when the curve's total at rho is below its total at 0."""
+    rng = np.random.default_rng(25)
+    picks = set()
+    for _ in range(300):
+        p = table_params(
+            M=int(rng.integers(8, 501)),
+            lambda_a=rng.uniform(0.2, 3.0),
+            drone_value=rng.uniform(10.0, 3000.0),
+        )
+        rho = np.concatenate(([0.0], rng.uniform(0.0, 1.0, 10)))
+        rows = _CostCurve(p).breakdowns(rho)
+        V = p.swarm_value
+        for row in rows:
+            assert row.p_prior > 0.0
+            matrix = CostMatrix(0.0, V, row.ally_cost, row.ally_cost + V)
+            pick = choose_strategy(matrix, row.q0, row.q1).strategy
+            assert (pick == "Safety") == (row.total < rows[0].total), (p, row)
+            picks.add(pick)
+    assert picks == {"Regular", "Safety"}
+
+
 def test_cost_matrix_invariant():
     with pytest.raises(ValueError):
         CostMatrix(0.0, 30000.0, 27.0, 29000.0)
