@@ -130,9 +130,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse prints --help through ``_print_message``, which drops write
+    errors: written directly, a closed stdout reaches ``main``."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache  # one parser per process, built on the first call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swarmgame",
         description="Swarm majority-takeover defense: costs, simulation, optimization",
     )

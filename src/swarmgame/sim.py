@@ -11,9 +11,10 @@ Poisson processes, so each outcome is drawn from a few laws of their
 arrival times (gamma) and of the counts around them (Poisson, or
 binomial, as a Poisson process's points given their count on an
 interval are uniform there).  A chunk costs a dozen numpy draws whatever
-the exit index, its allies one table search whatever M (``_allies``);
-``_chunk`` states the laws.  Only a crossing at or past ``MAX_EXIT_TIME``,
-which keeps every count inside int64, censors an episode.
+the exit index, its allies one guide-table lookup whatever M
+(``_allies``); ``_chunk`` states the laws.  Only a crossing at or past
+``MAX_EXIT_TIME``, which keeps every count inside int64, censors an
+episode.
 
 One kernel, ``_chunk``, draws a chunk of episodes from its own
 counter-based random streams keyed on (seed, chunk index), and returns
@@ -22,12 +23,14 @@ Safety with no allies, facing the same attack, so one pass serves both.
 ``estimate`` reduces chunks to sums, ``sample_exit_indices`` keeps
 their exit indices, and ``simulate_episode`` is chunk 0 at size 1.  So
 results are bitwise reproducible, independent of how chunks are
-scheduled across workers, and ``simulate_episode(seed)`` is the single
+scheduled across workers (one worker runs them in the caller's thread,
+more share a thread pool), and ``simulate_episode(seed)`` is the single
 episode ``estimate(episodes=1, seed=seed)`` aggregates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -67,6 +70,9 @@ MAX_EXIT_TIME = 2.0**50
 MAX_THRESHOLD = 2**62
 # Ulps of 1 per table entry within which a uniform is near a cut (``_allies``).
 _CUT_ULPS = 4
+# Buckets of [0, 1) in the ally table's guide (``_ally_table``): a power of
+# two, so u * _GUIDE and k / _GUIDE are exact.
+_GUIDE = 4096
 
 
 def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
@@ -168,42 +174,68 @@ def _arrival(rng: np.random.Generator, count: np.ndarray, rate: float) -> np.nda
         return rng.standard_gamma(count) / rate
 
 
-def _allies(rng: np.random.Generator, n: int, rho: float, size: int) -> np.ndarray:
-    """``rng.binomial(n, rho, size=size)``, bit for bit, by one table search.
+@functools.lru_cache(maxsize=32)
+def _ally_table(n: int, p: float, ulps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The edges ``_allies`` counts a uniform U against, for Binomial(n, p),
+    p <= 0.5, and their guide table; built once per (n, p, ulps), read only.
 
-    Where n p <= 30, p = min(rho, 1 - rho), numpy walks each uniform U down
-    the pmf terms px_x (U -= px_x while U > px_x): x is the first count
-    whose cumulative pmf reaches U (n - x if rho > 0.5), one search in the
-    table of those sums, its terms built by numpy's own expressions.  The
-    walk and the sums drift apart by up to an ulp a term, so a uniform
-    within ``_CUT_ULPS`` (bound + 2) ulps of a cut, or past the bound (where
-    numpy redraws), rewinds the stream for numpy to draw, as do BTPE, rho =
-    0 and n = 0.
+    numpy walks U down the pmf terms px_x (U -= px_x while U > px_x): x is
+    the first count whose cumulative pmf reaches U, its terms built here by
+    numpy's own expressions.  The walk and the sums drift apart by up to an
+    ulp a term, so each cut widens to cut +- tol, tol = ulps (bound + 2) ulps
+    of 1; the edges are those windows' ends, made nondecreasing, the last
+    dropped.  The edges below U are odd in number iff U is near a cut or past
+    the bound (where numpy redraws), else 2x.
+
+    first[k] counts the edges below k / _GUIDE: Chen and Asau's guide table
+    (Devroye, "Non-Uniform Random Variate Generation", 1986, III.2.4).
     """
-    p = min(rho, 1.0 - rho)
-    if n == 0 or rho == 0 or p * n > 30.0:
-        return rng.binomial(n, rho, size=size)
     q = 1.0 - p
     bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
     terms = [math.exp(n * math.log(q))]
     for x in range(1, bound + 1):
         terms.append((n - x + 1) * p * terms[-1] / (x * q))
     cut = np.cumsum(terms)
-    tol = _CUT_ULPS * (bound + 2) * 2.0**-53
-    # j counts the edges of the windows cut +- tol (made nondecreasing, the
-    # last dropped) below U: odd iff U is near a cut or past the bound, else 2x.
+    tol = ulps * (bound + 2) * 2.0**-53
     edges = np.maximum.accumulate(np.column_stack((cut - tol, cut + tol)).ravel()[:-1])
+    first = edges.searchsorted(np.arange(_GUIDE + 1) / _GUIDE)
+    edges.flags.writeable = first.flags.writeable = False
+    return edges, first
+
+
+def _count_below(edges: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``edges.searchsorted(u)`` for uniforms u in [0, 1), by the guide table.
+
+    u lies in bucket b = floor(u _GUIDE), so where no edge lies in the bucket
+    (first[b + 1] == first[b]) it counts first[b]; only the rest are searched,
+    under 1% of the uniforms at n = 9 and 59, rho = 0.5.
+    """
+    bucket = (u * _GUIDE).astype(np.intp)
+    count = first[bucket]
+    crowded = first[bucket + 1] != count
+    count[crowded] = edges.searchsorted(u[crowded])
+    return count
+
+
+def _allies(rng: np.random.Generator, n: int, rho: float, size: int) -> np.ndarray:
+    """``rng.binomial(n, rho, size=size)``, bit for bit, by a guide table.
+
+    Where n p <= 30, p = min(rho, 1 - rho), numpy draws by inversion, and
+    each count is read off the cached table of its cumulative pmf
+    (``_ally_table``) by one guide-table lookup (``_count_below``): x, or
+    n - x if rho > 0.5.  A uniform within ``_CUT_ULPS`` ulps a term of a cut,
+    or past the bound, rewinds the stream for numpy to draw, as do BTPE,
+    rho = 0 and n = 0.
+    """
+    p = min(rho, 1.0 - rho)
+    if n == 0 or rho == 0 or p * n > 30.0:
+        return rng.binomial(n, rho, size=size)
     state = rng.bit_generator.state
-    j = edges.searchsorted(rng.random(size))
+    j = _count_below(*_ally_table(n, p, _CUT_ULPS), rng.random(size))
     if (j & 1).any():
         rng.bit_generator.state = state
         return rng.binomial(n, rho, size=size)
     return j >> 1 if rho <= 0.5 else n - (j >> 1)
-
-
-def _share(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
-    """part / whole as a probability: 0 where whole is 0."""
-    return np.divide(part, whole, out=np.zeros(part.shape), where=whole > 0)
 
 
 def _chunk(
@@ -257,7 +289,7 @@ def _chunk(
     why the processes' order within an epoch need not be drawn.  Every
     Poisson mean is below MAX_EXIT_TIME, so a = 0 or a tiny a delta (X =
     inf) simply censors, with no epoch stepped.  The allies are numpy's
-    Binomial(M/2 - 1, rho) draws from their own stream, by a table search
+    Binomial(M/2 - 1, rho) draws from their own stream, by a guide table
     (``_allies``): rho changes nothing else; at rho = 0 Safety is Regular.
     """
     rng, ally_rng = _streams(seed, index)
@@ -300,12 +332,12 @@ def _chunk(
         np.where(done, frac, MAX_EXIT_TIME / np.maximum(cross, MAX_EXIT_TIME)),
     )
 
-    # The ends before Y when it precedes X B: uniform on [0, X B].
+    # The ends before Y when it precedes X B: uniform on [0, X B], drawn only
+    # there, as numpy draws nothing at n = 0 or p = 0.  Elsewhere the counts
+    # already are the ends before a settled Y.
     inside = done & settled & (race < last)
-    race_ends = rng.binomial(
-        np.where(inside, ends - 1, 0), np.where(inside, _share(race, last), 0.0)
-    )
-    mu = np.where(settled, np.where(inside, race_ends, counts) + 2, 0)
+    counts[inside] = rng.binomial(ends[inside] - 1, race[inside] / last[inside])
+    mu = np.where(settled, counts + 2, 0)
     mu[h1 >= threshold] = 1
 
     nu = np.where(exited, 1, np.where(done, ends + 2, 0))
@@ -357,16 +389,22 @@ def _pooled(a: tuple, b: tuple) -> tuple:
     return count + part_count, total + part_sum, m2 + part_m2
 
 
-def _in_order(pool: ThreadPoolExecutor, fn, count: int, window: int):
-    """Yield fn(0), ..., fn(count - 1) from the pool in order, with at most
-    ``window`` submitted and not yet yielded (``Executor.map`` submits all)."""
-    pending = []
-    for index in range(count):
-        pending.append(pool.submit(fn, index))
-        if len(pending) == window:
-            yield pending.pop(0).result()
-    for future in pending:
-        yield future.result()
+def _in_order(fn, count: int, threads: int):
+    """Yield fn(0), ..., fn(count - 1) in order: in the caller's thread if
+    ``threads`` is 1, else from a pool of that many threads, with at most two
+    calls per thread submitted and not yet yielded (``Executor.map`` submits
+    all)."""
+    if threads == 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = []
+        for index in range(count):
+            pending.append(pool.submit(fn, index))
+            if len(pending) == 2 * threads:
+                yield pending.pop(0).result()
+        for future in pending:
+            yield future.result()
 
 
 def estimate(
@@ -383,8 +421,9 @@ def estimate(
     count.  The sums are exact integers but for nu's squared deviations,
     taken in float64 about the chunk's own mean: E[nu^2] - mean^2 would
     cancel where nu's spread is small beside its mean, as at large M;
-    ``_pooled`` pools them.  The pool starts no more threads than there are
-    chunks or CPUs this process may run on, two chunks in flight per thread.
+    ``_pooled`` pools them.  No more threads run than there are chunks or
+    CPUs this process may run on: one is the caller's own, with no pool;
+    more share a pool, two chunks in flight per thread.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -405,15 +444,13 @@ def estimate(
         sums = [int(c.sum()) for c in (regular, safety, a_prior < half, censored)]
         return sums + [exit_sum], (count, total, float((deviation**2).sum()))
 
-    # The pool starts a thread per submission until it reaches max_workers.
+    # A pool starts a thread per submission until it reaches max_workers.
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    threads = min(workers, chunks, cpus)
     sums, pooled = [0] * 5, (0, 0, 0.0)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part_sums, part in _in_order(pool, run, chunks, 2 * threads):
-            sums = [a + b for a, b in zip(sums, part_sums)]
-            pooled = _pooled(pooled, part)
+    for part_sums, part in _in_order(run, chunks, min(workers, chunks, cpus)):
+        sums = [a + b for a, b in zip(sums, part_sums)]
+        pooled = _pooled(pooled, part)
     regular, safety, safe, censored, a_sum = sums
     done, nu_sum, nu_m2 = pooled
 

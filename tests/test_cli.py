@@ -467,12 +467,15 @@ def test_closed_stdout_exits_1_without_traceback(config_path, tmp_path, command,
     assert "Exception ignored" not in err
 
 
-def test_help_into_closed_stdout_exits_1_quietly(tmp_path):
-    """argparse writes --help into stdout's buffer and exits; the flush
-    meets the closed pipe in main, not at interpreter exit.  (Unbuffered,
-    argparse itself drops the write error and exits 0.)"""
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_help_into_closed_stdout_exits_1_quietly(tmp_path, buffered):
+    """--help meets the closed pipe in main, not at interpreter exit:
+    buffered at the flush, unbuffered at the write, whose error argparse's
+    own printing would drop (exit 0)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with subprocess.Popen(
         [sys.executable, "-m", "swarmgame.cli", "--help"],
         cwd=tmp_path,

@@ -1,6 +1,7 @@
 import math
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from types import SimpleNamespace
 
@@ -151,9 +152,10 @@ def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
     p = params()
     episodes = 2 * sim.CHUNK + 1
     serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     pools = serial_pools(monkeypatch)
     assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=10**6) == serial
-    assert len(pools) == 1 and 1 <= pools[0].max_workers <= min(3, os.cpu_count() or 1)
+    assert [pool.max_workers for pool in pools] == [3]
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         estimate(p, episodes=episodes, seed=5, workers=0)
 
@@ -165,7 +167,21 @@ def test_estimate_threads_are_capped_by_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     pools = serial_pools(monkeypatch)
     assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=4) == serial
-    assert [pool.max_workers for pool in pools] == [1]
+    assert pools == []  # one thread is the caller's: no pool
+
+
+def test_one_worker_runs_in_the_callers_thread(monkeypatch):
+    p = params(lambda_h=0.5)
+    episodes = 3 * sim.CHUNK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = estimate(p, episodes=episodes, seed=8, rho=0.5, workers=2)
+
+    class NoPool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            raise AssertionError("a chunk went to the pool")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", NoPool)
+    assert estimate(p, episodes=episodes, seed=8, rho=0.5, workers=1) == pooled
 
 
 def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch):
@@ -458,6 +474,17 @@ def test_ally_draw_is_numpys_binomial(n):
     for rho in ALLY_RHOS:
         for seed in range(3):
             assert_allies_are_numpys(n, rho, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 59, 60])
+@pytest.mark.parametrize("rho", [1e-7, 1e-3, 0.3, 0.5, 0.999])
+def test_guide_count_matches_the_search_at_its_boundaries(n, rho):
+    """Each bucket start, each edge, and one ulp on either side of them."""
+    edges, first = sim._ally_table(n, min(rho, 1.0 - rho), sim._CUT_ULPS)
+    points = np.concatenate((np.arange(sim._GUIDE) / sim._GUIDE, edges))
+    u = np.concatenate((points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(sim._count_below(edges, first, u), edges.searchsorted(u))
 
 
 def test_ally_draw_near_a_cut_is_numpys_binomial(monkeypatch):
