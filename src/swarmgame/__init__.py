@@ -4,6 +4,10 @@ Analytic burst probabilities and defense costs, an exact exit-index
 transform built on the absorbing chain of the attacker's observed count,
 a Monte Carlo simulator of the attacker-vs-swarm observation process,
 and a cost-minimizing ally-reservation optimizer.
+
+The simulator's names load ``swarmgame.sim`` on first use (a PEP 562
+module ``__getattr__``): the analytic commands never run it, so
+importing the package does not load it.
 """
 
 from .config import ConfigError, RunConfig, parse_config
@@ -34,7 +38,6 @@ from .model import (
     total_cost,
 )
 from .optimize import OptimalRho, optimize, sweep
-from .sim import REGULAR, SAFETY, EpisodeOutcome, SimStats, estimate, simulate_episode
 
 __version__ = "0.1.0"
 
@@ -77,3 +80,19 @@ __all__ = [
     "sweep",
     "total_cost",
 ]
+
+_SIM_NAMES = frozenset(
+    ("REGULAR", "SAFETY", "EpisodeOutcome", "SimStats", "estimate", "simulate_episode")
+)
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

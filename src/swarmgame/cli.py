@@ -3,6 +3,9 @@
 All commands read a `key = value` config file; a few flags override
 config values.  Curve output is CSV with a fixed schema so runs can be
 diffed byte-for-byte and plotted with any external tool.
+
+Only ``simulate`` runs the simulator: ``cli.estimate`` loads ``swarmgame.sim``
+on first access (a PEP 562 module ``__getattr__``).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import stat
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import ConfigError, RunConfig, parse_config
 from .fluctuation import expected_exit_index
@@ -23,13 +27,23 @@ from .model import CostBreakdown, SwarmParams, _CostCurve
 from .model import total_cost  # noqa: F401
 from .optimize import optimize as optimize_rho
 from .optimize import sweep as sweep_curve
-from .sim import REGULAR, SAFETY, SimStats, estimate
+
+if TYPE_CHECKING:
+    from .sim import SimStats
 
 # The CSV's rows and analyze's printout are CostBreakdown tuples, in their
 # field order.  A row is one %-format; "%.12g" formats a float as
 # f"{x:.12g}" does.
 COLUMNS = CostBreakdown._fields
 _ROW = ",".join(["%.12g"] * len(COLUMNS)) + "\n"
+
+
+def __getattr__(name: str):
+    if name == "estimate":
+        from .sim import estimate
+
+        return estimate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value: float) -> str:
@@ -96,6 +110,10 @@ def _cmd_analyze(config: RunConfig, args) -> int:
 
 
 def _cmd_simulate(config: RunConfig, args) -> int:
+    from .sim import REGULAR, SAFETY
+
+    # Looked up at call time, so a value set on cli.estimate (a patch) runs.
+    estimate = sys.modules[__name__].estimate
     # The simulator never reads expected_nu, so "auto" is left unresolved.
     try:
         stats = estimate(config.to_params(), episodes=config.episodes,

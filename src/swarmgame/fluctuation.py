@@ -12,21 +12,24 @@ and the exit-index PGF.  At xi = 1 the expected number of pre-exit
 epochs (Kemeny & Snell, Finite Markov Chains, 1960) is a finite
 geometric sum, so E[nu] and the exact probabilities of the simulator's
 own events (``pathwise_events``) are closed forms, O(1) at any M.
+
+No command runs the series algebra, so ``swarmgame.series`` loads only
+when ``interval_transform_series`` or ``d_operator`` is first used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .kernels import binomial_mixture
 from .model import SwarmParams, majority_threshold
-from .series import TruncSeries
-# Not called here: the benchmark's tracer patches d_operator and
-# interval_transform_series by name (ROADMAP item 1).
-from .series import d_operator  # noqa: F401
+
+if TYPE_CHECKING:
+    from .series import TruncSeries
 
 __all__ = [
     "TransformPoint",
@@ -38,6 +41,16 @@ __all__ = [
     "PathwiseEvents",
     "pathwise_events",
 ]
+
+
+def __getattr__(name: str):
+    # Not called here: the benchmark's tracer patches d_operator by name.
+    # Resolving it loads the series algebra.
+    if name == "d_operator":
+        from .series import d_operator
+
+        return d_operator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,8 @@ def interval_transform_series(
     1 / (1 + lambda_a*mean*(1 - g_scalar*q^i r^j s^k)
            + lambda_h*mean*(1 - z_scalar)).
     """
+    from .series import TruncSeries
+
     if mean <= 0:
         raise ValueError(f"mean must be positive, got {mean}")
     denom = (

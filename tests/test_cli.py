@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perfbench.tracer import Tracer, patched
 from swarmgame import cli
 from swarmgame.cli import main
 from swarmgame.fluctuation import PathwiseEvents, exit_index_pgf, pathwise_events
@@ -621,6 +622,52 @@ def test_entry_points_run_with_scipy_blocked(tmp_path):
     assert pgf == exit_index_pgf(0.5, p)
     # (1 + q^2) / (1 - q) = 1 + q + 2 q^2 + 2 q^3 + ...
     assert series == pytest.approx([1.0, 1.0, 2.0, 2.0], abs=1e-12)
+
+
+# Runs in a fresh interpreter: the package, the CLI and the analytic
+# commands load neither the simulator, the series algebra nor
+# concurrent.futures; simulate loads the simulator on first use.
+LEAN_IMPORT = """\
+import json, sys
+import swarmgame
+import swarmgame.cli as cli
+LAZY = ("swarmgame.sim", "swarmgame.series", "concurrent.futures")
+cfg, out = sys.argv[1:]
+codes = [cli.main([c, "--config", cfg, "--out", out])
+         for c in ("analyze", "sweep", "optimize")]
+analytic = [m for m in LAZY if m in sys.modules]
+codes.append(cli.main(["simulate", "--config", cfg]))
+print(json.dumps([codes, analytic, [m for m in LAZY if m in sys.modules]]))
+"""
+
+
+def test_analytic_commands_load_no_simulator(tmp_path):
+    cfg = tmp_path / "auto.cfg"
+    cfg.write_text(
+        "M = 1000\ndrone_value = 1500\nlambda_a = 1\ndelta0 = 2\ndelta = 0.5\n"
+        "expected_nu = auto\nepisodes = 4096\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", LEAN_IMPORT, str(cfg), str(tmp_path / "c.csv")],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    codes, analytic, after_simulate = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert analytic == []
+    assert "swarmgame.sim" in after_simulate
+
+
+def test_tracer_hooks_the_lazily_resolved_estimate(config_path, capsys):
+    with patched(Tracer()) as tracer:
+        assert run(["simulate", "--config", config_path]) == 0
+    assert tracer.counts["sim.episodes"] == 5000
+    assert tracer.summary()["sim.estimate.calls"] == 1
+    assert cli.estimate is estimate
 
 
 def test_auto_mode_with_no_attacker_exits_nonzero(tmp_path, capsys):
