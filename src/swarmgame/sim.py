@@ -10,22 +10,24 @@ after it, epoch ends, captures and honest arrivals are independent
 Poisson processes, so each outcome is drawn from a few laws of their
 arrival times (gamma) and of the counts around them (Poisson, or
 binomial, as a Poisson process's points given their count on an
-interval are uniform there).  A chunk costs a dozen numpy draws whatever
-the exit index, its allies one guide-table lookup whatever M
-(``_allies``); ``_chunk`` states the laws.  Only a crossing at or past
+interval are uniform there).  A chunk costs at most ten numpy draws
+whatever the exit index, its allies one guide-table lookup whatever M
+(``_allies``); ``_draws`` states the laws.  Only a crossing at or past
 ``MAX_EXIT_TIME``, which keeps every count inside int64, censors an
 episode.
 
-One kernel, ``_chunk``, draws a chunk of episodes from its own
-counter-based random streams keyed on (seed, chunk index), and returns
-per-episode arrays, both strategies' bursts among them: Regular is
-Safety with no allies, facing the same attack, so one pass serves both.
-``estimate`` reduces chunks to sums, ``sample_exit_indices`` keeps
-their exit indices, and ``simulate_episode`` is chunk 0 at size 1.  So
-results are bitwise reproducible, independent of how chunks are
-scheduled across workers (one worker runs them in the caller's thread,
-more share a thread pool), and ``simulate_episode(seed)`` is the single
-episode ``estimate(episodes=1, seed=seed)`` aggregates.
+One kernel, ``_draws``, draws a chunk of episodes from its own
+counter-based random streams keyed on (seed, chunk index), both
+strategies' bursts among them: Regular is Safety with no allies, facing
+the same attack, so one pass serves both.  Its readers take what they
+need from the same draws: ``_chunk`` adds mu's split and returns
+per-episode arrays, ``estimate`` reduces each chunk straight to sums
+(``_chunk_sums``), ``sample_exit_indices`` keeps the exit indices, and
+``simulate_episode`` is ``_chunk`` 0 at size 1.  So results are bitwise
+reproducible, independent of how chunks are scheduled across workers
+(one worker runs them in the caller's thread, more share a thread pool,
+whose module loads only then), and ``simulate_episode(seed)`` is the
+single episode ``estimate(episodes=1, seed=seed)`` aggregates.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,6 +75,15 @@ _CUT_ULPS = 4
 # Buckets of [0, 1) in the ally table's guide (``_ally_table``): a power of
 # two, so u * _GUIDE and k / _GUIDE are exact.
 _GUIDE = 4096
+
+
+def __getattr__(name: str):
+    """``ThreadPoolExecutor`` loads on first use: one worker starts no pool."""
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
@@ -238,18 +249,38 @@ def _allies(rng: np.random.Generator, n: int, rho: float, size: int) -> np.ndarr
     return j >> 1 if rho <= 0.5 else n - (j >> 1)
 
 
-def _chunk(
+class _Draws(NamedTuple):
+    """A chunk's draws (``_draws``): per-episode arrays, and the process
+    stream, whose next draw would be mu's split (``_chunk``)."""
+
+    rng: np.random.Generator
+    # Read by every reducer: EpisodeOutcome's fields but mu.
+    nu: np.ndarray
+    a_prior: np.ndarray
+    a_exit: np.ndarray
+    allies: np.ndarray
+    regular: np.ndarray
+    safety: np.ndarray
+    censored: np.ndarray
+    # Read by mu's split alone.
+    done: np.ndarray
+    settled: np.ndarray
+    h1: np.ndarray
+    cross: np.ndarray
+    race: np.ndarray
+    counts: np.ndarray
+    frac: np.ndarray
+
+
+def _draws(
     params: SwarmParams,
     rho: float,
     seed: int,
     index: int,
     size: int,
-) -> tuple[np.ndarray, ...]:
-    """Simulate chunk ``index`` of ``size`` episodes from their path laws.
-
-    Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
-    a_prior, a_exit, allies, burst_regular, burst_safety, censored, with
-    0 in nu/mu for a threshold not reached.
+) -> _Draws:
+    """Draw chunk ``index`` of ``size`` episodes from their path laws, all
+    but mu's split, with 0 in nu for a threshold not reached.
 
     Epoch 1 is drawn as a count: its total y is geometric, P{y >= k} =
     r^k with r = m / (1 + m), m = (lambda_a + lambda_h) delta0, by
@@ -291,6 +322,12 @@ def _chunk(
     inf) simply censors, with no epoch stepped.  The allies are numpy's
     Binomial(M/2 - 1, rho) draws from their own stream, by a guide table
     (``_allies``): rho changes nothing else; at rho = 0 Safety is Regular.
+
+    Regular bursts iff the attacker exits first, nu < mu.  mu never
+    exceeds nu once set, so that is mu unset: not censored, no settled
+    race, H1 < thr.  So the bursts need no mu, and mu's split, the
+    process stream's last draw, is left to ``_chunk``: skipping it moves
+    no other draw.
     """
     rng, ally_rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
@@ -303,13 +340,14 @@ def _chunk(
     a1 = rng.binomial(y, share) if params.lambda_h > 0 else y
     h1 = y - a1
     exited = a1 >= threshold
+    alive = ~exited
 
     # X and Y: the s-th capture, the t-th honest arrival.
     s = np.maximum(threshold - a1, 1)
     cross = _arrival(rng, s, a)
     race = _arrival(rng, np.maximum(threshold - h1, 1), params.lambda_h * params.delta)
-    done = ~exited & (cross < MAX_EXIT_TIME)
-    censored = ~exited & ~done
+    done = alive & (cross < MAX_EXIT_TIME)
+    censored = alive ^ done
 
     # O, and the honest race, settled by the exit epoch's end or the bound.
     over = _geometric(rng, a, size)
@@ -317,7 +355,7 @@ def _chunk(
         end = cross + rng.standard_gamma(over + 1) / (1.0 + a)
     else:
         end = cross  # race is inf: never settled
-    settled = ~exited & (race < np.where(done, end, MAX_EXIT_TIME))
+    settled = alive & (race < np.where(done, end, MAX_EXIT_TIME))
 
     # F, the ends before X; censored, the ends before a settled Y.
     counts = rng.poisson(np.where(done, cross, np.where(settled, race, 0.0)))
@@ -325,29 +363,47 @@ def _chunk(
     # B, the last of the F ends as a share of X (0 if none).
     frac = rng.random(size) ** (1.0 / np.maximum(ends, 1))
     frac[ends == 0] = 0.0
-    last = np.where(done, cross, 0.0) * frac
-    # The captures before X B, or censored, before the bound.
+    # The captures before X B, or censored, before the bound (s = 1 if exited).
     before = rng.binomial(
-        np.where(exited, 0, s - 1),
+        s - 1,
         np.where(done, frac, MAX_EXIT_TIME / np.maximum(cross, MAX_EXIT_TIME)),
     )
 
+    nu = np.where(exited, 1, np.where(done, ends + 2, 0))
+    prior = a1 + before
+    a_exit = np.where(done, threshold + over, prior)
+    a_prior = np.where(exited, 0, prior)
+    allies = _allies(ally_rng, params.candidates, rho, size)
+    regular = ~(censored | settled) & (h1 < threshold)
+    safety = regular & (a_exit - allies >= threshold)
+    return _Draws(rng, nu, a_prior, a_exit, allies, regular, safety, censored,
+                  done, settled, h1, cross, race, counts, frac)
+
+
+def _chunk(
+    params: SwarmParams,
+    rho: float,
+    seed: int,
+    index: int,
+    size: int,
+) -> tuple[np.ndarray, ...]:
+    """Simulate chunk ``index`` of ``size`` episodes: ``_draws`` and mu's split.
+
+    Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
+    a_prior, a_exit, allies, burst_regular, burst_safety, censored, with
+    0 in nu/mu for a threshold not reached.
+    """
+    d = _draws(params, rho, seed, index, size)
     # The ends before Y when it precedes X B: uniform on [0, X B], drawn only
     # there, as numpy draws nothing at n = 0 or p = 0.  Elsewhere the counts
     # already are the ends before a settled Y.
-    inside = done & settled & (race < last)
-    counts[inside] = rng.binomial(ends[inside] - 1, race[inside] / last[inside])
-    mu = np.where(settled, counts + 2, 0)
-    mu[h1 >= threshold] = 1
-
-    nu = np.where(exited, 1, np.where(done, ends + 2, 0))
-    a_exit = np.where(done, threshold + over, a1 + before)
-    a_prior = np.where(exited, 0, a1 + before)
-    allies = _allies(ally_rng, params.candidates, rho, size)
-    # mu never exceeds nu once set, so nu < mu reduces to mu unset.
-    regular = ~censored & (mu == 0)
-    safety = regular & (a_exit - allies >= threshold)
-    return nu, mu, a_prior, a_exit, allies, regular, safety, censored
+    last = np.where(d.done, d.cross, 0.0) * d.frac
+    inside = d.done & d.settled & (d.race < last)
+    counts = d.counts
+    counts[inside] = d.rng.binomial(counts[inside] - 1, d.race[inside] / last[inside])
+    mu = np.where(d.settled, counts + 2, 0)
+    mu[d.h1 >= majority_threshold(params.M)] = 1
+    return d.nu, mu, d.a_prior, d.a_exit, d.allies, d.regular, d.safety, d.censored
 
 
 def simulate_episode(
@@ -365,16 +421,40 @@ def sample_exit_indices(
 ) -> tuple[np.ndarray, int]:
     """Exit indices of non-censored episodes, plus the censored count.
 
-    Runs the chunks of ``estimate``, so episode i here is episode i there.
+    Draws the chunks of ``estimate``, so episode i here is episode i there.
     """
     collected = []
     censored_total = 0
     for index in range(_plan(params, 0.0, episodes)):
-        size = min(CHUNK, episodes - index * CHUNK)
-        nu, *_, censored = _chunk(params, 0.0, seed, index, size)
-        censored_total += int(censored.sum())
-        collected.append(nu[~censored])
+        d = _draws(params, 0.0, seed, index, min(CHUNK, episodes - index * CHUNK))
+        censored_total += int(d.censored.sum())
+        collected.append(d.nu[~d.censored])
     return np.concatenate(collected), censored_total
+
+
+def _chunk_sums(
+    params: SwarmParams, rho: float, seed: int, index: int, size: int
+) -> tuple[list[int], tuple[int, int, float]]:
+    """Reduce chunk ``index``'s draws to ``estimate``'s sums: the counts of
+    Regular and Safety bursts, of a_prior < M/2 and of censored episodes,
+    and a_exit's sum, then (count, sum, squared deviations about the mean)
+    of nu, both over the episodes not censored.
+
+    The sums are exact integers but for nu's squared deviations, taken in
+    float64 about the chunk's own mean: E[nu^2] - mean^2 would cancel where
+    nu's spread is small beside its mean, as at large M.
+    """
+    d = _draws(params, rho, seed, index, size)
+    safe = d.a_prior < params.M / 2
+    sums = [int(np.count_nonzero(c)) for c in (d.regular, d.safety, safe, d.censored)]
+    kept = ~d.censored if sums[-1] else slice(None)
+    nu, exits = d.nu[kept], d.a_exit[kept]
+    total = int(nu.sum())
+    # A CHUNK of exit counts near a threshold of 2**62 sums to about
+    # 2**74, so their high and low 32-bit words are summed apart.
+    exit_sum = (int((exits >> 32).sum()) << 32) + int((exits & 0xFFFFFFFF).sum())
+    deviation = nu - (total / nu.size if nu.size else 0.0)
+    return sums + [exit_sum], (nu.size, total, float((deviation**2).sum()))
 
 
 def _pooled(a: tuple, b: tuple) -> tuple:
@@ -397,7 +477,8 @@ def _in_order(fn, count: int, threads: int):
     if threads == 1:
         yield from map(fn, range(count))
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # Looked up at call time, so a value set on sim.ThreadPoolExecutor runs.
+    with sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
         pending = []
         for index in range(count):
             pending.append(pool.submit(fn, index))
@@ -416,33 +497,20 @@ def estimate(
 ) -> SimStats:
     """Aggregate independent episodes into SimStats, both strategies at once.
 
-    Each chunk is reduced to sums as soon as it is simulated, and the sums
-    are folded in chunk order, so the outcome is identical for any worker
-    count.  The sums are exact integers but for nu's squared deviations,
-    taken in float64 about the chunk's own mean: E[nu^2] - mean^2 would
-    cancel where nu's spread is small beside its mean, as at large M;
-    ``_pooled`` pools them.  No more threads run than there are chunks or
-    CPUs this process may run on: one is the caller's own, with no pool;
-    more share a pool, two chunks in flight per thread.
+    Each chunk's draws are reduced to sums as they are drawn
+    (``_chunk_sums``), and the sums are folded in chunk order, so the
+    outcome is identical for any worker count; ``_pooled`` pools nu's
+    squared deviations.  No more threads run than there are chunks or CPUs
+    this process may run on: one is the caller's own, with no pool; more
+    share a pool, two chunks in flight per thread.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunks = _plan(params, rho, episodes)
-    half = params.M / 2
 
     def run(index: int) -> tuple[list[int], tuple[int, int, float]]:
-        nu, _, a_prior, a_exit, _, regular, safety, censored = _chunk(
-            params, rho, seed, index, min(CHUNK, episodes - index * CHUNK)
-        )
-        done = ~censored
-        count, total = int(done.sum()), int(nu[done].sum())
-        # A CHUNK of exit counts near a threshold of 2**62 sums to about
-        # 2**74, so their high and low 32-bit words are summed apart.
-        exits = a_exit[done]
-        exit_sum = (int((exits >> 32).sum()) << 32) + int((exits & 0xFFFFFFFF).sum())
-        deviation = nu[done] - (total / count if count else 0.0)
-        sums = [int(c.sum()) for c in (regular, safety, a_prior < half, censored)]
-        return sums + [exit_sum], (count, total, float((deviation**2).sum()))
+        size = min(CHUNK, episodes - index * CHUNK)
+        return _chunk_sums(params, rho, seed, index, size)
 
     # A pool starts a thread per submission until it reaches max_workers.
     affinity = getattr(os, "sched_getaffinity", None)

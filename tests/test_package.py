@@ -1,6 +1,7 @@
 """The package's public names: every one resolves to its defining module's
 own object, whether it is imported with the package or loaded on first use."""
 
+import concurrent.futures
 import importlib
 
 import pytest
@@ -48,7 +49,7 @@ def test_dir_and_star_import_cover_all():
         assert namespace[name] is getattr(swarmgame, name), name
 
 
-@pytest.mark.parametrize("module", [swarmgame, cli, fluctuation])
+@pytest.mark.parametrize("module", [swarmgame, cli, fluctuation, sim])
 def test_unknown_name_raises_attribute_error(module):
     assert not hasattr(module, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -59,3 +60,4 @@ def test_lazily_resolved_names_are_the_defining_objects():
     # The benchmark's tracer patches both by name (perfbench/tracer.py).
     assert cli.estimate is sim.estimate
     assert fluctuation.d_operator is series.d_operator
+    assert sim.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor

@@ -1,8 +1,13 @@
+import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,7 +116,7 @@ def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
     def no_chunk(*args):
         raise AssertionError("a chunk ran")
 
-    monkeypatch.setattr(sim, "_chunk", no_chunk)
+    monkeypatch.setattr(sim, "_chunk_sums", no_chunk)
     with pytest.raises(ValueError, match="at most"):
         estimate(params(lambda_a=1e300), episodes=10_000, seed=1, workers=2)
 
@@ -187,11 +192,10 @@ def test_one_worker_runs_in_the_callers_thread(monkeypatch):
 def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch):
     """At most two chunks per thread are submitted and not yet folded."""
 
-    def cheap_chunk(params, rho, seed, index, size):
-        counts, flags = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=bool)
-        return (counts,) * 5 + (flags,) * 3
+    def cheap_sums(params, rho, seed, index, size):
+        return [0] * 5, (size, 0, 0.0)
 
-    monkeypatch.setattr(sim, "_chunk", cheap_chunk)
+    monkeypatch.setattr(sim, "_chunk_sums", cheap_sums)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pools = serial_pools(monkeypatch)
     for chunks in (10, 1000):
@@ -200,7 +204,11 @@ def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch)
     assert [(pool.max_workers, pool.peak) for pool in pools] == [(2, 4), (2, 4)]
 
 
-@pytest.mark.parametrize("M, lambda_a", [(10**17, 1e3), (2**63 - 2, 1e6)])
+# (M, lambda_a) at which a chunk's exit counts sum past int64.
+PAST_INT64 = [(10**17, 1e3), (2**63 - 2, 1e6)]
+
+
+@pytest.mark.parametrize("M, lambda_a", PAST_INT64)
 def test_estimate_mean_exit_count_past_int64_chunk_sums(M, lambda_a):
     # A chunk's exit counts sum past int64, up to the largest threshold
     # the simulator takes, 2**62; each count is the threshold plus an
@@ -617,17 +625,18 @@ def test_sampler_matches_epoch_loop_at_tiny_epoch_means():
     assert_same_law(params(lambda_h=0.5, delta=1e-300), horizon=30, episodes=20_000)
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        dict(lambda_a=0.0, lambda_h=2.0),
-        dict(lambda_h=0.5, delta=1e-300),
-        dict(lambda_a=5e-324, lambda_h=0.5),
-        dict(lambda_a=5e-324, lambda_h=5e-324),
-        # Crossings and honest arrivals straddle MAX_EXIT_TIME itself.
-        dict(M=4, lambda_h=1.0, delta=1 / sim.MAX_EXIT_TIME),
-    ],
-)
+# Rates at which episodes are censored.
+CENSORING = [
+    dict(lambda_a=0.0, lambda_h=2.0),
+    dict(lambda_h=0.5, delta=1e-300),
+    dict(lambda_a=5e-324, lambda_h=0.5),
+    dict(lambda_a=5e-324, lambda_h=5e-324),
+    # Crossings and honest arrivals straddle MAX_EXIT_TIME itself.
+    dict(M=4, lambda_h=1.0, delta=1 / sim.MAX_EXIT_TIME),
+]
+
+
+@pytest.mark.parametrize("overrides", CENSORING)
 def test_tiny_rates_censor_without_warnings(overrides):
     # No exception and no RuntimeWarning (the test suite makes those
     # errors); past epoch 1 nothing crosses before MAX_EXIT_TIME where
@@ -647,3 +656,83 @@ def test_tiny_rates_censor_without_warnings(overrides):
         assert count.max() < 2 * sim.MAX_EXIT_TIME
         assert int(count.sum()) == sum(count.tolist())
 
+
+
+def sums_of_chunk(params, rho, seed, index, size):
+    """``sim._chunk_sums`` taken from ``_chunk``'s arrays, mu's split
+    included, the bursts read off mu: the reference its direct reduction of
+    the draws must equal."""
+    nu, mu, a_prior, a_exit, allies, _, _, censored = sim._chunk(
+        params, rho, seed, index, size
+    )
+    # mu never exceeds nu once set, so nu < mu reduces to mu unset.
+    regular = ~censored & (mu == 0)
+    safety = regular & (a_exit - allies >= majority_threshold(params.M))
+    done = ~censored
+    count, total = int(done.sum()), int(nu[done].sum())
+    exits = a_exit[done]
+    exit_sum = (int((exits >> 32).sum()) << 32) + int((exits & 0xFFFFFFFF).sum())
+    deviation = nu[done] - (total / count if count else 0.0)
+    sums = [int(c.sum()) for c in (regular, safety, a_prior < params.M / 2, censored)]
+    return sums + [exit_sum], (count, total, float((deviation**2).sum()))
+
+
+def same_stats(a: SimStats, b: SimStats) -> bool:
+    """Equal field for field, NaN equal to NaN."""
+    return all(x == y or (x != x and y != y) for x, y in zip(astuple(a), astuple(b)))
+
+
+@pytest.mark.parametrize(
+    "overrides, rho",
+    [(dict(lambda_h=lh), rho) for lh in (0.0, 0.5, 2.0) for rho in (0.0, 0.5, 0.999, 1.0)]
+    + [(overrides, 0.5) for overrides in CENSORING]
+    + [(dict(M=M, lambda_a=lambda_a), 0.5) for M, lambda_a in PAST_INT64],
+)
+def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
+    """estimate, reducing each chunk's draws straight to its sums, equals
+    its fold of the sums of _chunk's arrays; sample_exit_indices keeps
+    _chunk's exit indices."""
+    p = params(**overrides)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for episodes in (1, sim.CHUNK - 1, sim.CHUNK + 1, 20_000):
+        for workers in (1, 2):
+            direct = estimate(p, episodes, seed=9, rho=rho, workers=workers)
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "_chunk_sums", sums_of_chunk)
+                reference = estimate(p, episodes, seed=9, rho=rho, workers=workers)
+            assert same_stats(direct, reference), (episodes, workers, direct, reference)
+    episodes = 2 * sim.CHUNK + 1
+    chunks = [sim._chunk(p, 0.0, 9, index, min(sim.CHUNK, episodes - index * sim.CHUNK))
+              for index in range(3)]
+    nu, censored = sample_exit_indices(p, episodes, seed=9)
+    assert nu.tolist() == [n for c in chunks for n in c[0][~c[-1]].tolist()]
+    assert censored == sum(int(c[-1].sum()) for c in chunks)
+
+
+LEAN_POOL = """\
+import json, os, sys
+from swarmgame import sim
+from swarmgame.model import SwarmParams
+os.sched_getaffinity = lambda pid: {0, 1}
+p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, delta0=1.0, delta=1.0)
+loaded = ["concurrent.futures" in sys.modules]
+for workers in (1, 2):
+    sim.estimate(p, episodes=2 * sim.CHUNK, seed=1, workers=workers)
+    loaded.append("concurrent.futures" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_thread_pool_loads_only_when_a_pool_starts():
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", LEAN_POOL],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    # Imported, at one worker, at two.
+    assert json.loads(result.stdout.splitlines()[-1]) == [False, False, True]
