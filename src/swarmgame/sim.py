@@ -25,9 +25,9 @@ per-episode arrays, ``estimate`` reduces each chunk straight to sums
 (``_chunk_sums``), ``sample_exit_indices`` keeps the exit indices, and
 ``simulate_episode`` is ``_chunk`` 0 at size 1.  So results are bitwise
 reproducible, independent of how chunks are scheduled across workers
-(one worker runs them in the caller's thread, more share a thread pool,
-whose module loads only then), and ``simulate_episode(seed)`` is the
-single episode ``estimate(episodes=1, seed=seed)`` aggregates.
+(the caller's thread is one of them, each other a plain thread), and
+``simulate_episode(seed)`` is the single episode
+``estimate(episodes=1, seed=seed)`` aggregates.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
+import queue
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -75,15 +76,6 @@ _CUT_ULPS = 4
 # Buckets of [0, 1) in the ally table's guide (``_ally_table``): a power of
 # two, so u * _GUIDE and k / _GUIDE are exact.
 _GUIDE = 4096
-
-
-def __getattr__(name: str):
-    """``ThreadPoolExecutor`` loads on first use: one worker starts no pool."""
-    if name == "ThreadPoolExecutor":
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
@@ -148,20 +140,36 @@ class SimStats:
     censored_count: int
 
 
+# Each thread's process and ally generators, re-keyed for every chunk.
+_local = threading.local()
+
+
 def _streams(seed: int, chunk: int):
     """Process and ally generators for one chunk, keyed on (seed, chunk).
 
-    The key is built as uint64, so every seed modulo 2**64 is its own
-    stream; a plain int list would turn keys >= 2**63 into float64.
+    A Philox stream is fixed by its key and counter alone, so this thread's
+    pair of generators is re-keyed in place: counter 0, key (seed modulo
+    2**64, 2 chunk + s) for s = 0, 1, and an empty buffer, the state a new
+    ``Philox(key=...)`` starts in.  They are valid until this thread's next
+    call.
     """
+    pair = getattr(_local, "streams", None)
+    if pair is None:
+        pair = _local.streams = (
+            np.random.Generator(np.random.Philox(0)),
+            np.random.Generator(np.random.Philox(0)),
+        )
     base = seed % (1 << 64)
-    process = np.random.Generator(
-        np.random.Philox(key=np.array([base, 2 * chunk], dtype=np.uint64))
-    )
-    allies = np.random.Generator(
-        np.random.Philox(key=np.array([base, 2 * chunk + 1], dtype=np.uint64))
-    )
-    return process, allies
+    for s, rng in enumerate(pair):
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (base, 2 * chunk + s)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    return pair
 
 
 def _geometric(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
@@ -251,7 +259,9 @@ def _allies(rng: np.random.Generator, n: int, rho: float, size: int) -> np.ndarr
 
 class _Draws(NamedTuple):
     """A chunk's draws (``_draws``): per-episode arrays, and the process
-    stream, whose next draw would be mu's split (``_chunk``)."""
+    stream, whose next draw would be mu's split (``_chunk``).  The stream is
+    the thread's own generator (``_streams``): valid only until that
+    thread's next ``_draws`` call."""
 
     rng: np.random.Generator
     # Read by every reducer: EpisodeOutcome's fields but mu.
@@ -470,22 +480,55 @@ def _pooled(a: tuple, b: tuple) -> tuple:
 
 
 def _in_order(fn, count: int, threads: int):
-    """Yield fn(0), ..., fn(count - 1) in order: in the caller's thread if
-    ``threads`` is 1, else from a pool of that many threads, with at most two
-    calls per thread submitted and not yet yielded (``Executor.map`` submits
-    all)."""
-    if threads == 1:
-        yield from map(fn, range(count))
-        return
-    # Looked up at call time, so a value set on sim.ThreadPoolExecutor runs.
-    with sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = []
+    """Yield fn(0), ..., fn(count - 1) in order, computed by ``threads``
+    workers: the caller's thread computes the calls ``index % threads == 0``
+    as it reaches them, and each of ``threads - 1`` helper threads its own
+    residue, ahead of the caller by at most two results not yet folded.
+
+    A helper's result is folded when the caller asks for the next one, which
+    frees the helper's slot; a helper's exception is raised at its call's
+    turn.  The caller waits only for the result it is due to yield, which
+    its helper computes at once or has already computed, so it never waits
+    on the bound.  On every exit the helpers are stopped and joined.
+    """
+    stop = threading.Event()
+    helpers = []
+
+    def helper(worker: int, slots: threading.Semaphore, results: queue.SimpleQueue):
+        for index in range(worker, count, threads):
+            slots.acquire()
+            if stop.is_set():
+                return
+            try:
+                results.put((fn(index), None))
+            except BaseException as error:  # raised again by the caller
+                results.put((None, error))
+                return
+
+    try:
+        for worker in range(1, threads):
+            slots, results = threading.Semaphore(2), queue.SimpleQueue()
+            # A daemon: a generator left suspended must not block exit.
+            thread = threading.Thread(target=helper, args=(worker, slots, results),
+                                      daemon=True)
+            thread.start()
+            helpers.append((thread, slots, results))
         for index in range(count):
-            pending.append(pool.submit(fn, index))
-            if len(pending) == 2 * threads:
-                yield pending.pop(0).result()
-        for future in pending:
-            yield future.result()
+            worker = index % threads
+            if worker == 0:
+                yield fn(index)
+                continue
+            _, slots, results = helpers[worker - 1]
+            result, error = results.get()
+            if error is not None:
+                raise error
+            yield result
+            slots.release()
+    finally:
+        stop.set()
+        for thread, slots, _ in helpers:
+            slots.release()  # wakes a helper waiting for a slot
+            thread.join()
 
 
 def estimate(
@@ -501,8 +544,8 @@ def estimate(
     (``_chunk_sums``), and the sums are folded in chunk order, so the
     outcome is identical for any worker count; ``_pooled`` pools nu's
     squared deviations.  No more threads run than there are chunks or CPUs
-    this process may run on: one is the caller's own, with no pool; more
-    share a pool, two chunks in flight per thread.
+    this process may run on: one is the caller's own, which also computes
+    its share of the chunks when more run (``_in_order``).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -512,7 +555,6 @@ def estimate(
         size = min(CHUNK, episodes - index * CHUNK)
         return _chunk_sums(params, rho, seed, index, size)
 
-    # A pool starts a thread per submission until it reaches max_workers.
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     sums, pooled = [0] * 5, (0, 0, 0.0)

@@ -1,7 +1,6 @@
 """The package's public names: every one resolves to its defining module's
 own object, whether it is imported with the package or loaded on first use."""
 
-import concurrent.futures
 import importlib
 
 import pytest
@@ -60,4 +59,3 @@ def test_lazily_resolved_names_are_the_defining_objects():
     # The benchmark's tracer patches both by name (perfbench/tracer.py).
     assert cli.estimate is sim.estimate
     assert fluctuation.d_operator is series.d_operator
-    assert sim.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor

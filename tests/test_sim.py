@@ -3,12 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,46 +121,37 @@ def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
         estimate(params(lambda_a=1e300), episodes=10_000, seed=1, workers=2)
 
 
-def serial_pools(monkeypatch) -> list:
-    """Swap estimate's thread pool for one that runs each call when its
-    result is read; return the pools made, each with its max_workers and
-    the most calls it held submitted and not yet read (peak)."""
-    pools = []
+def chunk_threads(monkeypatch) -> list:
+    """Record each chunk estimate computes: return the list of (chunk index,
+    the computing thread's ident, threads alive then), filled as they run."""
+    seen = []
+    real = sim._chunk_sums
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers, self.pending, self.peak = max_workers, 0, 0
-            pools.append(self)
+    def recorded(params, rho, seed, index, size):
+        seen.append((index, threading.get_ident(), threading.active_count()))
+        return real(params, rho, seed, index, size)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            self.pending += 1
-            self.peak = max(self.peak, self.pending)
-
-            def result():
-                self.pending -= 1
-                return fn(*args)
-
-            return SimpleNamespace(result=result)
-
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
-    return pools
+    monkeypatch.setattr(sim, "_chunk_sums", recorded)
+    return seen
 
 
 def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
-    """A pool starts a thread per chunk submitted, up to max_workers."""
+    """min(workers, chunks, usable CPUs) threads: the caller computes the
+    chunks index % threads == 0, each helper thread its own residue."""
     p = params()
-    episodes = 2 * sim.CHUNK + 1
-    serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    pools = serial_pools(monkeypatch)
-    assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=10**6) == serial
-    assert [pool.max_workers for pool in pools] == [3]
+    caller, start = threading.get_ident(), threading.active_count()
+    for chunks, workers, threads in [(3, 10**6, 3), (5, 10**6, 4), (5, 2, 2)]:
+        episodes = (chunks - 1) * sim.CHUNK + 1
+        serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
+        with monkeypatch.context() as patch:
+            seen = chunk_threads(patch)
+            assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=workers) == serial
+        assert sorted(index for index, _, _ in seen) == list(range(chunks))
+        assert len({ident for _, ident, _ in seen}) == threads
+        for index, ident, alive in seen:
+            assert (ident == caller) == (index % threads == 0)
+            assert alive <= start + threads - 1
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         estimate(p, episodes=episodes, seed=5, workers=0)
 
@@ -170,38 +161,139 @@ def test_estimate_threads_are_capped_by_the_usable_cpus(monkeypatch):
     episodes = 3 * sim.CHUNK
     serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    pools = serial_pools(monkeypatch)
+    seen = chunk_threads(monkeypatch)
     assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=4) == serial
-    assert pools == []  # one thread is the caller's: no pool
+    assert [(index, ident) for index, ident, _ in seen] == [
+        (index, threading.get_ident()) for index in range(3)
+    ]
 
 
 def test_one_worker_runs_in_the_callers_thread(monkeypatch):
     p = params(lambda_h=0.5)
     episodes = 3 * sim.CHUNK
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pooled = estimate(p, episodes=episodes, seed=8, rho=0.5, workers=2)
+    two = estimate(p, episodes=episodes, seed=8, rho=0.5, workers=2)
+    seen = chunk_threads(monkeypatch)
+    assert estimate(p, episodes=episodes, seed=8, rho=0.5, workers=1) == two
+    assert [(index, ident) for index, ident, _ in seen] == [
+        (index, threading.get_ident()) for index in range(3)
+    ]
 
-    class NoPool(ThreadPoolExecutor):
-        def submit(self, fn, *args):
-            raise AssertionError("a chunk went to the pool")
 
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", NoPool)
-    assert estimate(p, episodes=episodes, seed=8, rho=0.5, workers=1) == pooled
+def within_seconds(seconds: float, fn, *args, **kwargs):
+    """fn(*args, **kwargs), run on a thread that must end within ``seconds``:
+    a deadlock fails the test instead of hanging it."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args, **kwargs)), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} did not end in {seconds} s"
+    assert out, f"{fn.__name__} raised"
+    return out[0]
 
 
 def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch):
-    """At most two chunks per thread are submitted and not yet folded."""
+    """Each helper's results computed but not yet folded stay at most two,
+    however many chunks there are, and all are folded in chunk order.  The
+    caller's own chunks are slow, so the helpers run ahead to that bound,
+    and the caller, due to fold a result a helper has already computed, must
+    not wait on it.  Three threads run, switching often."""
+    threads, folded, peaks = 3, [], []
+    real_pooled = sim._pooled
 
     def cheap_sums(params, rho, seed, index, size):
-        return [0] * 5, (size, 0, 0.0)
+        worker = index % threads
+        if worker == 0:
+            time.sleep(0.001)
+        else:
+            computed = len(range(worker, index + 1, threads))
+            peaks.append(computed - len(range(worker, len(folded), threads)))
+        return [0] * 5, (size, 0, float(index))
+
+    def recorded_pooled(a, b):
+        folded.append(int(b[2]))
+        return real_pooled(a, b)
 
     monkeypatch.setattr(sim, "_chunk_sums", cheap_sums)
+    monkeypatch.setattr(sim, "_pooled", recorded_pooled)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for chunks in (10, 1000):
+            folded[:], peaks[:] = [], []
+            stats = within_seconds(
+                60, estimate, params(), episodes=chunks * sim.CHUNK, seed=1, workers=threads
+            )
+            assert stats.mean_nu == 0.0 and stats.censored_count == 0
+            assert folded == list(range(chunks))
+            assert max(peaks) <= 2, chunks
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(peaks) == 2
+
+
+def test_a_helpers_exception_is_raised_by_estimate(monkeypatch):
+    """A chunk computed by a helper thread raises: estimate raises that same
+    exception, and stops and joins its helpers."""
+    error = RuntimeError("chunk 5 failed")
+    caller = threading.get_ident()
+
+    def failing_sums(params, rho, seed, index, size):
+        if index == 5:
+            assert threading.get_ident() != caller
+            raise error
+        return [0] * 5, (size, 0, 0.0)
+
+    monkeypatch.setattr(sim, "_chunk_sums", failing_sums)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pools = serial_pools(monkeypatch)
-    for chunks in (10, 1000):
-        stats = estimate(params(), episodes=chunks * sim.CHUNK, seed=1, workers=2)
-        assert stats.mean_nu == 0.0 and stats.censored_count == 0
-    assert [(pool.max_workers, pool.peak) for pool in pools] == [(2, 4), (2, 4)]
+    start = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        estimate(params(), episodes=100 * sim.CHUNK, seed=1, workers=2)
+    assert raised.value is error
+    assert threading.active_count() == start
+
+
+def test_no_helper_thread_outlives_its_run(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    start = threading.active_count()
+    estimate(params(lambda_h=0.5), episodes=5 * sim.CHUNK, seed=2, rho=0.5, workers=2)
+    assert threading.active_count() == start
+    assert list(sim._in_order(lambda index: index, 100, 3)) == list(range(100))
+    assert threading.active_count() == start
+    # Closed after its first result, with the helpers still running ahead.
+    results = sim._in_order(lambda index: index, 100, 2)
+    assert next(results) == 0
+    assert threading.active_count() == start + 1
+    results.close()
+    assert threading.active_count() == start
+
+
+STREAM_SEEDS = (0, -1, 2**63, 2**64 - 1)
+
+
+def test_rekeyed_streams_are_new_philox_streams(monkeypatch):
+    """A thread's generators, re-keyed for (seed, chunk), draw what new
+    Philox generators keyed (seed mod 2**64, 2 chunk + s) draw, whatever
+    the thread drew from them before.  Each stream is read as one 32-bit
+    draw, which leaves half a word buffered, then 1000 doubles; the ally
+    stream then makes a rewound ally draw."""
+
+    def draws(rng):
+        return [rng.integers(2**32, dtype=np.uint32)] + rng.random(1000).tolist()
+
+    def fresh(seed, key):
+        key = np.array([seed % 2**64, key], dtype=np.uint64)
+        return draws(np.random.Generator(np.random.Philox(key=key)))
+
+    # Every uniform counts as near a cut, so every table draw rewinds.
+    monkeypatch.setattr(sim, "_CUT_ULPS", 2.0**60)
+    for seed in STREAM_SEEDS:
+        for chunk in (0, 1, 2**40):
+            rng, ally_rng = sim._streams(seed, chunk)
+            assert draws(rng) == fresh(seed, 2 * chunk)
+            assert draws(ally_rng) == fresh(seed, 2 * chunk + 1)
+            sim._allies(ally_rng, 9, 0.3, 100)
 
 
 # (M, lambda_a) at which a chunk's exit counts sum past int64.
@@ -690,10 +782,10 @@ def same_stats(a: SimStats, b: SimStats) -> bool:
 )
 def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
     """estimate, reducing each chunk's draws straight to its sums, equals
-    its fold of the sums of _chunk's arrays; sample_exit_indices keeps
-    _chunk's exit indices."""
+    its fold of the sums of _chunk's arrays, at 1 to 4 workers;
+    sample_exit_indices keeps _chunk's exit indices."""
     p = params(**overrides)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for episodes in (1, sim.CHUNK - 1, sim.CHUNK + 1, 20_000):
         for workers in (1, 2):
             direct = estimate(p, episodes, seed=9, rho=rho, workers=workers)
@@ -701,6 +793,9 @@ def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
                 patch.setattr(sim, "_chunk_sums", sums_of_chunk)
                 reference = estimate(p, episodes, seed=9, rho=rho, workers=workers)
             assert same_stats(direct, reference), (episodes, workers, direct, reference)
+        for workers in (3, 4):
+            more = estimate(p, episodes, seed=9, rho=rho, workers=workers)
+            assert same_stats(more, direct), (episodes, workers, more, direct)
     episodes = 2 * sim.CHUNK + 1
     chunks = [sim._chunk(p, 0.0, 9, index, min(sim.CHUNK, episodes - index * sim.CHUNK))
               for index in range(3)]
@@ -709,7 +804,7 @@ def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
     assert censored == sum(int(c[-1].sum()) for c in chunks)
 
 
-LEAN_POOL = """\
+LEAN_WORKERS = """\
 import json, os, sys
 from swarmgame import sim
 from swarmgame.model import SwarmParams
@@ -723,10 +818,10 @@ print(json.dumps(loaded))
 """
 
 
-def test_thread_pool_loads_only_when_a_pool_starts():
+def test_simulator_never_loads_concurrent_futures():
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-c", LEAN_POOL],
+        [sys.executable, "-c", LEAN_WORKERS],
         cwd=root,
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True,
@@ -735,4 +830,4 @@ def test_thread_pool_loads_only_when_a_pool_starts():
     )
     assert result.returncode == 0, result.stderr
     # Imported, at one worker, at two.
-    assert json.loads(result.stdout.splitlines()[-1]) == [False, False, True]
+    assert json.loads(result.stdout.splitlines()[-1]) == [False, False, False]
