@@ -11,10 +11,11 @@ Poisson processes, so each outcome is drawn from a few laws of their
 arrival times (gamma) and of the counts around them (Poisson, or
 binomial, as a Poisson process's points given their count on an
 interval are uniform there).  A chunk costs at most ten numpy draws
-whatever the exit index, its allies one guide-table lookup whatever M
-(``_allies``); ``_draws`` states the laws.  Only a crossing at or past
-``MAX_EXIT_TIME``, which keeps every count inside int64, censors an
-episode.
+whatever the exit index; its two binomials of a fixed p, the allies and
+epoch 1's thinning, are numpy's own draws read off cached tables, one
+guide-table lookup a draw whatever the count (``_binomial``); ``_draws``
+states the laws.  Only a crossing at or past ``MAX_EXIT_TIME``, which
+keeps every count inside int64, censors an episode.
 
 One kernel, ``_draws``, draws a chunk of episodes from its own
 counter-based random streams keyed on (seed, chunk index), both
@@ -71,11 +72,17 @@ MAX_EXIT_TIME = 2.0**50
 # Largest majority threshold: counts near it, plus an overshoot, stay
 # inside int64.
 MAX_THRESHOLD = 2**62
-# Ulps of 1 per table entry within which a uniform is near a cut (``_allies``).
+# Ulps of 1 per table entry within which a uniform is near a cut (``_binomial``).
 _CUT_ULPS = 4
-# Buckets of [0, 1) in the ally table's guide (``_ally_table``): a power of
-# two, so u * _GUIDE and k / _GUIDE are exact.
+# Buckets of [0, 1) in each row of a guide table (``_binomial_table``):
+# powers of two, so a uniform's bucket is its word's top bits and k /
+# buckets is exact.  One count's table has _GUIDE; the thinning's has _ROWS
+# rows of _ROW_GUIDE, counts 0 to _ROWS - 1, each drawn by numpy's
+# inversion (n p <= 30 at any p <= 0.5), about 0.2 MB in all, so the table
+# stays in cache.
 _GUIDE = 4096
+_ROW_GUIDE = 512
+_ROWS = 48
 
 
 def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
@@ -193,10 +200,9 @@ def _arrival(rng: np.random.Generator, count: np.ndarray, rate: float) -> np.nda
         return rng.standard_gamma(count) / rate
 
 
-@functools.lru_cache(maxsize=32)
-def _ally_table(n: int, p: float, ulps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The edges ``_allies`` counts a uniform U against, for Binomial(n, p),
-    p <= 0.5, and their guide table; built once per (n, p, ulps), read only.
+def _edges(n: int, p: float, ulps: float) -> np.ndarray:
+    """The edges a uniform U is counted against for Binomial(n, p), p <= 0.5
+    (none at n = 0, where numpy draws nothing).
 
     numpy walks U down the pmf terms px_x (U -= px_x while U > px_x): x is
     the first count whose cumulative pmf reaches U, its terms built here by
@@ -205,10 +211,9 @@ def _ally_table(n: int, p: float, ulps: float) -> tuple[np.ndarray, np.ndarray]:
     of 1; the edges are those windows' ends, made nondecreasing, the last
     dropped.  The edges below U are odd in number iff U is near a cut or past
     the bound (where numpy redraws), else 2x.
-
-    first[k] counts the edges below k / _GUIDE: Chen and Asau's guide table
-    (Devroye, "Non-Uniform Random Variate Generation", 1986, III.2.4).
     """
+    if n == 0:
+        return np.empty(0)
     q = 1.0 - p
     bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
     terms = [math.exp(n * math.log(q))]
@@ -216,45 +221,102 @@ def _ally_table(n: int, p: float, ulps: float) -> tuple[np.ndarray, np.ndarray]:
         terms.append((n - x + 1) * p * terms[-1] / (x * q))
     cut = np.cumsum(terms)
     tol = ulps * (bound + 2) * 2.0**-53
-    edges = np.maximum.accumulate(np.column_stack((cut - tol, cut + tol)).ravel()[:-1])
-    first = edges.searchsorted(np.arange(_GUIDE + 1) / _GUIDE)
-    edges.flags.writeable = first.flags.writeable = False
-    return edges, first
+    return np.maximum.accumulate(np.column_stack((cut - tol, cut + tol)).ravel()[:-1])
 
 
-def _count_below(edges: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``edges.searchsorted(u)`` for uniforms u in [0, 1), by the guide table.
+@functools.lru_cache(maxsize=32)
+def _binomial_table(
+    p: float, counts: range, buckets: int, ulps: float
+) -> tuple[np.ndarray, ...]:
+    """Guide tables of Binomial(n, p), p <= 0.5, one row of ``buckets`` per
+    count n in ``counts``: (guide, keys, start), built once per (p, counts,
+    buckets, ulps), read only.
 
-    u lies in bucket b = floor(u _GUIDE), so where no edge lies in the bucket
-    (first[b + 1] == first[b]) it counts first[b]; only the rest are searched,
-    under 1% of the uniforms at n = 9 and 59, rho = 0.5.
+    guide[r, b] is x where row r's edges (``_edges``) below b / buckets are
+    2x and none lies in bucket b, [b, b + 1) / buckets, else -1: Chen and
+    Asau's guide table (Devroye, "Non-Uniform Random Variate Generation",
+    1986, III.2.4).  keys holds every row's edges in one sorted array, row
+    r's as r 2**54 + floor(2**53 edge), clipped to [-1, 2**53], and start[r]
+    counts the keys before row r.  numpy's uniform from a stream's 64-bit
+    word w is u = U / 2**53, U = w >> 11, and u lies above an edge iff U
+    lies above its floor, so row r's edges below u are the keys below
+    r 2**54 + U, less start[r].
     """
-    bucket = (u * _GUIDE).astype(np.intp)
-    count = first[bucket]
-    crowded = first[bucket + 1] != count
-    count[crowded] = edges.searchsorted(u[crowded])
-    return count
+    rows = [_edges(n, p, ulps) for n in counts]
+    points = np.arange(buckets + 1) / buckets
+    first = np.stack([edges.searchsorted(points) for edges in rows])
+    below = first[:, :-1]
+    guide = np.where((first[:, 1:] == below) & (below % 2 == 0), below // 2, -1)
+    keys = [np.floor(np.clip(edges * 2.0**53, -1.0, 2.0**53)).astype(np.int64) + (r << 54)
+            for r, edges in enumerate(rows)]
+    table = (guide, np.concatenate(keys), np.cumsum([0] + [edges.size for edges in rows[:-1]]))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
-def _allies(rng: np.random.Generator, n: int, rho: float, size: int) -> np.ndarray:
-    """``rng.binomial(n, rho, size=size)``, bit for bit, by a guide table.
+def _invert(table: tuple[np.ndarray, ...], rows, words: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Each uniform's draw x off its row of ``table`` (``_binomial_table``),
+    and whether any uniform lies near a cut or past the bound: the uniforms
+    are numpy's from the 64-bit ``words``, and ``rows`` is one row for all,
+    or one per word.
 
-    Where n p <= 30, p = min(rho, 1 - rho), numpy draws by inversion, and
-    each count is read off the cached table of its cumulative pmf
-    (``_ally_table``) by one guide-table lookup (``_count_below``): x, or
-    n - x if rho > 0.5.  A uniform within ``_CUT_ULPS`` ulps a term of a cut,
-    or past the bound, rewinds the stream for numpy to draw, as do BTPE,
-    rho = 0 and n = 0.
+    The guide table gives x for a uniform whose bucket, the word's top bits,
+    holds no edge of its row; only the rest are searched: under 1% of the
+    uniforms for one count at n = 9 and 59, p = 0.5, and for the thinning
+    of counts of mean 1.5 at p = 1/3.
     """
-    p = min(rho, 1.0 - rho)
-    if n == 0 or rho == 0 or p * n > 30.0:
-        return rng.binomial(n, rho, size=size)
+    guide, keys, start = table
+    buckets = guide.shape[1]
+    index = (words >> (65 - buckets.bit_length())).view(np.int64)
+    index += rows * buckets
+    x = guide.take(index)
+    crowded = np.flatnonzero(x < 0)
+    row = rows[crowded] if np.ndim(rows) else rows
+    count = keys.searchsorted((row << 54) + (words[crowded] >> 11).view(np.int64))
+    count -= start[row]
+    x[crowded] = count >> 1
+    return x, bool((count & 1).any())
+
+
+def _binomial(rng: np.random.Generator, n, prob: float, size: Optional[int] = None):
+    """``rng.binomial(n, prob, size=size)``, bit for bit, by a guide table:
+    n is one count drawn ``size`` times (the allies) or an array of counts
+    drawn once each (epoch 1's thinning).
+
+    Where n p <= 30, p = min(prob, 1 - prob), numpy inverts one uniform per
+    nonzero count, the top 53 bits of the stream's next word (``random_raw``
+    reads it as it is), and each is read off the cached table
+    (``_binomial_table``) by one lookup (``_invert``): x, or n - x if prob >
+    0.5.  An array's table has a row per count below ``_ROWS``, row 0 empty,
+    so a zero count, which takes no word, reads 0.  A uniform within
+    ``_CUT_ULPS`` ulps a term of a cut, or past the bound, rewinds the stream
+    for numpy to draw; numpy draws at once for BTPE, counts past the table,
+    prob = 0 and counts all 0.
+    """
+    p = min(prob, 1.0 - prob)
+    array = np.ndim(n) > 0
+    top = n.max(initial=0) if array else n
+    if prob == 0 or top == 0 or p * top > 30.0 or array and top >= _ROWS:
+        return rng.binomial(n, prob, size=size)
     state = rng.bit_generator.state
-    j = _count_below(*_ally_table(n, p, _CUT_ULPS), rng.random(size))
-    if (j & 1).any():
+    if array:
+        table, rows = _binomial_table(p, range(_ROWS), _ROW_GUIDE, _CUT_ULPS), n
+        live = np.flatnonzero(n)
+        words = np.zeros(n.shape, dtype=np.uint64)
+        words[live] = rng.bit_generator.random_raw(live.size)
+    else:
+        table, rows = _binomial_table(p, range(n, n + 1), _GUIDE, _CUT_ULPS), 0
+        words = rng.bit_generator.random_raw(size)
+    x, near = _invert(table, rows, words)
+    if near:
         rng.bit_generator.state = state
-        return rng.binomial(n, rho, size=size)
-    return j >> 1 if rho <= 0.5 else n - (j >> 1)
+        return rng.binomial(n, prob, size=size)
+    return x if prob <= 0.5 else n - x
+
+
+# The ally counts, Binomial(M/2 - 1, rho): one count drawn a chunk's times.
+_allies = _binomial
 
 
 class _Draws(NamedTuple):
@@ -295,8 +357,11 @@ def _draws(
     Epoch 1 is drawn as a count: its total y is geometric, P{y >= k} =
     r^k with r = m / (1 + m), m = (lambda_a + lambda_h) delta0, by
     inversion, and splits as A1 ~ Binomial(y, lambda_a / (lambda_a +
-    lambda_h)) and H1 = y - A1 (thinning).  If A1 >= thr the episode
-    exits there: nu = 1, a_prior = 0, a_exit = A1, mu = 1 iff H1 >= thr.
+    lambda_h)) and H1 = y - A1 (thinning), numpy's binomial drawn by a
+    guide table of the counts below ``_ROWS`` (``_binomial``); at lambda_h
+    = 0, A1 = y, and no honest race is drawn or compared, as Y = inf never
+    settles.  If A1 >= thr the episode exits there: nu = 1, a_prior = 0,
+    a_exit = A1, mu = 1 iff H1 >= thr.
     After epoch 1, time runs in units of delta, so epoch ends, captures
     and honest arrivals are independent Poisson processes of rates 1, a
     = lambda_a delta and h = lambda_h delta, and the laws below follow
@@ -331,7 +396,8 @@ def _draws(
     Poisson mean is below MAX_EXIT_TIME, so a = 0 or a tiny a delta (X =
     inf) simply censors, with no epoch stepped.  The allies are numpy's
     Binomial(M/2 - 1, rho) draws from their own stream, by a guide table
-    (``_allies``): rho changes nothing else; at rho = 0 Safety is Regular.
+    of that one count (``_allies``): rho changes nothing else; at rho = 0
+    Safety is Regular.
 
     Regular bursts iff the attacker exits first, nu < mu.  mu never
     exceeds nu once set, so that is mu unset: not censored, no settled
@@ -344,10 +410,11 @@ def _draws(
     rate = params.lambda_a + params.lambda_h
     share = params.lambda_a / rate if rate > 0 else 0.0
     a = params.lambda_a * params.delta
+    honest = params.lambda_h > 0
 
     # Epoch 1: a geometric total split by thinning.
     y = _geometric(rng, rate * params.delta0, size)
-    a1 = rng.binomial(y, share) if params.lambda_h > 0 else y
+    a1 = _binomial(rng, y, share) if honest else y
     h1 = y - a1
     exited = a1 >= threshold
     alive = ~exited
@@ -355,20 +422,25 @@ def _draws(
     # X and Y: the s-th capture, the t-th honest arrival.
     s = np.maximum(threshold - a1, 1)
     cross = _arrival(rng, s, a)
-    race = _arrival(rng, np.maximum(threshold - h1, 1), params.lambda_h * params.delta)
+    if honest:
+        race = _arrival(rng, np.maximum(threshold - h1, 1), params.lambda_h * params.delta)
     done = alive & (cross < MAX_EXIT_TIME)
     censored = alive ^ done
 
-    # O, and the honest race, settled by the exit epoch's end or the bound.
-    over = _geometric(rng, a, size)
-    if params.lambda_h > 0:
-        end = cross + rng.standard_gamma(over + 1) / (1.0 + a)
-    else:
-        end = cross  # race is inf: never settled
-    settled = alive & (race < np.where(done, end, MAX_EXIT_TIME))
-
+    # O, and the honest race, settled by the exit epoch's end or the bound;
     # F, the ends before X; censored, the ends before a settled Y.
-    counts = rng.poisson(np.where(done, cross, np.where(settled, race, 0.0)))
+    over = _geometric(rng, a, size)
+    if honest:
+        end = cross + rng.standard_gamma(over + 1) / (1.0 + a)
+        settled = alive & (race < np.where(done, end, MAX_EXIT_TIME))
+        mean = np.where(done, cross, np.where(settled, race, 0.0))
+        regular = ~(censored | settled) & (h1 < threshold)
+    else:  # no honest arrival: Y = inf never settles, and H1 = 0
+        race = np.full(size, np.inf)
+        settled = np.zeros(size, dtype=bool)
+        mean = np.where(done, cross, 0.0)
+        regular = ~censored
+    counts = rng.poisson(mean)
     ends = np.where(done, counts, 0)
     # B, the last of the F ends as a share of X (0 if none).
     frac = rng.random(size) ** (1.0 / np.maximum(ends, 1))
@@ -384,7 +456,6 @@ def _draws(
     a_exit = np.where(done, threshold + over, prior)
     a_prior = np.where(exited, 0, prior)
     allies = _allies(ally_rng, params.candidates, rho, size)
-    regular = ~(censored | settled) & (h1 < threshold)
     safety = regular & (a_exit - allies >= threshold)
     return _Draws(rng, nu, a_prior, a_exit, allies, regular, safety, censored,
                   done, settled, h1, cross, race, counts, frac)

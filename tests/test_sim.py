@@ -123,12 +123,15 @@ def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
 
 def chunk_threads(monkeypatch) -> list:
     """Record each chunk estimate computes: return the list of (chunk index,
-    the computing thread's ident, threads alive then), filled as they run."""
+    the computing thread, threads alive then), filled as they run.  The
+    thread is kept as its ``threading.Thread`` object, which the list keeps
+    alive: an ident is reused once its thread exits, and a helper with one
+    chunk may exit before the next helper starts."""
     seen = []
     real = sim._chunk_sums
 
     def recorded(params, rho, seed, index, size):
-        seen.append((index, threading.get_ident(), threading.active_count()))
+        seen.append((index, threading.current_thread(), threading.active_count()))
         return real(params, rho, seed, index, size)
 
     monkeypatch.setattr(sim, "_chunk_sums", recorded)
@@ -140,7 +143,7 @@ def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
     chunks index % threads == 0, each helper thread its own residue."""
     p = params()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    caller, start = threading.get_ident(), threading.active_count()
+    caller, start = threading.current_thread(), threading.active_count()
     for chunks, workers, threads in [(3, 10**6, 3), (5, 10**6, 4), (5, 2, 2)]:
         episodes = (chunks - 1) * sim.CHUNK + 1
         serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
@@ -148,9 +151,9 @@ def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
             seen = chunk_threads(patch)
             assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=workers) == serial
         assert sorted(index for index, _, _ in seen) == list(range(chunks))
-        assert len({ident for _, ident, _ in seen}) == threads
-        for index, ident, alive in seen:
-            assert (ident == caller) == (index % threads == 0)
+        assert len({thread for _, thread, _ in seen}) == threads
+        for index, thread, alive in seen:
+            assert (thread is caller) == (index % threads == 0)
             assert alive <= start + threads - 1
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         estimate(p, episodes=episodes, seed=5, workers=0)
@@ -163,8 +166,8 @@ def test_estimate_threads_are_capped_by_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     seen = chunk_threads(monkeypatch)
     assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=4) == serial
-    assert [(index, ident) for index, ident, _ in seen] == [
-        (index, threading.get_ident()) for index in range(3)
+    assert [(index, thread) for index, thread, _ in seen] == [
+        (index, threading.current_thread()) for index in range(3)
     ]
 
 
@@ -175,8 +178,8 @@ def test_one_worker_runs_in_the_callers_thread(monkeypatch):
     two = estimate(p, episodes=episodes, seed=8, rho=0.5, workers=2)
     seen = chunk_threads(monkeypatch)
     assert estimate(p, episodes=episodes, seed=8, rho=0.5, workers=1) == two
-    assert [(index, ident) for index, ident, _ in seen] == [
-        (index, threading.get_ident()) for index in range(3)
+    assert [(index, thread) for index, thread, _ in seen] == [
+        (index, threading.current_thread()) for index in range(3)
     ]
 
 
@@ -579,12 +582,33 @@ def test_ally_draw_is_numpys_binomial(n):
 @pytest.mark.parametrize("n", [1, 2, 9, 59, 60])
 @pytest.mark.parametrize("rho", [1e-7, 1e-3, 0.3, 0.5, 0.999])
 def test_guide_count_matches_the_search_at_its_boundaries(n, rho):
-    """Each bucket start, each edge, and one ulp on either side of them."""
-    edges, first = sim._ally_table(n, min(rho, 1.0 - rho), sim._CUT_ULPS)
-    points = np.concatenate((np.arange(sim._GUIDE) / sim._GUIDE, edges))
-    u = np.concatenate((points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)))
-    u = u[(u >= 0.0) & (u < 1.0)]
-    assert np.array_equal(sim._count_below(edges, first, u), edges.searchsorted(u))
+    """numpy's uniforms are multiples of 2**-53, the top 53 bits of a 64-bit
+    word: the multiples at or just below each bucket start and each edge,
+    and one step on either side of them, in the count's own table and in its
+    row of the thinning's table, with one row for all uniforms and with a
+    row per uniform."""
+    p = min(rho, 1.0 - rho)
+    edges = sim._edges(n, p, sim._CUT_ULPS)
+    tables = [(sim._binomial_table(p, range(n, n + 1), sim._GUIDE, sim._CUT_ULPS), 0)]
+    if n < sim._ROWS:
+        thinning = sim._binomial_table(p, range(sim._ROWS), sim._ROW_GUIDE, sim._CUT_ULPS)
+        tables.append((thinning, n))
+    for table, row in tables:
+        buckets = table[0].shape[1]
+        points = np.floor(np.concatenate((np.arange(buckets) / buckets, edges)) * 2.0**53)
+        grid = np.concatenate((points - 1, points, points + 1))
+        grid = grid[(grid >= 0) & (grid < 2.0**53)].astype(np.uint64)
+        count = edges.searchsorted(grid / 2.0**53)
+        # A word's low 11 bits are not the uniform's.
+        words = (grid << 11) | np.arange(grid.size, dtype=np.uint64) % 2048
+        for rows in (row, np.full(grid.size, row)):
+            x, near = sim._invert(table, rows, words)
+            assert np.array_equal(x, count >> 1)
+            assert near == (count & 1).any()
+            even = count % 2 == 0
+            rows = rows[even] if np.ndim(rows) else rows
+            x, near = sim._invert(table, rows, words[even])
+            assert np.array_equal(x, count[even] >> 1) and not near
 
 
 def test_ally_draw_near_a_cut_is_numpys_binomial(monkeypatch):
@@ -593,6 +617,80 @@ def test_ally_draw_near_a_cut_is_numpys_binomial(monkeypatch):
     for n in (1, 9, 59, 60, 10**6):
         for rho in ALLY_RHOS:
             assert_allies_are_numpys(n, rho, seed=4)
+
+
+THINNING_SHARES = (0.001, 1 / 3, 2 / 3, 0.999)
+
+
+def thinning_lookups(monkeypatch) -> list:
+    """Record every table lookup ``_binomial`` makes: (draws, near a cut)."""
+    seen = []
+    real = sim._invert
+
+    def recorded(table, rows, u):
+        seen.append(real(table, rows, u))
+        return seen[-1]
+
+    monkeypatch.setattr(sim, "_invert", recorded)
+    return seen
+
+
+def assert_thinning_is_numpys(seed, chunk, counts, share):
+    """The thinning of ``counts`` on chunk's process stream is numpy's
+    binomial on a new Philox generator keyed as that stream, and so are the
+    stream's next 1000 doubles."""
+    key = np.array([seed % 2**64, 2 * chunk], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key))
+    rng, _ = sim._streams(seed, chunk)
+    got = sim._binomial(rng, counts, share)
+    want = expected.binomial(counts, share)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (seed, chunk, share)
+    assert rng.random(1000).tolist() == expected.random(1000).tolist()
+
+
+def test_thinning_draw_is_numpys_binomial(monkeypatch):
+    """Epoch-1 counts (geometric, mean 3, zeros among them, and one in the
+    table's last row), each drawn by the thinning's table with no rewind."""
+    seen = thinning_lookups(monkeypatch)
+    counts = sim._geometric(np.random.Generator(np.random.Philox(9)), 3.0, sim.CHUNK)
+    counts[7] = sim._ROWS - 1
+    assert counts.min() == 0 and counts.max() == sim._ROWS - 1
+    for seed in STREAM_SEEDS:
+        for chunk in (0, 1, 2**40):
+            for share in THINNING_SHARES:
+                seen.clear()
+                assert_thinning_is_numpys(seed, chunk, counts, share)
+                assert len(seen) == 1 and not seen[0][1]
+
+
+def test_thinning_of_zero_counts_draws_nothing():
+    """All zero, and a zero among counts the table draws: no uniform each."""
+    for share in THINNING_SHARES:
+        assert_thinning_is_numpys(3, 5, np.zeros(100, dtype=np.int64), share)
+        assert_thinning_is_numpys(3, 5, np.array([0, 2, 0, 0, 1, 0]), share)
+
+
+def test_thinning_past_the_table_is_numpys(monkeypatch):
+    """One count past the table: numpy draws the whole chunk."""
+    seen = thinning_lookups(monkeypatch)
+    counts = sim._geometric(np.random.Generator(np.random.Philox(9)), 3.0, sim.CHUNK)
+    counts[100] = sim._ROWS
+    for share in THINNING_SHARES:
+        assert_thinning_is_numpys(-1, 2**40, counts, share)
+    assert seen == []
+
+
+def test_thinning_draw_near_a_cut_is_numpys_binomial(monkeypatch):
+    """Every uniform counts as near a cut, so every draw rewinds to numpy's."""
+    monkeypatch.setattr(sim, "_CUT_ULPS", 2.0**60)
+    seen = thinning_lookups(monkeypatch)
+    counts = sim._geometric(np.random.Generator(np.random.Philox(9)), 3.0, sim.CHUNK)
+    for seed in STREAM_SEEDS:
+        for share in THINNING_SHARES:
+            seen.clear()
+            assert_thinning_is_numpys(seed, 1, counts, share)
+            assert len(seen) == 1 and seen[0][1]
 
 
 def test_seeds_past_int64_are_distinct_streams():
