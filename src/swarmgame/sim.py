@@ -226,57 +226,62 @@ def _edges(n: int, p: float, ulps: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _binomial_table(
-    p: float, counts: range, buckets: int, ulps: float
+    prob: float, counts: range, buckets: int, ulps: float
 ) -> tuple[np.ndarray, ...]:
-    """Guide tables of Binomial(n, p), p <= 0.5, one row of ``buckets`` per
-    count n in ``counts``: (guide, keys, start), built once per (p, counts,
-    buckets, ulps), read only.
+    """Guide tables of numpy's Binomial(n, prob), one row of ``buckets``
+    per count n in ``counts``: (guide, keys, draws), built once per (prob,
+    counts, buckets, ulps), read only.
 
-    guide[r, b] is x where row r's edges (``_edges``) below b / buckets are
-    2x and none lies in bucket b, [b, b + 1) / buckets, else -1: Chen and
-    Asau's guide table (Devroye, "Non-Uniform Random Variate Generation",
-    1986, III.2.4).  keys holds every row's edges in one sorted array, row
-    r's as r 2**54 + floor(2**53 edge), clipped to [-1, 2**53], and start[r]
-    counts the keys before row r.  numpy's uniform from a stream's 64-bit
-    word w is u = U / 2**53, U = w >> 11, and u lies above an edge iff U
-    lies above its floor, so row r's edges below u are the keys below
-    r 2**54 + U, less start[r].
+    A draw inverts a uniform u = U / 2**53, U the top 53 bits of a 64-bit
+    word, and row r reads it as the key r 2**53 + U.  With p = min(prob, 1 -
+    prob), j counts row r's edges (``_edges``) below u, and the draw is x =
+    j / 2, or n - x if prob > 0.5; an odd j is near a cut or past the bound.
+    guide[r, b] is the draw where j is even and constant on bucket b, [b, b
+    + 1) / buckets, else -1: Chen and Asau's guide table (Devroye,
+    "Non-Uniform Random Variate Generation", 1986, III.2.4).  keys holds
+    every row's edges in one sorted array, row r's as r 2**53 + floor(2**53
+    edge), clipped to [-1, 2**53 - 1], closed by (r + 1) 2**53 - 1, which no
+    key of row r passes; u lies above an edge iff U lies above its floor.  So
+    the keys below a key of row r are every earlier row's, an even number,
+    and j of row r's; draws holds the draw at each such count.
     """
-    rows = [_edges(n, p, ulps) for n in counts]
+    p = min(prob, 1.0 - prob)
     points = np.arange(buckets + 1) / buckets
-    first = np.stack([edges.searchsorted(points) for edges in rows])
-    below = first[:, :-1]
-    guide = np.where((first[:, 1:] == below) & (below % 2 == 0), below // 2, -1)
-    keys = [np.floor(np.clip(edges * 2.0**53, -1.0, 2.0**53)).astype(np.int64) + (r << 54)
-            for r, edges in enumerate(rows)]
-    table = (guide, np.concatenate(keys), np.cumsum([0] + [edges.size for edges in rows[:-1]]))
+    guide, keys, draws = [], [], []
+    for r, n in enumerate(counts):
+        edges = _edges(n, p, ulps)
+
+        def draw(j: np.ndarray) -> np.ndarray:
+            return j // 2 if prob <= 0.5 else n - j // 2
+
+        first = edges.searchsorted(points)
+        below = first[:-1]
+        guide.append(np.where((first[1:] == below) & (below % 2 == 0), draw(below), -1))
+        if edges.size:
+            floor = np.floor(np.clip(edges * 2.0**53, -1.0, 2.0**53 - 1)).astype(np.int64)
+            keys.append((r << 53) + np.append(floor, 2**53 - 1))
+            draws.append(draw(np.arange(edges.size + 1)))
+    table = (np.stack(guide), np.concatenate(keys), np.concatenate(draws))
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def _invert(table: tuple[np.ndarray, ...], rows, words: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Each uniform's draw x off its row of ``table`` (``_binomial_table``),
-    and whether any uniform lies near a cut or past the bound: the uniforms
-    are numpy's from the 64-bit ``words``, and ``rows`` is one row for all,
-    or one per word.
+def _invert(table: tuple[np.ndarray, ...], key: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Each key's draw off ``table`` (``_binomial_table``), and whether any
+    lies near a cut or past the bound.
 
-    The guide table gives x for a uniform whose bucket, the word's top bits,
-    holds no edge of its row; only the rest are searched: under 1% of the
-    uniforms for one count at n = 9 and 59, p = 0.5, and for the thinning
-    of counts of mean 1.5 at p = 1/3.
+    The guide gives the draw where the key's bucket, its top bits below the
+    row, holds no edge of its row; only the rest are searched: under 1% of
+    the uniforms for one count at n = 9 and 59, p = 0.5, and for the
+    thinning of counts of mean 1.5 at p = 1/3.
     """
-    guide, keys, start = table
-    buckets = guide.shape[1]
-    index = (words >> (65 - buckets.bit_length())).view(np.int64)
-    index += rows * buckets
-    x = guide.take(index)
+    guide, keys, draws = table
+    x = guide.take(key >> (54 - guide.shape[1].bit_length()))
     crowded = np.flatnonzero(x < 0)
-    row = rows[crowded] if np.ndim(rows) else rows
-    count = keys.searchsorted((row << 54) + (words[crowded] >> 11).view(np.int64))
-    count -= start[row]
-    x[crowded] = count >> 1
-    return x, bool((count & 1).any())
+    below = keys.searchsorted(key[crowded])
+    x[crowded] = draws[below]
+    return x, np.count_nonzero(below & 1) > 0
 
 
 def _binomial(rng: np.random.Generator, n, prob: float, size: Optional[int] = None):
@@ -287,12 +292,12 @@ def _binomial(rng: np.random.Generator, n, prob: float, size: Optional[int] = No
     Where n p <= 30, p = min(prob, 1 - prob), numpy inverts one uniform per
     nonzero count, the top 53 bits of the stream's next word (``random_raw``
     reads it as it is), and each is read off the cached table
-    (``_binomial_table``) by one lookup (``_invert``): x, or n - x if prob >
-    0.5.  An array's table has a row per count below ``_ROWS``, row 0 empty,
-    so a zero count, which takes no word, reads 0.  A uniform within
-    ``_CUT_ULPS`` ulps a term of a cut, or past the bound, rewinds the stream
-    for numpy to draw; numpy draws at once for BTPE, counts past the table,
-    prob = 0 and counts all 0.
+    (``_binomial_table``) by one lookup (``_invert``).  An array's table has
+    a row per count below ``_ROWS``, row 0 all 0, so a zero count, which
+    takes no word, reads 0.  A uniform within ``_CUT_ULPS`` ulps a term of
+    a cut, or past the bound, rewinds the stream for numpy to draw; numpy
+    draws at once for BTPE, counts past the table, prob = 0 and counts all
+    0.
     """
     p = min(prob, 1.0 - prob)
     array = np.ndim(n) > 0
@@ -301,22 +306,19 @@ def _binomial(rng: np.random.Generator, n, prob: float, size: Optional[int] = No
         return rng.binomial(n, prob, size=size)
     state = rng.bit_generator.state
     if array:
-        table, rows = _binomial_table(p, range(_ROWS), _ROW_GUIDE, _CUT_ULPS), n
-        live = np.flatnonzero(n)
-        words = np.zeros(n.shape, dtype=np.uint64)
-        words[live] = rng.bit_generator.random_raw(live.size)
+        table = _binomial_table(prob, range(_ROWS), _ROW_GUIDE, _CUT_ULPS)
+        live = np.flatnonzero(n > 0)
+        key = np.zeros(n.shape, dtype=np.int64)
+        key[live] = (rng.bit_generator.random_raw(live.size) >> 11).view(np.int64)
+        key |= n << 53
     else:
-        table, rows = _binomial_table(p, range(n, n + 1), _GUIDE, _CUT_ULPS), 0
-        words = rng.bit_generator.random_raw(size)
-    x, near = _invert(table, rows, words)
+        table = _binomial_table(prob, range(n, n + 1), _GUIDE, _CUT_ULPS)
+        key = (rng.bit_generator.random_raw(size) >> 11).view(np.int64)
+    x, near = _invert(table, key)
     if near:
         rng.bit_generator.state = state
         return rng.binomial(n, prob, size=size)
-    return x if prob <= 0.5 else n - x
-
-
-# The ally counts, Binomial(M/2 - 1, rho): one count drawn a chunk's times.
-_allies = _binomial
+    return x
 
 
 class _Draws(NamedTuple):
@@ -358,10 +360,9 @@ def _draws(
     r^k with r = m / (1 + m), m = (lambda_a + lambda_h) delta0, by
     inversion, and splits as A1 ~ Binomial(y, lambda_a / (lambda_a +
     lambda_h)) and H1 = y - A1 (thinning), numpy's binomial drawn by a
-    guide table of the counts below ``_ROWS`` (``_binomial``); at lambda_h
-    = 0, A1 = y, and no honest race is drawn or compared, as Y = inf never
-    settles.  If A1 >= thr the episode exits there: nu = 1, a_prior = 0,
-    a_exit = A1, mu = 1 iff H1 >= thr.
+    guide table of the counts below ``_ROWS`` (``_binomial``).  If A1 >=
+    thr the episode exits there: nu = 1, a_prior = 0, a_exit = A1, mu = 1
+    iff H1 >= thr.
     After epoch 1, time runs in units of delta, so epoch ends, captures
     and honest arrivals are independent Poisson processes of rates 1, a
     = lambda_a delta and h = lambda_h delta, and the laws below follow
@@ -396,7 +397,7 @@ def _draws(
     Poisson mean is below MAX_EXIT_TIME, so a = 0 or a tiny a delta (X =
     inf) simply censors, with no epoch stepped.  The allies are numpy's
     Binomial(M/2 - 1, rho) draws from their own stream, by a guide table
-    of that one count (``_allies``): rho changes nothing else; at rho = 0
+    of that one count (``_binomial``): rho changes nothing else; at rho = 0
     Safety is Regular.
 
     Regular bursts iff the attacker exits first, nu < mu.  mu never
@@ -410,11 +411,10 @@ def _draws(
     rate = params.lambda_a + params.lambda_h
     share = params.lambda_a / rate if rate > 0 else 0.0
     a = params.lambda_a * params.delta
-    honest = params.lambda_h > 0
 
     # Epoch 1: a geometric total split by thinning.
     y = _geometric(rng, rate * params.delta0, size)
-    a1 = _binomial(rng, y, share) if honest else y
+    a1 = _binomial(rng, y, share) if params.lambda_h > 0 else y
     h1 = y - a1
     exited = a1 >= threshold
     alive = ~exited
@@ -422,25 +422,20 @@ def _draws(
     # X and Y: the s-th capture, the t-th honest arrival.
     s = np.maximum(threshold - a1, 1)
     cross = _arrival(rng, s, a)
-    if honest:
-        race = _arrival(rng, np.maximum(threshold - h1, 1), params.lambda_h * params.delta)
+    race = _arrival(rng, np.maximum(threshold - h1, 1), params.lambda_h * params.delta)
     done = alive & (cross < MAX_EXIT_TIME)
     censored = alive ^ done
 
-    # O, and the honest race, settled by the exit epoch's end or the bound;
-    # F, the ends before X; censored, the ends before a settled Y.
+    # O, and the honest race, settled by the exit epoch's end or the bound.
     over = _geometric(rng, a, size)
-    if honest:
+    if params.lambda_h > 0:
         end = cross + rng.standard_gamma(over + 1) / (1.0 + a)
-        settled = alive & (race < np.where(done, end, MAX_EXIT_TIME))
-        mean = np.where(done, cross, np.where(settled, race, 0.0))
-        regular = ~(censored | settled) & (h1 < threshold)
-    else:  # no honest arrival: Y = inf never settles, and H1 = 0
-        race = np.full(size, np.inf)
-        settled = np.zeros(size, dtype=bool)
-        mean = np.where(done, cross, 0.0)
-        regular = ~censored
-    counts = rng.poisson(mean)
+    else:
+        end = cross  # race is inf: never settled
+    settled = alive & (race < np.where(done, end, MAX_EXIT_TIME))
+
+    # F, the ends before X; censored, the ends before a settled Y.
+    counts = rng.poisson(np.where(done, cross, np.where(settled, race, 0.0)))
     ends = np.where(done, counts, 0)
     # B, the last of the F ends as a share of X (0 if none).
     frac = rng.random(size) ** (1.0 / np.maximum(ends, 1))
@@ -455,7 +450,8 @@ def _draws(
     prior = a1 + before
     a_exit = np.where(done, threshold + over, prior)
     a_prior = np.where(exited, 0, prior)
-    allies = _allies(ally_rng, params.candidates, rho, size)
+    allies = _binomial(ally_rng, params.candidates, rho, size)
+    regular = ~(censored | settled) & (h1 < threshold)
     safety = regular & (a_exit - allies >= threshold)
     return _Draws(rng, nu, a_prior, a_exit, allies, regular, safety, censored,
                   done, settled, h1, cross, race, counts, frac)

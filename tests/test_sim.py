@@ -296,7 +296,7 @@ def test_rekeyed_streams_are_new_philox_streams(monkeypatch):
             rng, ally_rng = sim._streams(seed, chunk)
             assert draws(rng) == fresh(seed, 2 * chunk)
             assert draws(ally_rng) == fresh(seed, 2 * chunk + 1)
-            sim._allies(ally_rng, 9, 0.3, 100)
+            sim._binomial(ally_rng, 9, 0.3, 100)
 
 
 # (M, lambda_a) at which a chunk's exit counts sum past int64.
@@ -565,7 +565,7 @@ ALLY_RHOS = (0.0, 1e-7, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
 def assert_allies_are_numpys(n, rho, seed):
     fast = np.random.Generator(np.random.Philox(seed))
     slow = np.random.Generator(np.random.Philox(seed))
-    got = sim._allies(fast, n, rho, sim.CHUNK)
+    got = sim._binomial(fast, n, rho, sim.CHUNK)
     expected = slow.binomial(n, rho, size=sim.CHUNK)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected), (n, rho, seed)
@@ -585,30 +585,29 @@ def test_guide_count_matches_the_search_at_its_boundaries(n, rho):
     """numpy's uniforms are multiples of 2**-53, the top 53 bits of a 64-bit
     word: the multiples at or just below each bucket start and each edge,
     and one step on either side of them, in the count's own table and in its
-    row of the thinning's table, with one row for all uniforms and with a
-    row per uniform."""
+    row of the thinning's table."""
     p = min(rho, 1.0 - rho)
     edges = sim._edges(n, p, sim._CUT_ULPS)
-    tables = [(sim._binomial_table(p, range(n, n + 1), sim._GUIDE, sim._CUT_ULPS), 0)]
+    tables = [(sim._binomial_table(rho, range(n, n + 1), sim._GUIDE, sim._CUT_ULPS), 0)]
     if n < sim._ROWS:
-        thinning = sim._binomial_table(p, range(sim._ROWS), sim._ROW_GUIDE, sim._CUT_ULPS)
+        thinning = sim._binomial_table(rho, range(sim._ROWS), sim._ROW_GUIDE, sim._CUT_ULPS)
         tables.append((thinning, n))
     for table, row in tables:
         buckets = table[0].shape[1]
         points = np.floor(np.concatenate((np.arange(buckets) / buckets, edges)) * 2.0**53)
         grid = np.concatenate((points - 1, points, points + 1))
-        grid = grid[(grid >= 0) & (grid < 2.0**53)].astype(np.uint64)
+        grid = grid[(grid >= 0) & (grid < 2.0**53)].astype(np.int64)
         count = edges.searchsorted(grid / 2.0**53)
-        # A word's low 11 bits are not the uniform's.
-        words = (grid << 11) | np.arange(grid.size, dtype=np.uint64) % 2048
-        for rows in (row, np.full(grid.size, row)):
-            x, near = sim._invert(table, rows, words)
-            assert np.array_equal(x, count >> 1)
-            assert near == (count & 1).any()
-            even = count % 2 == 0
-            rows = rows[even] if np.ndim(rows) else rows
-            x, near = sim._invert(table, rows, words[even])
-            assert np.array_equal(x, count[even] >> 1) and not near
+        draw = count >> 1 if rho <= 0.5 else n - (count >> 1)
+        key = grid + (row << 53)
+        x, near = sim._invert(table, key)
+        assert np.array_equal(x, draw)
+        assert near == (count & 1).any()
+        even = count % 2 == 0
+        x, near = sim._invert(table, key[even])
+        assert np.array_equal(x, draw[even]) and not near
+        for one in key[~even].reshape(-1, 1):
+            assert sim._invert(table, one)[1]
 
 
 def test_ally_draw_near_a_cut_is_numpys_binomial(monkeypatch):
@@ -627,8 +626,8 @@ def thinning_lookups(monkeypatch) -> list:
     seen = []
     real = sim._invert
 
-    def recorded(table, rows, u):
-        seen.append(real(table, rows, u))
+    def recorded(table, key):
+        seen.append(real(table, key))
         return seen[-1]
 
     monkeypatch.setattr(sim, "_invert", recorded)
