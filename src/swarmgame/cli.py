@@ -73,9 +73,22 @@ def _write_csv(path: str, curve, summary: str = "") -> int:
     return 0
 
 
-def _resolve_params(config: RunConfig) -> SwarmParams:
-    """Build SwarmParams; the exit-index transform sets an unset expected_nu."""
-    params = config.to_params()
+def _notes(params: SwarmParams) -> None:
+    """Say on stderr where the closed form prices another process than the
+    config states: it ignores lambda_h, and a numeric expected_nu may lie
+    more than a factor of 2 from the exact E[nu]."""
+    if params.lambda_h > 0:
+        print(f"note: the closed form ignores lambda_h = {_fmt(params.lambda_h)}; "
+              "simulate draws the honest arrivals", file=sys.stderr)
+    nu = params.expected_nu
+    exact = math.inf if nu is None else expected_exit_index(params)
+    if math.isfinite(exact) and not exact / 2 <= nu <= 2 * exact:
+        print(f"note: expected_nu = {_fmt(nu)} is more than a factor of 2 from "
+              f"the exact E[nu] = {_fmt(exact)} (expected_nu = auto)", file=sys.stderr)
+
+
+def _resolve_params(params: SwarmParams) -> SwarmParams:
+    """The exit-index transform sets an unset expected_nu."""
     if params.expected_nu is not None:
         return params
     if params.lambda_a == 0.0:
@@ -102,21 +115,21 @@ def _print_stats(label: str, stats: SimStats, burst: float, burst_se: float) -> 
     print(f"  censored        = {stats.censored_count}")
 
 
-def _cmd_analyze(config: RunConfig, args) -> int:
-    point = _CostCurve(_resolve_params(config)).breakdowns([config.rho])[0]
+def _cmd_analyze(config: RunConfig, params: SwarmParams, args) -> int:
+    point = _CostCurve(_resolve_params(params)).breakdowns([config.rho])[0]
     for name, value in zip(COLUMNS, point):
         print(f"{name:<10} = {_fmt(value)}")
     return 0
 
 
-def _cmd_simulate(config: RunConfig, args) -> int:
+def _cmd_simulate(config: RunConfig, params: SwarmParams, args) -> int:
     from .sim import REGULAR, SAFETY
 
     # Looked up at call time, so a value set on cli.estimate (a patch) runs.
     estimate = sys.modules[__name__].estimate
     # The simulator never reads expected_nu, so "auto" is left unresolved.
     try:
-        stats = estimate(config.to_params(), episodes=config.episodes,
+        stats = estimate(params, episodes=config.episodes,
                          seed=config.seed, rho=config.rho, workers=args.workers)
     except ValueError as exc:  # the simulator's bounds, checked before any chunk
         print(f"error: {exc}", file=sys.stderr)
@@ -126,13 +139,13 @@ def _cmd_simulate(config: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_sweep(config: RunConfig, args) -> int:
-    params = _resolve_params(config)
+def _cmd_sweep(config: RunConfig, params: SwarmParams, args) -> int:
+    params = _resolve_params(params)
     return _write_csv(args.out or "sweep.csv", sweep_curve(params, config.grid_size))
 
 
-def _cmd_optimize(config: RunConfig, args) -> int:
-    params = _resolve_params(config)
+def _cmd_optimize(config: RunConfig, params: SwarmParams, args) -> int:
+    params = _resolve_params(params)
     result = optimize_rho(params, tolerance=config.tolerance, grid_size=config.grid_size)
     summary = (f"rho_star   = {_fmt(result.rho_star)}\n"
                f"cost_star  = {_fmt(result.cost_star)}\n"
@@ -198,12 +211,16 @@ def _run(argv: list[str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    params = config.to_params()
     try:
-        return _COMMANDS[args.command](config, args)
+        code = _COMMANDS[args.command](config, params, args)
     except (RuntimeError, MemoryError) as exc:
         cause = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {cause}{exc}", file=sys.stderr)
         return 1
+    if code == 0 and args.command != "simulate":  # the closed form's commands
+        _notes(params)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

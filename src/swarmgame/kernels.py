@@ -24,6 +24,9 @@ holds both sums over a closed-form support, outside which every pmf is
 0.0 in float64; calls share the table of the last mean asked, and counts
 past the support need none.
 
+A binomial cdf (``binom_cdfs``) is tabled the same way, over a window
+of counts outside which every pmf is 0.0, from Loader's pmf at the mode.
+
 A binomial mixture's weights fall away from their mode by the ratio
 recurrence too, from a mode weight of 2^600, and are divided by their
 mass: no log-space terms of size n round them.
@@ -41,6 +44,7 @@ __all__ = [
     "pois_tail",
     "pois_tails",
     "binom_pmf",
+    "binom_cdfs",
     "binomial_mixture",
 ]
 
@@ -155,12 +159,8 @@ def _pois_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(bottom, P{X < k}, P{X >= k} for k = bottom..top + 1), mean >= 0.
 
     [bottom, top] is ``_support_edges``: outside it every pmf is 0.0 in
-    float64.  With s = floor(mean) + 1, the pmfs below s are summed
-    upwards from bottom, which gives P{X < k} for k <= s, and those from
-    s up are summed downwards from top, which gives P{X >= k} for k >= s:
-    each is the smaller side, smallest terms first, and the other side is
-    1 minus it.  Pmfs and sums are taken times ``_SCALE`` and the sums
-    scaled back once, so a sum below the normal range is rounded once.
+    float64.  The pmfs are summed on each side of s = floor(mean) + 1
+    (``_side_sums``).
     """
     if mean == 0.0:
         return 0, np.array([0.0, 1.0]), np.array([1.0, 0.0])
@@ -179,15 +179,28 @@ def _pois_table(mean: float) -> tuple[int, np.ndarray, np.ndarray]:
     pmf[n - 1], pmf[n] = _pmf(s - 1, mean) * _SCALE, _pmf(s, mean) * _SCALE
     np.multiply.accumulate(pmf[n - 1 :: -1], out=pmf[n - 1 :: -1])
     np.multiply.accumulate(pmf[n:], out=pmf[n:])
+    return bottom, *_side_sums(pmf, n)
 
-    sums = np.zeros((2, top + 2 - bottom))
+
+def _side_sums(pmf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P{X < k}, P{X >= k} for k = bottom..top + 1) from the pmfs of
+    bottom..top times ``_SCALE``, the first n of them those below s =
+    floor(mean) + 1.
+
+    Those n are summed upwards from bottom, which gives P{X < k} for k <=
+    s, and the rest downwards from top, which gives P{X >= k} for k >= s:
+    each is the smaller side, smallest terms first, and the other side is
+    1 minus it.  The sums are scaled back once, so a sum below the normal
+    range is rounded once.
+    """
+    sums = np.zeros((2, pmf.size + 1))
     below, tail = sums
     np.add.accumulate(pmf[:n], out=below[1 : n + 1])
     np.add.accumulate(pmf[: n - 1 : -1], out=tail[-2 : n - 1 : -1])
     sums /= _SCALE
     np.subtract(1.0, below[:n], out=tail[:n])
     np.subtract(1.0, tail[n + 1 :], out=below[n + 1 :])
-    return bottom, below, tail
+    return below, tail
 
 
 # Calls ask one mean for many counts in a row (``burst_prob_safety`` asks
@@ -277,6 +290,68 @@ def binom_pmf(j: int, n: int, p: float) -> float:
         - _bd0(n - j, n * q)
     )
     return math.exp(log_w) * math.sqrt(n / j / (n - j) / (2.0 * math.pi))
+
+
+def _binom_edges(n: int, p: float) -> tuple[int, int]:
+    """Counts below and above which every pmf of Binomial(n, p) is 0.0 in
+    float64.
+
+    A pmf is at most the tail it ends, and by Bernstein's inequality a tail
+    at t from the mean n p is at most exp(-t^2 / (2 (n p q + t/3))), below
+    exp(-750), 0.0, once t > 250 + sqrt(250^2 + 1500 n p q), the constant
+    of ``_support_edges``.  With p = a/b exactly, n p and n p q are counted
+    in integers and rounded outwards, so both edges hold at any n.
+    """
+    a, b = p.as_integer_ratio()
+    m = n * a // b
+    s = math.isqrt(250**2 + 1500 * -(-n * a * (b - a) // (b * b))) + 1
+    return max(m - 250 - s, 0), min(m + 251 + s, n)
+
+
+@functools.lru_cache(maxsize=1)  # a simulator run asks one (n, p) throughout
+def _binom_table(n: int, p: float) -> tuple[int, np.ndarray]:
+    """(bottom, P{B < k} for k = bottom..top + 1), B ~ Binomial(n, p).
+
+    [bottom, top] is ``_binom_edges``.  Loader's pmf at the mode, clipped
+    into it, times ``_SCALE``, falls away through the ratio recurrence
+    pmf(k + 1) = pmf(k) (n - k) p / ((k + 1) q) both ways, as
+    ``_pois_table`` takes its pmfs, and they are summed on each side of
+    floor(n p) + 1 (``_side_sums``).  Read only.
+    """
+    bottom, top = _binom_edges(n, p)
+    a, b = p.as_integer_ratio()
+    mode = min(max((n + 1) * a // b, bottom), top) - bottom
+    q = 1.0 - p
+    pmf = np.empty(top + 1 - bottom)
+    steps = np.arange(pmf.size, dtype=float)
+    counts, rest = bottom + steps, float(n - bottom) - steps  # k and n - k
+    np.divide((counts[:mode] + 1.0) * q, rest[:mode] * p, out=pmf[:mode])
+    np.divide((rest[mode + 1 :] + 1.0) * p, counts[mode + 1 :] * q, out=pmf[mode + 1 :])
+    pmf[mode] = binom_pmf(bottom + mode, n, p) * _SCALE
+    np.multiply.accumulate(pmf[mode::-1], out=pmf[mode::-1])
+    np.multiply.accumulate(pmf[mode:], out=pmf[mode:])
+    below = _side_sums(pmf, min(n * a // b + 1, top + 1) - bottom)[0]
+    below.flags.writeable = False
+    return bottom, below
+
+
+def binom_cdfs(k: np.ndarray, n: int, p: float) -> np.ndarray:
+    """P{B <= k} for B ~ Binomial(n, p) at each count of an integer array.
+
+    Counts below ``_binom_edges`` read 0 and counts above it 1, with no
+    table (``_binom_table``) built unless a count lies inside: at n = 2^62,
+    p = 1/2 it would span 10^11 counts.
+    """
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
+    k = np.asarray(k)
+    bottom, top = _binom_edges(n, p)
+    if k.size == 0 or k.max() < bottom:
+        return np.zeros(k.shape)
+    if k.min() > top:
+        return np.ones(k.shape)
+    bottom, below = _binom_table(n, float(p))
+    return below.take(k + 1 - bottom, mode="clip")
 
 
 def binomial_mixture(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -11,38 +11,38 @@ Poisson processes, so each outcome is drawn from a few laws of their
 arrival times (gamma) and of the counts around them (Poisson, or
 binomial, as a Poisson process's points given their count on an
 interval are uniform there).  A chunk costs at most ten numpy draws
-whatever the exit index; its two binomials of a fixed p, the allies and
-epoch 1's thinning, are numpy's own draws read off cached tables, one
-guide-table lookup a draw whatever the count (``_binomial``); ``_draws``
-states the laws.  Only a crossing at or past ``MAX_EXIT_TIME``, which
-keeps every count inside int64, censors an episode.
+whatever the exit index; ``_chunk`` states the laws.  Only a crossing at
+or past ``MAX_EXIT_TIME``, which keeps every count inside int64, censors
+an episode.
 
-One kernel, ``_draws``, draws a chunk of episodes from its own
-counter-based random streams keyed on (seed, chunk index), both
+No ally is drawn either: the allies are independent of the path, so each
+episode's Safety value is the burst's probability given its path, whose
+mean is Safety's probability and whose variance is never larger than the
+indicator's (conditional Monte Carlo: Asmussen and Glynn, "Stochastic
+Simulation", 2007, V.4).
+
+One kernel, ``_chunk``, draws a chunk of episodes from its own
+counter-based random stream keyed on (seed, chunk index), both
 strategies' bursts among them: Regular is Safety with no allies, facing
-the same attack, so one pass serves both.  Its readers take what they
-need from the same draws: ``_chunk`` adds mu's split and returns
-per-episode arrays, ``estimate`` reduces each chunk straight to sums
-(``_chunk_sums``), ``sample_exit_indices`` keeps the exit indices, and
-``simulate_episode`` is ``_chunk`` 0 at size 1.  So results are bitwise
-reproducible, independent of how chunks are scheduled across workers
-(the caller's thread is one of them, each other a plain thread), and
-``simulate_episode(seed)`` is the single episode
-``estimate(episodes=1, seed=seed)`` aggregates.
+the same attack.  ``estimate`` reduces each chunk to sums
+(``_chunk_sums``) and ``sample_exit_indices`` keeps the exit indices,
+both skipping mu's split, and ``simulate_episode(seed)`` is chunk 0 at
+size 1, the episode ``estimate(episodes=1, seed=seed)`` aggregates.  So
+results are bitwise reproducible for any worker count.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import queue
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
+from .kernels import binom_cdfs
 from .model import SwarmParams, majority_threshold
 
 __all__ = [
@@ -72,17 +72,6 @@ MAX_EXIT_TIME = 2.0**50
 # Largest majority threshold: counts near it, plus an overshoot, stay
 # inside int64.
 MAX_THRESHOLD = 2**62
-# Ulps of 1 per table entry within which a uniform is near a cut (``_binomial``).
-_CUT_ULPS = 4
-# Buckets of [0, 1) in each row of a guide table (``_binomial_table``):
-# powers of two, so a uniform's bucket is its word's top bits and k /
-# buckets is exact.  One count's table has _GUIDE; the thinning's has _ROWS
-# rows of _ROW_GUIDE, counts 0 to _ROWS - 1, each drawn by numpy's
-# inversion (n p <= 30 at any p <= 0.5), about 0.2 MB in all, so the table
-# stays in cache.
-_GUIDE = 4096
-_ROW_GUIDE = 512
-_ROWS = 48
 
 
 def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
@@ -112,17 +101,18 @@ class EpisodeOutcome:
 
     nu/mu are None when the corresponding threshold was not reached by
     the time the episode ended: its exit, or for a censored episode
-    ``MAX_EXIT_TIME``, at which its counts are taken.  burst_safety is
-    burst_regular (the attacker exits first) net of the allies.
+    ``MAX_EXIT_TIME``, at which its counts are taken.  burst_safety is the
+    probability, given the path, that burst_regular (the attacker exits
+    first) survives the allies B ~ Binomial(M/2 - 1, rho): P{B <= a_exit -
+    thr} if it bursts, else 0.
     """
 
     nu: Optional[int]
     mu: Optional[int]
     a_prior: int
     a_exit: int
-    allies: int
     burst_regular: bool
-    burst_safety: bool
+    burst_safety: float
     censored: bool
 
 
@@ -131,7 +121,9 @@ class SimStats:
     """Aggregated estimators over independent episodes.
 
     Rates are over all episodes (censored episodes count as no burst);
-    mean_nu and mean_a_exit are over non-censored episodes only.
+    mean_nu and mean_a_exit are over non-censored episodes only.  Safety
+    is the mean of the episodes' burst probabilities given their paths
+    (``EpisodeOutcome.burst_safety``), with their standard error.
     """
 
     episodes: int
@@ -147,36 +139,31 @@ class SimStats:
     censored_count: int
 
 
-# Each thread's process and ally generators, re-keyed for every chunk.
+# Each thread's generator, re-keyed for every chunk.
 _local = threading.local()
 
 
-def _streams(seed: int, chunk: int):
-    """Process and ally generators for one chunk, keyed on (seed, chunk).
+def _streams(seed: int, chunk: int) -> np.random.Generator:
+    """The generator of one chunk, keyed on (seed, chunk).
 
     A Philox stream is fixed by its key and counter alone, so this thread's
-    pair of generators is re-keyed in place: counter 0, key (seed modulo
-    2**64, 2 chunk + s) for s = 0, 1, and an empty buffer, the state a new
-    ``Philox(key=...)`` starts in.  They are valid until this thread's next
-    call.
+    generator is re-keyed in place: counter 0, key (seed modulo 2**64,
+    2 chunk), and an empty buffer, the state a new ``Philox(key=...)``
+    starts in.  It is valid until this thread's next call.  The odd keys
+    are left unused, so no draw moved when the allies' stream went.
     """
-    pair = getattr(_local, "streams", None)
-    if pair is None:
-        pair = _local.streams = (
-            np.random.Generator(np.random.Philox(0)),
-            np.random.Generator(np.random.Philox(0)),
-        )
-    base = seed % (1 << 64)
-    for s, rng in enumerate(pair):
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (base, 2 * chunk + s)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    return pair
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed % (1 << 64), 2 * chunk)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _geometric(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
@@ -200,169 +187,25 @@ def _arrival(rng: np.random.Generator, count: np.ndarray, rate: float) -> np.nda
         return rng.standard_gamma(count) / rate
 
 
-def _edges(n: int, p: float, ulps: float) -> np.ndarray:
-    """The edges a uniform U is counted against for Binomial(n, p), p <= 0.5
-    (none at n = 0, where numpy draws nothing).
-
-    numpy walks U down the pmf terms px_x (U -= px_x while U > px_x): x is
-    the first count whose cumulative pmf reaches U, its terms built here by
-    numpy's own expressions.  The walk and the sums drift apart by up to an
-    ulp a term, so each cut widens to cut +- tol, tol = ulps (bound + 2) ulps
-    of 1; the edges are those windows' ends, made nondecreasing, the last
-    dropped.  The edges below U are odd in number iff U is near a cut or past
-    the bound (where numpy redraws), else 2x.
-    """
-    if n == 0:
-        return np.empty(0)
-    q = 1.0 - p
-    bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
-    terms = [math.exp(n * math.log(q))]
-    for x in range(1, bound + 1):
-        terms.append((n - x + 1) * p * terms[-1] / (x * q))
-    cut = np.cumsum(terms)
-    tol = ulps * (bound + 2) * 2.0**-53
-    return np.maximum.accumulate(np.column_stack((cut - tol, cut + tol)).ravel()[:-1])
-
-
-@functools.lru_cache(maxsize=32)
-def _binomial_table(
-    prob: float, counts: range, buckets: int, ulps: float
-) -> tuple[np.ndarray, ...]:
-    """Guide tables of numpy's Binomial(n, prob), one row of ``buckets``
-    per count n in ``counts``: (guide, keys, draws), built once per (prob,
-    counts, buckets, ulps), read only.
-
-    A draw inverts a uniform u = U / 2**53, U the top 53 bits of a 64-bit
-    word, and row r reads it as the key r 2**53 + U.  With p = min(prob, 1 -
-    prob), j counts row r's edges (``_edges``) below u, and the draw is x =
-    j / 2, or n - x if prob > 0.5; an odd j is near a cut or past the bound.
-    guide[r, b] is the draw where j is even and constant on bucket b, [b, b
-    + 1) / buckets, else -1: Chen and Asau's guide table (Devroye,
-    "Non-Uniform Random Variate Generation", 1986, III.2.4).  keys holds
-    every row's edges in one sorted array, row r's as r 2**53 + floor(2**53
-    edge), clipped to [-1, 2**53 - 1], closed by (r + 1) 2**53 - 1, which no
-    key of row r passes; u lies above an edge iff U lies above its floor.  So
-    the keys below a key of row r are every earlier row's, an even number,
-    and j of row r's; draws holds the draw at each such count.
-    """
-    p = min(prob, 1.0 - prob)
-    points = np.arange(buckets + 1) / buckets
-    guide, keys, draws = [], [], []
-    for r, n in enumerate(counts):
-        edges = _edges(n, p, ulps)
-
-        def draw(j: np.ndarray) -> np.ndarray:
-            return j // 2 if prob <= 0.5 else n - j // 2
-
-        first = edges.searchsorted(points)
-        below = first[:-1]
-        guide.append(np.where((first[1:] == below) & (below % 2 == 0), draw(below), -1))
-        if edges.size:
-            floor = np.floor(np.clip(edges * 2.0**53, -1.0, 2.0**53 - 1)).astype(np.int64)
-            keys.append((r << 53) + np.append(floor, 2**53 - 1))
-            draws.append(draw(np.arange(edges.size + 1)))
-    table = (np.stack(guide), np.concatenate(keys), np.concatenate(draws))
-    for array in table:
-        array.flags.writeable = False
-    return table
-
-
-def _invert(table: tuple[np.ndarray, ...], key: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Each key's draw off ``table`` (``_binomial_table``), and whether any
-    lies near a cut or past the bound.
-
-    The guide gives the draw where the key's bucket, its top bits below the
-    row, holds no edge of its row; only the rest are searched: under 1% of
-    the uniforms for one count at n = 9 and 59, p = 0.5, and for the
-    thinning of counts of mean 1.5 at p = 1/3.
-    """
-    guide, keys, draws = table
-    x = guide.take(key >> (54 - guide.shape[1].bit_length()))
-    crowded = np.flatnonzero(x < 0)
-    below = keys.searchsorted(key[crowded])
-    x[crowded] = draws[below]
-    return x, np.count_nonzero(below & 1) > 0
-
-
-def _binomial(rng: np.random.Generator, n, prob: float, size: Optional[int] = None):
-    """``rng.binomial(n, prob, size=size)``, bit for bit, by a guide table:
-    n is one count drawn ``size`` times (the allies) or an array of counts
-    drawn once each (epoch 1's thinning).
-
-    Where n p <= 30, p = min(prob, 1 - prob), numpy inverts one uniform per
-    nonzero count, the top 53 bits of the stream's next word (``random_raw``
-    reads it as it is), and each is read off the cached table
-    (``_binomial_table``) by one lookup (``_invert``).  An array's table has
-    a row per count below ``_ROWS``, row 0 all 0, so a zero count, which
-    takes no word, reads 0.  A uniform within ``_CUT_ULPS`` ulps a term of
-    a cut, or past the bound, rewinds the stream for numpy to draw; numpy
-    draws at once for BTPE, counts past the table, prob = 0 and counts all
-    0.
-    """
-    p = min(prob, 1.0 - prob)
-    array = np.ndim(n) > 0
-    top = n.max(initial=0) if array else n
-    if prob == 0 or top == 0 or p * top > 30.0 or array and top >= _ROWS:
-        return rng.binomial(n, prob, size=size)
-    state = rng.bit_generator.state
-    if array:
-        table = _binomial_table(prob, range(_ROWS), _ROW_GUIDE, _CUT_ULPS)
-        live = np.flatnonzero(n > 0)
-        key = np.zeros(n.shape, dtype=np.int64)
-        key[live] = (rng.bit_generator.random_raw(live.size) >> 11).view(np.int64)
-        key |= n << 53
-    else:
-        table = _binomial_table(prob, range(n, n + 1), _GUIDE, _CUT_ULPS)
-        key = (rng.bit_generator.random_raw(size) >> 11).view(np.int64)
-    x, near = _invert(table, key)
-    if near:
-        rng.bit_generator.state = state
-        return rng.binomial(n, prob, size=size)
-    return x
-
-
-class _Draws(NamedTuple):
-    """A chunk's draws (``_draws``): per-episode arrays, and the process
-    stream, whose next draw would be mu's split (``_chunk``).  The stream is
-    the thread's own generator (``_streams``): valid only until that
-    thread's next ``_draws`` call."""
-
-    rng: np.random.Generator
-    # Read by every reducer: EpisodeOutcome's fields but mu.
-    nu: np.ndarray
-    a_prior: np.ndarray
-    a_exit: np.ndarray
-    allies: np.ndarray
-    regular: np.ndarray
-    safety: np.ndarray
-    censored: np.ndarray
-    # Read by mu's split alone.
-    done: np.ndarray
-    settled: np.ndarray
-    h1: np.ndarray
-    cross: np.ndarray
-    race: np.ndarray
-    counts: np.ndarray
-    frac: np.ndarray
-
-
-def _draws(
+def _chunk(
     params: SwarmParams,
     rho: float,
     seed: int,
     index: int,
     size: int,
-) -> _Draws:
-    """Draw chunk ``index`` of ``size`` episodes from their path laws, all
-    but mu's split, with 0 in nu for a threshold not reached.
+    split: bool = True,
+) -> tuple[np.ndarray, ...]:
+    """Draw chunk ``index`` of ``size`` episodes from their path laws.
+
+    Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
+    a_prior, a_exit, burst_regular, burst_safety, censored, with 0 in
+    nu/mu for a threshold not reached; mu is None unless ``split``.
 
     Epoch 1 is drawn as a count: its total y is geometric, P{y >= k} =
     r^k with r = m / (1 + m), m = (lambda_a + lambda_h) delta0, by
     inversion, and splits as A1 ~ Binomial(y, lambda_a / (lambda_a +
-    lambda_h)) and H1 = y - A1 (thinning), numpy's binomial drawn by a
-    guide table of the counts below ``_ROWS`` (``_binomial``).  If A1 >=
-    thr the episode exits there: nu = 1, a_prior = 0, a_exit = A1, mu = 1
-    iff H1 >= thr.
+    lambda_h)) and H1 = y - A1 (thinning).  If A1 >= thr the episode exits
+    there: nu = 1, a_prior = 0, a_exit = A1, mu = 1 iff H1 >= thr.
     After epoch 1, time runs in units of delta, so epoch ends, captures
     and honest arrivals are independent Poisson processes of rates 1, a
     = lambda_a delta and h = lambda_h delta, and the laws below follow
@@ -395,18 +238,17 @@ def _draws(
     uniform before it: that is why the splits above are binomial, and
     why the processes' order within an epoch need not be drawn.  Every
     Poisson mean is below MAX_EXIT_TIME, so a = 0 or a tiny a delta (X =
-    inf) simply censors, with no epoch stepped.  The allies are numpy's
-    Binomial(M/2 - 1, rho) draws from their own stream, by a guide table
-    of that one count (``_binomial``): rho changes nothing else; at rho = 0
-    Safety is Regular.
+    inf) simply censors, with no epoch stepped.
 
     Regular bursts iff the attacker exits first, nu < mu.  mu never
     exceeds nu once set, so that is mu unset: not censored, no settled
     race, H1 < thr.  So the bursts need no mu, and mu's split, the
-    process stream's last draw, is left to ``_chunk``: skipping it moves
-    no other draw.
+    stream's last draw, is skipped unless ``split``, which moves no other
+    draw.  Safety bursts iff Regular does and a_exit - thr covers the
+    allies, Binomial(M/2 - 1, rho) in number: its value, averaged over
+    them, is 1{Regular} P{allies <= a_exit - thr}, 0 or 1 at rho = 0.
     """
-    rng, ally_rng = _streams(seed, index)
+    rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
     rate = params.lambda_a + params.lambda_h
     share = params.lambda_a / rate if rate > 0 else 0.0
@@ -414,7 +256,7 @@ def _draws(
 
     # Epoch 1: a geometric total split by thinning.
     y = _geometric(rng, rate * params.delta0, size)
-    a1 = _binomial(rng, y, share) if params.lambda_h > 0 else y
+    a1 = rng.binomial(y, share) if params.lambda_h > 0 else y
     h1 = y - a1
     exited = a1 >= threshold
     alive = ~exited
@@ -450,37 +292,19 @@ def _draws(
     prior = a1 + before
     a_exit = np.where(done, threshold + over, prior)
     a_prior = np.where(exited, 0, prior)
-    allies = _binomial(ally_rng, params.candidates, rho, size)
     regular = ~(censored | settled) & (h1 < threshold)
-    safety = regular & (a_exit - allies >= threshold)
-    return _Draws(rng, nu, a_prior, a_exit, allies, regular, safety, censored,
-                  done, settled, h1, cross, race, counts, frac)
-
-
-def _chunk(
-    params: SwarmParams,
-    rho: float,
-    seed: int,
-    index: int,
-    size: int,
-) -> tuple[np.ndarray, ...]:
-    """Simulate chunk ``index`` of ``size`` episodes: ``_draws`` and mu's split.
-
-    Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
-    a_prior, a_exit, allies, burst_regular, burst_safety, censored, with
-    0 in nu/mu for a threshold not reached.
-    """
-    d = _draws(params, rho, seed, index, size)
+    safety = regular * binom_cdfs(a_exit - threshold, params.candidates, rho)
+    if not split:
+        return nu, None, a_prior, a_exit, regular, safety, censored
     # The ends before Y when it precedes X B: uniform on [0, X B], drawn only
     # there, as numpy draws nothing at n = 0 or p = 0.  Elsewhere the counts
     # already are the ends before a settled Y.
-    last = np.where(d.done, d.cross, 0.0) * d.frac
-    inside = d.done & d.settled & (d.race < last)
-    counts = d.counts
-    counts[inside] = d.rng.binomial(counts[inside] - 1, d.race[inside] / last[inside])
-    mu = np.where(d.settled, counts + 2, 0)
-    mu[d.h1 >= majority_threshold(params.M)] = 1
-    return d.nu, mu, d.a_prior, d.a_exit, d.allies, d.regular, d.safety, d.censored
+    last = np.where(done, cross, 0.0) * frac
+    inside = done & settled & (race < last)
+    counts[inside] = rng.binomial(counts[inside] - 1, race[inside] / last[inside])
+    mu = np.where(settled, counts + 2, 0)
+    mu[h1 >= threshold] = 1
+    return nu, mu, a_prior, a_exit, regular, safety, censored
 
 
 def simulate_episode(
@@ -503,29 +327,33 @@ def sample_exit_indices(
     collected = []
     censored_total = 0
     for index in range(_plan(params, 0.0, episodes)):
-        d = _draws(params, 0.0, seed, index, min(CHUNK, episodes - index * CHUNK))
-        censored_total += int(d.censored.sum())
-        collected.append(d.nu[~d.censored])
+        size = min(CHUNK, episodes - index * CHUNK)
+        nu, *_, censored = _chunk(params, 0.0, seed, index, size, split=False)
+        censored_total += int(censored.sum())
+        collected.append(nu[~censored])
     return np.concatenate(collected), censored_total
 
 
 def _chunk_sums(
     params: SwarmParams, rho: float, seed: int, index: int, size: int
-) -> tuple[list[int], tuple[int, int, float]]:
-    """Reduce chunk ``index``'s draws to ``estimate``'s sums: the counts of
-    Regular and Safety bursts, of a_prior < M/2 and of censored episodes,
-    and a_exit's sum, then (count, sum, squared deviations about the mean)
-    of nu, both over the episodes not censored.
+) -> tuple[list, tuple[int, int, float]]:
+    """Reduce chunk ``index``'s draws to ``estimate``'s sums: the count of
+    Regular bursts, the sums of the Safety values and of their squares, the
+    counts of a_prior < M/2 and of censored episodes, and a_exit's sum,
+    then (count, sum, squared deviations about the mean) of nu, both over
+    the episodes not censored.
 
-    The sums are exact integers but for nu's squared deviations, taken in
-    float64 about the chunk's own mean: E[nu^2] - mean^2 would cancel where
-    nu's spread is small beside its mean, as at large M.
+    The counts and a_exit's sum are exact integers.  nu's squared
+    deviations are taken about the chunk's own mean: E[nu^2] - mean^2 would
+    cancel where nu's spread is small beside its mean, as at large M.
     """
-    d = _draws(params, rho, seed, index, size)
-    safe = d.a_prior < params.M / 2
-    sums = [int(np.count_nonzero(c)) for c in (d.regular, d.safety, safe, d.censored)]
-    kept = ~d.censored if sums[-1] else slice(None)
-    nu, exits = d.nu[kept], d.a_exit[kept]
+    nu, _, a_prior, a_exit, regular, safety, censored = _chunk(
+        params, rho, seed, index, size, split=False
+    )
+    counts = [int(np.count_nonzero(c)) for c in (regular, a_prior < params.M / 2, censored)]
+    sums = [counts[0], float(safety.sum()), float((safety * safety).sum()), *counts[1:]]
+    kept = ~censored if counts[-1] else slice(None)
+    nu, exits = nu[kept], a_exit[kept]
     total = int(nu.sum())
     # A CHUNK of exit counts near a threshold of 2**62 sums to about
     # 2**74, so their high and low 32-bit words are summed apart.
@@ -610,7 +438,9 @@ def estimate(
     Each chunk's draws are reduced to sums as they are drawn
     (``_chunk_sums``), and the sums are folded in chunk order, so the
     outcome is identical for any worker count; ``_pooled`` pools nu's
-    squared deviations.  No more threads run than there are chunks or CPUs
+    squared deviations.  Safety's standard error, sqrt(s (sum w^2 / sum w -
+    s) / E) for values w of mean s over E episodes, is the rates' binomial
+    one bit for bit where every w is 0 or 1.  No more threads run than there are chunks or CPUs
     this process may run on: one is the caller's own, which also computes
     its share of the chunks when more run (``_in_order``).
     """
@@ -618,23 +448,24 @@ def estimate(
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunks = _plan(params, rho, episodes)
 
-    def run(index: int) -> tuple[list[int], tuple[int, int, float]]:
+    def run(index: int) -> tuple[list, tuple[int, int, float]]:
         size = min(CHUNK, episodes - index * CHUNK)
         return _chunk_sums(params, rho, seed, index, size)
 
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    sums, pooled = [0] * 5, (0, 0, 0.0)
+    sums, pooled = [0] * 6, (0, 0, 0.0)
     for part_sums, part in _in_order(run, chunks, min(workers, chunks, cpus)):
         sums = [a + b for a, b in zip(sums, part_sums)]
         pooled = _pooled(pooled, part)
-    regular, safety, safe, censored, a_sum = sums
+    regular, weight, weight_sq, safe, censored, a_sum = sums
     done, nu_sum, nu_m2 = pooled
 
-    def rate(count: int) -> tuple[float, float]:
-        """A share of the episodes and its binomial standard error."""
+    def rate(count, ratio=1.0) -> tuple[float, float]:
+        """A mean count / E of values w, and its standard error; ratio is
+        sum w^2 / sum w, 1 where every w is 0 or 1."""
         share = count / episodes
-        return share, math.sqrt(share * (1.0 - share) / episodes)
+        return share, math.sqrt(max(share * (ratio - share), 0.0) / episodes)
 
     if done > 0:
         mean_nu = nu_sum / done
@@ -647,7 +478,7 @@ def estimate(
     return SimStats(
         episodes,
         *rate(regular),
-        *rate(safety),
+        *rate(weight, weight_sq / weight if weight else 0.0),
         *rate(safe),
         mean_nu=mean_nu,
         mean_nu_se=mean_nu_se,

@@ -11,6 +11,12 @@ drawn by inversion, and it splits as x ~ Binomial(y, lambda_a /
 It costs one round of numpy calls per epoch, so it serves only as an
 independent oracle for the path-level sampler: the two share the stream
 keys but not the draws, so they agree in law, not episode by episode.
+
+It draws the allies B ~ Binomial(M/2 - 1, rho) from their own stream,
+Philox key (seed, 2 chunk + 1), which the sampler leaves unused, and its
+Safety is the indicator of a Regular burst with a_exit - B >= thr.  The
+sampler's Safety value is that indicator's mean given the path, so the
+two agree in mean.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from swarmgame.sim import _streams
 def reference_chunk(
     params: SwarmParams, rho: float, seed: int, index: int, size: int, horizon: int
 ) -> tuple[np.ndarray, ...]:
-    """nu, mu, a_prior, a_exit, allies, burst_regular, burst_safety, censored."""
-    rng, ally_rng = _streams(seed, index)
+    """nu, mu, a_prior, a_exit, burst_regular, burst_safety, censored."""
+    rng = _streams(seed, index)
+    key = np.array([seed % 2**64, 2 * index + 1], dtype=np.uint64)
+    ally_rng = np.random.Generator(np.random.Philox(key=key))
     threshold = majority_threshold(params.M)
     rate = params.lambda_a + params.lambda_h
     share = params.lambda_a / rate if rate > 0 else 0.0
@@ -74,4 +82,4 @@ def reference_chunk(
     allies = ally_rng.binomial(params.candidates, rho, size=size)
     regular = ~censored & (mu == 0)
     safety = regular & (a_exit - allies >= threshold)
-    return nu, mu, a_prior, a_exit, allies, regular, safety, censored
+    return nu, mu, a_prior, a_exit, regular, safety, censored

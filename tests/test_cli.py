@@ -53,8 +53,10 @@ def test_analyze_matches_library(config_path, capsys):
 
 
 def test_analyze_full_output(config_path, capsys):
+    # The fixture prices at nu = 3 where E[nu] = 12: a note on stderr.
     assert run(["analyze", "--config", config_path, "--rho", "0.5"]) == 0
-    assert capsys.readouterr().out == (
+    captured = capsys.readouterr()
+    assert captured.out == (
         "rho        = 0.5\n"
         "ally_cost  = 13.5\n"
         "p_prior    = 0.99889751187\n"
@@ -62,6 +64,43 @@ def test_analyze_full_output(config_path, capsys):
         "q1         = 3.71874613428e-06\n"
         "total      = 13.6062247386\n"
     )
+    assert captured.err == (
+        "note: expected_nu = 3 is more than a factor of 2 from the exact "
+        "E[nu] = 12 (expected_nu = auto)\n"
+    )
+
+
+NOTE_LAMBDA_H = "note: the closed form ignores lambda_h = 2; simulate draws the honest arrivals\n"
+NOTE_NU = (
+    "note: expected_nu = 3 is more than a factor of 2 from the exact "
+    "E[nu] = 120 (expected_nu = auto)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "optimize"])
+def test_closed_form_notes_go_to_stderr(tmp_path, capsys, command):
+    """At M = 120 the closed form prints the same bytes at lambda_h = 0 and
+    2, and prices at nu = 3 where E[nu] = 120 unless told otherwise: each
+    says so in a note on stderr, after stdout, which is the same with or
+    without the note.  An E[nu] within a factor of 2, or auto, and lambda_h
+    = 0 print none."""
+    base = "M = 120\ndrone_value = 1500\nlambda_a = 1\ndelta0 = 2\ndelta = 0.5\n"
+
+    def cli(text):
+        cfg = tmp_path / "notes.cfg"
+        cfg.write_text(text)
+        assert run([command, "--config", cfg, "--out", tmp_path / "curve.csv"]) == 0
+        captured = capsys.readouterr()
+        assert "note:" not in captured.out
+        csv = tmp_path / "curve.csv"  # analyze writes none
+        return captured.out, csv.read_bytes() if csv.exists() else b"", captured.err
+
+    plain = cli(base)
+    assert plain[2] == NOTE_NU
+    assert cli(base + "lambda_h = 2\n") == (*plain[:2], NOTE_LAMBDA_H + NOTE_NU)
+    assert cli(base + "lambda_h = 0\nexpected_nu = 3\n") == plain
+    for nu in ("60.5", "239", "auto"):
+        assert cli(base + f"expected_nu = {nu}\n")[2] == ""
 
 
 def _seeded_configs():

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import swarmgame
+from swarmgame import kernels
 from swarmgame.kernels import (
+    _binom_edges,
     _pmf,
     _support_edges,
+    binom_cdfs,
     binom_pmf,
     binomial_mixture,
     pois_cdf,
@@ -322,6 +325,87 @@ def test_binomial_mixture_against_exact_oracle(n):
             for j, v in enumerate(values)
         )
         assert value == pytest.approx(float(exact), rel=1e-13, abs=0.0), (n, r)
+
+
+def mp_binom_cdf(k, n, p):
+    """P{B <= k}, B ~ Binomial(n, p), in 50 digits: the pmfs from k away
+    from the mean n p, summed until they stop counting; at or above the
+    mean, 1 minus the pmfs from k + 1 up."""
+    if k < 0 or p == 1 and k < n:
+        return mpmath.mpf(0)
+    if k >= n or p == 0:
+        return mpmath.mpf(1)
+    p = mpmath.mpf(p)
+    q = 1 - p
+    below = k < n * p
+    j = k if below else k + 1
+    term = mpmath.exp(
+        mpmath.loggamma(n + 1) - mpmath.loggamma(j + 1) - mpmath.loggamma(n - j + 1)
+        + j * mpmath.log(p) + (n - j) * mpmath.log(q)
+    )
+    total = term
+    while term > total * mpmath.mpf(10) ** -45 and 0 < j < n:
+        if below:
+            term *= j * q / ((n - j + 1) * p)
+            j -= 1
+        else:
+            term *= (n - j) * p / ((j + 1) * q)
+            j += 1
+        total += term
+    return total if below else 1 - total
+
+
+def no_table(*args):
+    raise AssertionError("a table was built")
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 59, 499, 10**6, 10**12])
+@pytest.mark.parametrize("p", [0.0, 1e-5, 0.5, 0.9, 1.0])
+def test_binom_cdfs_match_mpmath(monkeypatch, n, p):
+    """Counts at both ends of the window, just inside it, at the mean and
+    near 5, against 50 digits: within 1e-12 relative, or below the normal
+    range.  (At n = 10^6, p = 1e-5, k = 5, scipy's binom.cdf is 4.6e-11
+    relative off, this 2e-16; the most, 1.1e-13, is near the mean at n =
+    10^12, where the ratio recurrence runs 10^5 steps.)
+    Every pmf just outside the window is 0.0.  At n = 10^12, p = 0.5 and
+    0.9, the window spans 2 * 10^7 counts or more, so only counts outside
+    it are asked, and they build no table."""
+    bottom, top = _binom_edges(n, p)
+    assert type(bottom) is int and type(top) is int
+    assert 0 <= bottom <= n * p <= top <= n
+    if bottom > 0:
+        assert binom_pmf(bottom - 1, n, p) == 0.0
+    if top < n:
+        assert binom_pmf(top + 1, n, p) == 0.0
+    if top - bottom > 10**6:
+        monkeypatch.setattr(kernels, "_binom_table", no_table)
+        assert binom_cdfs(np.array([-1, 0, 5, bottom - 1]), n, p).tolist() == [0.0] * 4
+        assert binom_cdfs(np.array([top + 1, n, n + 5]), n, p).tolist() == [1.0] * 3
+        return
+    counts = sorted({bottom - 1, bottom, bottom + 1, top - 1, top, top + 1,
+                     math.floor(n * p), 5})
+    got = binom_cdfs(np.array(counts), n, p)
+    with mpmath.workdps(50):
+        want = [float(mp_binom_cdf(k, n, p)) for k in counts]
+    for k, g, w in zip(counts, got.tolist(), want):
+        assert g == pytest.approx(w, rel=1e-12, abs=2.0**-1022), (k, g, w)
+
+
+def test_binom_cdfs_past_the_window_build_no_table(monkeypatch):
+    """A Binomial(2^62, 1/2) window would span 10^11 counts; counts below
+    or above it read 0 and 1 without it, at any n."""
+    monkeypatch.setattr(kernels, "_binom_table", no_table)
+    for n in (2**62, 2**63 - 1, 10**30):
+        bottom, top = _binom_edges(n, 0.5)
+        assert bottom > 10**6
+        assert binom_pmf(bottom - 1, n, 0.5) == binom_pmf(top + 1, n, 0.5) == 0.0
+        assert binom_cdfs(np.arange(-5, 10**6), n, 0.5).max() == 0.0
+        assert binom_cdfs(np.array([bottom - 1]), n, 0.5).tolist() == [0.0]
+        assert binom_cdfs(np.array([top + 1, top + 2]), n, 0.5).tolist() == [1.0, 1.0]
+    with pytest.raises(ValueError):
+        binom_cdfs(np.array([1]), 5, 1.5)
+    with pytest.raises(ValueError):
+        binom_cdfs(np.array([1]), -1, 0.5)
 
 
 def test_binomial_mixture_endpoints_are_exact():

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from sim_reference import reference_chunk
 
-from swarmgame import sim
+from swarmgame import kernels, sim
 from swarmgame.fluctuation import expected_exit_index, pathwise_events
+from swarmgame.kernels import binom_pmf
 from swarmgame.model import SwarmParams, majority_threshold
 from swarmgame.sim import (
     REGULAR,
@@ -51,18 +52,20 @@ def test_episode_no_attacker_censors():
 
 
 def test_episode_coupling_rho_zero():
-    # Regular is Safety with no allies; rho moves only the allies.
+    # Regular is Safety with no allies; rho moves only Safety's value.
     p = params(lambda_h=0.5)
     for seed in range(30):
         none = simulate_episode(p, seed=seed)
         some = simulate_episode(p, seed=seed, rho=0.5)
-        assert none.allies == 0
-        assert none.burst_regular == none.burst_safety == some.burst_regular
+        assert none.burst_safety == float(none.burst_regular)
+        assert none.burst_regular == some.burst_regular
         assert (none.nu, none.mu, none.a_exit) == (some.nu, some.mu, some.a_exit)
         assert some.burst_safety <= some.burst_regular
 
 
 def test_episode_exit_counts_bracket_threshold():
+    """Safety's value is the chance that B ~ Binomial(M/2 - 1, rho) allies
+    leave the burst standing: P{B <= a_exit - thr}, as a sum of pmfs."""
     p = params()
     threshold = majority_threshold(p.M)
     for seed in range(50):
@@ -70,7 +73,9 @@ def test_episode_exit_counts_bracket_threshold():
         assert not outcome.censored
         assert outcome.nu >= 1
         assert outcome.a_prior < threshold <= outcome.a_exit
-        assert 0 <= outcome.allies <= p.candidates
+        cover = outcome.a_exit - threshold
+        cdf = math.fsum(binom_pmf(j, p.candidates, 0.3) for j in range(cover + 1))
+        assert outcome.burst_safety == pytest.approx(outcome.burst_regular * cdf, rel=1e-14)
 
 
 def test_episode_overwhelming_attack():
@@ -211,7 +216,7 @@ def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch)
         else:
             computed = len(range(worker, index + 1, threads))
             peaks.append(computed - len(range(worker, len(folded), threads)))
-        return [0] * 5, (size, 0, float(index))
+        return [0] * 6, (size, 0, float(index))
 
     def recorded_pooled(a, b):
         folded.append(int(b[2]))
@@ -246,7 +251,7 @@ def test_a_helpers_exception_is_raised_by_estimate(monkeypatch):
         if index == 5:
             assert threading.get_ident() != caller
             raise error
-        return [0] * 5, (size, 0, 0.0)
+        return [0] * 6, (size, 0, 0.0)
 
     monkeypatch.setattr(sim, "_chunk_sums", failing_sums)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -275,28 +280,21 @@ def test_no_helper_thread_outlives_its_run(monkeypatch):
 STREAM_SEEDS = (0, -1, 2**63, 2**64 - 1)
 
 
-def test_rekeyed_streams_are_new_philox_streams(monkeypatch):
-    """A thread's generators, re-keyed for (seed, chunk), draw what new
-    Philox generators keyed (seed mod 2**64, 2 chunk + s) draw, whatever
-    the thread drew from them before.  Each stream is read as one 32-bit
-    draw, which leaves half a word buffered, then 1000 doubles; the ally
-    stream then makes a rewound ally draw."""
+def test_rekeyed_streams_are_new_philox_streams():
+    """A thread's generator, re-keyed for (seed, chunk), draws what a new
+    Philox generator keyed (seed mod 2**64, 2 chunk) draws, whatever the
+    thread drew from it before.  It is read as one 32-bit draw, which
+    leaves half a word buffered, then 1000 doubles and a binomial."""
 
     def draws(rng):
-        return [rng.integers(2**32, dtype=np.uint32)] + rng.random(1000).tolist()
+        return ([rng.integers(2**32, dtype=np.uint32)] + rng.random(1000).tolist()
+                + rng.binomial(np.arange(100), 0.3).tolist())
 
-    def fresh(seed, key):
-        key = np.array([seed % 2**64, key], dtype=np.uint64)
-        return draws(np.random.Generator(np.random.Philox(key=key)))
-
-    # Every uniform counts as near a cut, so every table draw rewinds.
-    monkeypatch.setattr(sim, "_CUT_ULPS", 2.0**60)
     for seed in STREAM_SEEDS:
         for chunk in (0, 1, 2**40):
-            rng, ally_rng = sim._streams(seed, chunk)
-            assert draws(rng) == fresh(seed, 2 * chunk)
-            assert draws(ally_rng) == fresh(seed, 2 * chunk + 1)
-            sim._binomial(ally_rng, 9, 0.3, 100)
+            key = np.array([seed % 2**64, 2 * chunk], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert draws(sim._streams(seed, chunk)) == draws(fresh)
 
 
 # (M, lambda_a) at which a chunk's exit counts sum past int64.
@@ -382,14 +380,16 @@ def test_safety_allies_lower_burst_rate():
 # agree.
 
 GOLDEN_EPISODES = [
-    # (lambda_h, label, rho, seed, outcome)
-    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(6, None, 6, 13, 6, True, False, False)),
-    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(12, None, 9, 11, 2, True, False, False)),
-    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(16, None, 9, 11, 6, True, False, False)),
-    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, None, 7, 12, 2, True, False, False)),
-    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(6, None, 6, 13, 6, True, False, False)),
-    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(11, 6, 10, 11, 5, False, False, False)),
-    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(6, None, 6, 13, 0, True, True, False)),
+    # (lambda_h, label, rho, seed, outcome).  Safety's value at M = 20,
+    # rho = 1/2 is P{B <= a_exit - 11}, B ~ Binomial(9, 1/2): 46/512 at
+    # a_exit = 13, 10/512 at 12, 1/512 at 11.
+    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(6, None, 6, 13, True, 46 / 512, False)),
+    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(12, None, 9, 11, True, 1 / 512, False)),
+    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(16, None, 9, 11, True, 1 / 512, False)),
+    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, None, 7, 12, True, 10 / 512, False)),
+    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(6, None, 6, 13, True, 46 / 512, False)),
+    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(11, 6, 10, 11, False, 0.0, False)),
+    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(6, None, 6, 13, True, 1.0, False)),
 ]
 
 REGULAR_STATS = SimStats(
@@ -414,8 +414,8 @@ GOLDEN_STATS = [
             episodes=10000,
             burst_regular=0.9226,
             burst_regular_se=0.002672250736738602,
-            burst_safety=0.07,
-            burst_safety_se=0.002551470164434615,
+            burst_safety=0.0685015625,
+            burst_safety_se=0.0016755260154186586,
             prior_safe_rate=0.495,
             prior_safe_se=0.004999749993749687,
             mean_nu=12.0082,
@@ -442,7 +442,7 @@ def test_golden_episode(lambda_h, label, rho, seed, outcome):
 def test_golden_censored_episode():
     p = params(lambda_a=0.0, lambda_h=2.0)
     got = simulate_episode(p, seed=5)
-    assert got == EpisodeOutcome(None, 7, 0, 0, 0, False, False, True)
+    assert got == EpisodeOutcome(None, 7, 0, 0, False, 0.0, True)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -452,15 +452,14 @@ def test_golden_estimate(label, rho, stats, workers):
     assert estimate(p, episodes=10_000, seed=11, rho=rho, workers=workers) == stats
 
 
-# One row per branch of the ally draw, at an attack rate whose overshoot
-# is about as large as the ally count, so the Safety burst turns on the
-# count drawn for each episode: n = 59 at rho = 0.5 (inversion), n = 59
-# at rho = 0.9 (n less an inversion at 1 - rho), n = 499 (BTPE).
+# At an attack rate whose overshoot is about as large as the ally count,
+# so each episode's Safety value is far from 0 and 1: n = 59 allies at
+# rho = 0.5 and 0.9, and n = 499.
 GOLDEN_ALLY_STATS = [
     # (M, lambda_a, rho, burst_safety, burst_safety_se)
-    (120, 30.0, 0.5, 0.3795, 0.004852625577973228),
-    (120, 30.0, 0.9, 0.1772, 0.003818378713537985),
-    (1000, 250.0, 0.5, 0.3687, 0.004824523914336004),
+    (120, 30.0, 0.5, 0.3809396965698581, 0.004588153177105494),
+    (120, 30.0, 0.9, 0.17704423139765546, 0.0037133349372944218),
+    (1000, 250.0, 0.5, 0.3701582651379727, 0.004736980117858166),
 ]
 GOLDEN_ALLY_COMMON = {
     120: dict(
@@ -559,137 +558,59 @@ def test_estimate_matches_pathwise_events(overrides, rho):
     )
 
 
-ALLY_RHOS = (0.0, 1e-7, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
+def long_shape(**overrides):
+    """The benchmark's long simulate shape: M = 120, lambda_h = 0."""
+    return params(M=120, **overrides)
 
 
-def assert_allies_are_numpys(n, rho, seed):
-    fast = np.random.Generator(np.random.Philox(seed))
-    slow = np.random.Generator(np.random.Philox(seed))
-    got = sim._binomial(fast, n, rho, sim.CHUNK)
-    expected = slow.binomial(n, rho, size=sim.CHUNK)
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got, expected), (n, rho, seed)
+def test_safety_sees_a_rare_event_the_indicator_cannot():
+    """At the long shape, rho = 1/2, Safety is 4.25e-8, far below 1 / E, so
+    the indicator of drawn allies reads 0 +- 0.  Every episode's Safety
+    value is at least P{B = 0} = 2^-59, so the estimate and its SE are
+    positive at any seed.  The value is carried by overshoots near 19, of
+    probability about 2^-20 each, which 65 536 episodes seldom draw: the
+    estimate is mostly low, within 3 SE for 33 of 100 seeds, and is not
+    checked against the exact value here.
+
+    At lambda_a = 0.1, rho = 1/4 the effective sample, E[w]^2 / E[w^2]
+    episodes, is about 120 of the 65 536, and Safety (2.5e-7) is within 3
+    SE of ``pathwise_events``."""
+    episodes = 65_536
+    p = long_shape()
+    stats = estimate(p, episodes, seed=2026, rho=0.5)
+    assert pathwise_events(p, 0.5).burst_safety < 1 / episodes
+    assert stats.burst_regular == 1.0 and stats.censored_count == 0
+    assert stats.burst_safety >= 2.0**-59 and stats.burst_safety_se > 0.0
+    p = long_shape(lambda_a=0.1)
+    exact = pathwise_events(p, 0.25).burst_safety
+    stats = estimate(p, episodes, seed=2026, rho=0.25)
+    assert exact < 1 / episodes
+    assert stats.burst_safety_se > 0.0
+    assert abs(stats.burst_safety - exact) <= 3 * stats.burst_safety_se
 
 
-# n = 60 at rho = 0.5 is the last inversion case, n p = 30; 61 is BTPE.
-@pytest.mark.parametrize("n", [0, 1, 2, 9, 30, 59, 60, 61, 100, 499, 10**3, 10**6])
-def test_ally_draw_is_numpys_binomial(n):
-    for rho in ALLY_RHOS:
-        for seed in range(3):
-            assert_allies_are_numpys(n, rho, seed)
+def test_safety_se_is_below_the_indicators():
+    """At the short shape the conditional estimator's SE is below the
+    indicator's sqrt(s (1 - s) / E), with s the estimate: 4.5e-4 against
+    6.9e-4, 2.3 times less variance."""
+    episodes = 131_072
+    stats = estimate(params(lambda_h=0.5), episodes, seed=2026, rho=0.5)
+    s = stats.burst_safety
+    assert 0.0 < stats.burst_safety_se < 0.7 * math.sqrt(s * (1.0 - s) / episodes)
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 59, 60])
-@pytest.mark.parametrize("rho", [1e-7, 1e-3, 0.3, 0.5, 0.999])
-def test_guide_count_matches_the_search_at_its_boundaries(n, rho):
-    """numpy's uniforms are multiples of 2**-53, the top 53 bits of a 64-bit
-    word: the multiples at or just below each bucket start and each edge,
-    and one step on either side of them, in the count's own table and in its
-    row of the thinning's table."""
-    p = min(rho, 1.0 - rho)
-    edges = sim._edges(n, p, sim._CUT_ULPS)
-    tables = [(sim._binomial_table(rho, range(n, n + 1), sim._GUIDE, sim._CUT_ULPS), 0)]
-    if n < sim._ROWS:
-        thinning = sim._binomial_table(rho, range(sim._ROWS), sim._ROW_GUIDE, sim._CUT_ULPS)
-        tables.append((thinning, n))
-    for table, row in tables:
-        buckets = table[0].shape[1]
-        points = np.floor(np.concatenate((np.arange(buckets) / buckets, edges)) * 2.0**53)
-        grid = np.concatenate((points - 1, points, points + 1))
-        grid = grid[(grid >= 0) & (grid < 2.0**53)].astype(np.int64)
-        count = edges.searchsorted(grid / 2.0**53)
-        draw = count >> 1 if rho <= 0.5 else n - (count >> 1)
-        key = grid + (row << 53)
-        x, near = sim._invert(table, key)
-        assert np.array_equal(x, draw)
-        assert near == (count & 1).any()
-        even = count % 2 == 0
-        x, near = sim._invert(table, key[even])
-        assert np.array_equal(x, draw[even]) and not near
-        for one in key[~even].reshape(-1, 1):
-            assert sim._invert(table, one)[1]
+def test_counts_below_the_ally_window_build_no_table(monkeypatch):
+    """At M = 2^63 - 2 the allies' cdf at rho = 1/2 would table about 10^11
+    counts around 2^61; the exit counts lie far below them."""
 
+    def no_table(*args):
+        raise AssertionError("a table was built")
 
-def test_ally_draw_near_a_cut_is_numpys_binomial(monkeypatch):
-    # Every uniform counts as near a cut, so every draw rewinds to numpy's.
-    monkeypatch.setattr(sim, "_CUT_ULPS", 2.0**60)
-    for n in (1, 9, 59, 60, 10**6):
-        for rho in ALLY_RHOS:
-            assert_allies_are_numpys(n, rho, seed=4)
-
-
-THINNING_SHARES = (0.001, 1 / 3, 2 / 3, 0.999)
-
-
-def thinning_lookups(monkeypatch) -> list:
-    """Record every table lookup ``_binomial`` makes: (draws, near a cut)."""
-    seen = []
-    real = sim._invert
-
-    def recorded(table, key):
-        seen.append(real(table, key))
-        return seen[-1]
-
-    monkeypatch.setattr(sim, "_invert", recorded)
-    return seen
-
-
-def assert_thinning_is_numpys(seed, chunk, counts, share):
-    """The thinning of ``counts`` on chunk's process stream is numpy's
-    binomial on a new Philox generator keyed as that stream, and so are the
-    stream's next 1000 doubles."""
-    key = np.array([seed % 2**64, 2 * chunk], dtype=np.uint64)
-    expected = np.random.Generator(np.random.Philox(key=key))
-    rng, _ = sim._streams(seed, chunk)
-    got = sim._binomial(rng, counts, share)
-    want = expected.binomial(counts, share)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want), (seed, chunk, share)
-    assert rng.random(1000).tolist() == expected.random(1000).tolist()
-
-
-def test_thinning_draw_is_numpys_binomial(monkeypatch):
-    """Epoch-1 counts (geometric, mean 3, zeros among them, and one in the
-    table's last row), each drawn by the thinning's table with no rewind."""
-    seen = thinning_lookups(monkeypatch)
-    counts = sim._geometric(np.random.Generator(np.random.Philox(9)), 3.0, sim.CHUNK)
-    counts[7] = sim._ROWS - 1
-    assert counts.min() == 0 and counts.max() == sim._ROWS - 1
-    for seed in STREAM_SEEDS:
-        for chunk in (0, 1, 2**40):
-            for share in THINNING_SHARES:
-                seen.clear()
-                assert_thinning_is_numpys(seed, chunk, counts, share)
-                assert len(seen) == 1 and not seen[0][1]
-
-
-def test_thinning_of_zero_counts_draws_nothing():
-    """All zero, and a zero among counts the table draws: no uniform each."""
-    for share in THINNING_SHARES:
-        assert_thinning_is_numpys(3, 5, np.zeros(100, dtype=np.int64), share)
-        assert_thinning_is_numpys(3, 5, np.array([0, 2, 0, 0, 1, 0]), share)
-
-
-def test_thinning_past_the_table_is_numpys(monkeypatch):
-    """One count past the table: numpy draws the whole chunk."""
-    seen = thinning_lookups(monkeypatch)
-    counts = sim._geometric(np.random.Generator(np.random.Philox(9)), 3.0, sim.CHUNK)
-    counts[100] = sim._ROWS
-    for share in THINNING_SHARES:
-        assert_thinning_is_numpys(-1, 2**40, counts, share)
-    assert seen == []
-
-
-def test_thinning_draw_near_a_cut_is_numpys_binomial(monkeypatch):
-    """Every uniform counts as near a cut, so every draw rewinds to numpy's."""
-    monkeypatch.setattr(sim, "_CUT_ULPS", 2.0**60)
-    seen = thinning_lookups(monkeypatch)
-    counts = sim._geometric(np.random.Generator(np.random.Philox(9)), 3.0, sim.CHUNK)
-    for seed in STREAM_SEEDS:
-        for share in THINNING_SHARES:
-            seen.clear()
-            assert_thinning_is_numpys(seed, 1, counts, share)
-            assert len(seen) == 1 and seen[0][1]
+    monkeypatch.setattr(kernels, "_binom_table", no_table)
+    for M, lambda_a in PAST_INT64:
+        stats = estimate(params(M=M, lambda_a=lambda_a), 5000, seed=1, rho=0.5, workers=2)
+        assert stats.burst_regular == 1.0
+        assert stats.burst_safety == stats.burst_safety_se == 0.0
 
 
 def test_seeds_past_int64_are_distinct_streams():
@@ -754,7 +675,7 @@ def _outcomes(chunk, p, seed, episodes, rho=0.5):
 
 
 def _statistics(outcomes):
-    nu, mu, a_prior, a_exit, _, regular, safety, censored = outcomes
+    nu, mu, a_prior, a_exit, regular, safety, censored = outcomes
     return {
         "nu": nu,
         "mu": mu,
@@ -849,21 +770,23 @@ def test_tiny_rates_censor_without_warnings(overrides):
 
 def sums_of_chunk(params, rho, seed, index, size):
     """``sim._chunk_sums`` taken from ``_chunk``'s arrays, mu's split
-    included, the bursts read off mu: the reference its direct reduction of
-    the draws must equal."""
-    nu, mu, a_prior, a_exit, allies, _, _, censored = sim._chunk(
+    included, Regular read off mu: the reference its direct reduction of
+    the draws must equal.  Safety's values are 0 off Regular."""
+    nu, mu, a_prior, a_exit, _, safety, censored = sim._chunk(
         params, rho, seed, index, size
     )
     # mu never exceeds nu once set, so nu < mu reduces to mu unset.
     regular = ~censored & (mu == 0)
-    safety = regular & (a_exit - allies >= majority_threshold(params.M))
+    assert (safety[~regular] == 0.0).all()
     done = ~censored
     count, total = int(done.sum()), int(nu[done].sum())
     exits = a_exit[done]
     exit_sum = (int((exits >> 32).sum()) << 32) + int((exits & 0xFFFFFFFF).sum())
     deviation = nu[done] - (total / count if count else 0.0)
-    sums = [int(c.sum()) for c in (regular, safety, a_prior < params.M / 2, censored)]
-    return sums + [exit_sum], (count, total, float((deviation**2).sum()))
+    weights = [float(safety.sum()), float((safety**2).sum())]
+    counts = [int(c.sum()) for c in (a_prior < params.M / 2, censored)]
+    return [int(regular.sum())] + weights + counts + [exit_sum], (
+        count, total, float((deviation**2).sum()))
 
 
 def same_stats(a: SimStats, b: SimStats) -> bool:
@@ -903,7 +826,7 @@ def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
 
 LEAN_WORKERS = """\
 import json, os, sys
-from swarmgame import sim
+from swarmgame import kernels, sim
 from swarmgame.model import SwarmParams
 os.sched_getaffinity = lambda pid: {0, 1}
 p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, delta0=1.0, delta=1.0)
