@@ -440,9 +440,10 @@ def estimate(
     outcome is identical for any worker count; ``_pooled`` pools nu's
     squared deviations.  Safety's standard error, sqrt(s (sum w^2 / sum w -
     s) / E) for values w of mean s over E episodes, is the rates' binomial
-    one bit for bit where every w is 0 or 1.  No more threads run than there are chunks or CPUs
-    this process may run on: one is the caller's own, which also computes
-    its share of the chunks when more run (``_in_order``).
+    one bit for bit where every w is 0 or 1.  No more threads run than
+    there are chunks or CPUs this process may run on: one is the caller's
+    own, which also computes its share of the chunks when more run
+    (``_in_order``).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
