@@ -454,13 +454,22 @@ def test_golden_estimate(label, rho, stats, workers):
 
 # At an attack rate whose overshoot is about as large as the ally count,
 # so each episode's Safety value is far from 0 and 1: n = 59 allies at
-# rho = 0.5 and 0.9, and n = 499.
+# rho = 0.5 and 0.9, and n = 499.  Each row carries the Safety rate and SE
+# that an estimator drawing the allies read on the same seed's paths; the
+# conditional estimate averages those draws out, so it lies within that SE
+# of the drawn rate, with an SE no larger.
 GOLDEN_ALLY_STATS = [
-    # (M, lambda_a, rho, burst_safety, burst_safety_se)
-    (120, 30.0, 0.5, 0.3809396965698581, 0.004588153177105494),
-    (120, 30.0, 0.9, 0.17704423139765546, 0.0037133349372944218),
-    (1000, 250.0, 0.5, 0.3701582651379727, 0.004736980117858166),
+    # (M, lambda_a, rho, drawn_safety, drawn_safety_se)
+    (120, 30.0, 0.5, 0.3795, 0.004852625577973228),
+    (120, 30.0, 0.9, 0.1772, 0.003818378713537985),
+    (1000, 250.0, 0.5, 0.3687, 0.004824523914336004),
 ]
+GOLDEN_ALLY_SAFETY = {
+    # (M, rho): (burst_safety, burst_safety_se)
+    (120, 0.5): (0.3809396965698581, 0.004588153177105494),
+    (120, 0.9): (0.17704423139765546, 0.0037133349372944218),
+    (1000, 0.5): (0.3701582651379727, 0.004736980117858166),
+}
 GOLDEN_ALLY_COMMON = {
     120: dict(
         prior_safe_rate=0.967,
@@ -480,9 +489,11 @@ GOLDEN_ALLY_COMMON = {
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("M, lambda_a, rho, burst, burst_se", GOLDEN_ALLY_STATS)
-def test_golden_estimate_ally_draws(M, lambda_a, rho, burst, burst_se, workers):
+@pytest.mark.parametrize("M, lambda_a, rho, drawn, drawn_se", GOLDEN_ALLY_STATS)
+def test_golden_estimate_ally_draws(M, lambda_a, rho, drawn, drawn_se, workers):
     p = params(M=M, lambda_a=lambda_a, lambda_h=0.5)
+    burst, burst_se = GOLDEN_ALLY_SAFETY[(M, rho)]
+    assert abs(burst - drawn) <= drawn_se and burst_se <= drawn_se
     stats = SimStats(
         episodes=10000,
         burst_regular=1.0,
