@@ -25,7 +25,8 @@ holds both sums over a closed-form support, outside which every pmf is
 past the support need none.
 
 A binomial cdf (``binom_cdfs``) is tabled the same way, over a window
-of counts outside which every pmf is 0.0, from Loader's pmf at the mode.
+of counts outside which every pmf is 0.0, from Loader's pmf at the mode,
+and only where a count lies inside it.
 
 A binomial mixture's weights fall away from their mode by the ratio
 recurrence too, from a mode weight of 2^600, and are divided by their
@@ -45,12 +46,16 @@ __all__ = [
     "pois_tails",
     "binom_pmf",
     "binom_cdfs",
+    "check_binom_cdfs",
     "binomial_mixture",
 ]
 
 # Binomial weights a mixture evaluates at once: 8 MB of float64 per
 # array of a block, so its memory stays bounded at any n.
 _BLOCK_ELEMENTS = 1 << 20
+
+# Most counts ``binom_cdfs`` tables, about 64 bytes each while it builds.
+MAX_BINOM_TABLE = 1 << 20
 
 # The ratio recurrences run on pmfs times 2^600, so none they table falls
 # to a subnormal, where a step by a ratio above 1/2 would round back to
@@ -335,21 +340,32 @@ def _binom_table(n: int, p: float) -> tuple[int, np.ndarray]:
     return bottom, below
 
 
+def check_binom_cdfs(n: int, p: float, largest: int) -> None:
+    """Raise the ValueError ``binom_cdfs`` raises for Binomial(n, p) when
+    asked a count no larger than ``largest`` inside its window, which is
+    refused past ``MAX_BINOM_TABLE`` counts."""
+    bottom, top = _binom_edges(n, p)
+    if largest >= bottom and top - bottom >= MAX_BINOM_TABLE:
+        raise ValueError(f"the cdf of Binomial({n}, {p}) spans {top + 1 - bottom} "
+                         f"counts, more than the {MAX_BINOM_TABLE} it may table")
+
+
 def binom_cdfs(k: np.ndarray, n: int, p: float) -> np.ndarray:
     """P{B <= k} for B ~ Binomial(n, p) at each count of an integer array.
 
-    Counts below ``_binom_edges`` read 0 and counts above it 1, with no
-    table (``_binom_table``) built unless a count lies inside: at n = 2^62,
-    p = 1/2 it would span 10^11 counts.
+    Each count below ``_binom_edges`` reads 0 and each above it 1; only
+    where a count lies inside is the window tabled (``_binom_table``, whose
+    ends read exactly 0 and 1), and one of more than ``MAX_BINOM_TABLE``
+    counts is refused (``check_binom_cdfs``): at n = 2^62, p = 1/2 it would
+    span 10^11.
     """
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ValueError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
     k = np.asarray(k)
     bottom, top = _binom_edges(n, p)
-    if k.size == 0 or k.max() < bottom:
-        return np.zeros(k.shape)
-    if k.min() > top:
-        return np.ones(k.shape)
+    if not ((k >= bottom) & (k <= top)).any():
+        return (k > top).astype(float)
+    check_binom_cdfs(n, p, int(k.max()))
     bottom, below = _binom_table(n, float(p))
     return below.take(k + 1 - bottom, mode="clip")
 

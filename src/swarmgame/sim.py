@@ -19,7 +19,8 @@ No ally is drawn either: the allies are independent of the path, so each
 episode's Safety value is the burst's probability given its path, whose
 mean is Safety's probability and whose variance is never larger than the
 indicator's (conditional Monte Carlo: Asmussen and Glynn, "Stochastic
-Simulation", 2007, V.4).
+Simulation", 2007, V.4).  A run whose exit counts can reach an allies'
+cdf too wide to table (``kernels.binom_cdfs``) is refused before any chunk.
 
 One kernel, ``_chunk``, draws a chunk of episodes from its own
 counter-based random stream keyed on (seed, chunk index), both
@@ -42,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import binom_cdfs
+from .kernels import binom_cdfs, check_binom_cdfs
 from .model import SwarmParams, majority_threshold
 
 __all__ = [
@@ -92,6 +93,14 @@ def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
             f"the majority threshold M // 2 + 1 must be at most {MAX_THRESHOLD} "
             f"for the simulator, got {threshold}"
         )
+    # a_exit - thr is at most the overshoot, or epoch 1's total less thr.
+    largest = max(_geometric_bound((params.lambda_a + params.lambda_h) * params.delta0)
+                  - threshold, _geometric_bound(params.lambda_a * params.delta))
+    try:
+        check_binom_cdfs(params.candidates, rho, largest)
+    except ValueError as exc:
+        raise ValueError(f"the exit counts can reach Safety's allies: {exc}; "
+                         "lower M, rho or lambda_a") from None
     return -(-episodes // CHUNK)
 
 
@@ -123,7 +132,9 @@ class SimStats:
     Rates are over all episodes (censored episodes count as no burst);
     mean_nu and mean_a_exit are over non-censored episodes only.  Safety
     is the mean of the episodes' burst probabilities given their paths
-    (``EpisodeOutcome.burst_safety``), with their standard error.
+    (``EpisodeOutcome.burst_safety``), with their standard error and
+    effective sample size (sum w)^2 / sum w^2 (Kish; the burst count where
+    every w is 0 or 1): where it is small, the SE may understate the error.
     """
 
     episodes: int
@@ -137,6 +148,7 @@ class SimStats:
     mean_nu_se: float
     mean_a_exit: float
     censored_count: int
+    burst_safety_ess: float
 
 
 # Each thread's generator, re-keyed for every chunk.
@@ -173,6 +185,13 @@ def _geometric(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
     """
     scale = math.log1p(1.0 / mean) if mean > 0 else math.inf
     return (rng.standard_exponential(size) / scale).astype(np.int64)
+
+
+def _geometric_bound(mean: float) -> int:
+    """A bound on every count ``_geometric`` draws at the mean: numpy's
+    standard_exponential is below 44.5, its ziggurat's tail r - log1p(-U)
+    with r < 7.7 at U = 1 - 2^-53."""
+    return int(45.0 / math.log1p(1.0 / mean)) if mean > 0 else 0
 
 
 def _arrival(rng: np.random.Generator, count: np.ndarray, rate: float) -> np.ndarray:
@@ -485,4 +504,5 @@ def estimate(
         mean_nu_se=mean_nu_se,
         mean_a_exit=mean_a_exit,
         censored_count=censored,
+        burst_safety_ess=weight * weight / weight_sq if weight else 0.0,
     )

@@ -103,6 +103,41 @@ def test_closed_form_notes_go_to_stderr(tmp_path, capsys, command):
         assert cli(base + f"expected_nu = {nu}\n")[2] == ""
 
 
+def test_simulate_notes_a_small_effective_sample(tmp_path, capsys):
+    """At the benchmark's long shape (M = 120, lambda_h = 0, rho = 1/2)
+    Safety's rate rests on about 3 effective episodes of 65 536, and a note
+    on stderr says so; stdout is that of the estimate itself.  The short
+    shape (M = 20, lambda_h = 0.5), about 9300 effective episodes, prints
+    none."""
+    base = "drone_value = 1500\nlambda_a = 1\ndelta0 = 1\ndelta = 1\nseed = 2026\n"
+
+    def cli(text):
+        cfg = tmp_path / "shape.cfg"
+        cfg.write_text(base + text)
+        assert run(["simulate", "--config", cfg, "--rho", "0.5", "--episodes", 65536]) == 0
+        return capsys.readouterr()
+
+    long = cli("M = 120\nlambda_h = 0\n")
+    assert long.err == (
+        "note: Safety's burst_rate rests on an effective sample of 2.93 episodes, "
+        "fewer than 100; its se may understate its error\n"
+    )
+    stats = estimate(SwarmParams(M=120, drone_value=1500.0, lambda_a=1.0, delta0=1.0,
+                                 delta=1.0), 65536, seed=2026, rho=0.5)
+    assert f"burst_rate      = {stats.burst_safety:.12g} (se " in long.out
+    assert cli("M = 20\nlambda_h = 0.5\n").err == ""
+
+
+def test_simulate_refuses_an_ally_table_past_the_bound(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("M = 10000000000000\ndrone_value = 1\nlambda_a = 2.5e12\n"
+                   "delta0 = 1\ndelta = 1\n")
+    assert run(["simulate", "--config", cfg, "--rho", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than the 1048576" in captured.err and "lower M, rho or lambda_a" in captured.err
+
+
 def _seeded_configs():
     # At M = 447, rho = 0.86 the scalar total_cost prints a q1 whose 12th
     # digit differs from the sweep row's.

@@ -10,12 +10,14 @@ import pytest
 import swarmgame
 from swarmgame import kernels
 from swarmgame.kernels import (
+    MAX_BINOM_TABLE,
     _binom_edges,
     _pmf,
     _support_edges,
     binom_cdfs,
     binom_pmf,
     binomial_mixture,
+    check_binom_cdfs,
     pois_cdf,
     pois_pmf,
     pois_tail,
@@ -406,6 +408,44 @@ def test_binom_cdfs_past_the_window_build_no_table(monkeypatch):
         binom_cdfs(np.array([1]), 5, 1.5)
     with pytest.raises(ValueError):
         binom_cdfs(np.array([1]), -1, 0.5)
+
+
+@pytest.mark.parametrize("n, p", [(2**62, 0.5), (5 * 10**12 - 1, 0.5), (5 * 10**15 - 1, 0.2)])
+def test_binom_cdfs_straddling_the_window_build_no_table(monkeypatch, n, p):
+    """Counts on both sides of a wide window, none inside it, as the
+    simulator asks them (negative counts off Regular, overshoots past n p),
+    read 0 and 1 each in one call, with no table."""
+    monkeypatch.setattr(kernels, "_binom_table", no_table)
+    bottom, top = _binom_edges(n, p)
+    k = np.array([[-3, 0, bottom - 1], [top + 1, n, 2**62]])
+    assert binom_cdfs(k, n, p).tolist() == [[0.0] * 3, [1.0] * 3]
+
+
+@pytest.mark.parametrize("n, p", [(9, 0.5), (59, 0.9), (59, 1.0), (10**6, 0.3)])
+def test_binom_cdfs_read_exactly_0_and_1_past_a_tabled_window(n, p):
+    """Where a count lies inside, the table also reads the counts past its
+    ends: exactly 0 below and 1 above, as in a call without it."""
+    bottom, top = _binom_edges(n, p)
+    k = np.array([-2, bottom - 1, (bottom + top) // 2, top + 1, n + 3])
+    got = binom_cdfs(k, n, p)
+    assert got[[0, 1]].tolist() == [0.0, 0.0] and got[[3, 4]].tolist() == [1.0, 1.0]
+    assert 0.0 < got[2] < 1.0 or p == 1.0
+
+
+def test_binom_cdfs_refuse_a_window_past_the_bound(monkeypatch):
+    """A count inside a window of more than MAX_BINOM_TABLE counts is
+    refused before any table is built; ``check_binom_cdfs`` says whether
+    counts up to a bound would be."""
+    monkeypatch.setattr(kernels, "_binom_table", no_table)
+    n = 5 * 10**12 - 1
+    bottom, top = _binom_edges(n, 0.5)
+    assert top + 1 - bottom > MAX_BINOM_TABLE
+    check_binom_cdfs(n, 0.5, bottom - 1)
+    check_binom_cdfs(10**6, 0.5, 10**6)  # a window of 39 236 counts
+    with pytest.raises(ValueError, match=f"more than the {MAX_BINOM_TABLE} it may table"):
+        check_binom_cdfs(n, 0.5, bottom)
+    with pytest.raises(ValueError, match=f"more than the {MAX_BINOM_TABLE} it may table"):
+        binom_cdfs(np.array([-1, bottom, top + 1]), n, 0.5)
 
 
 def test_binomial_mixture_endpoints_are_exact():

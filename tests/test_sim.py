@@ -404,6 +404,7 @@ REGULAR_STATS = SimStats(
     mean_nu_se=0.04780976130457043,
     mean_a_exit=12.0195,
     censored_count=0,
+    burst_safety_ess=9226.0,
 )
 GOLDEN_STATS = [
     (REGULAR, 0.0, REGULAR_STATS),
@@ -422,6 +423,7 @@ GOLDEN_STATS = [
             mean_nu_se=0.04780976130457043,
             mean_a_exit=12.0195,
             censored_count=0,
+            burst_safety_ess=1432.0990081493694,
         ),
     ),
 ]
@@ -454,22 +456,24 @@ def test_golden_estimate(label, rho, stats, workers):
 
 # At an attack rate whose overshoot is about as large as the ally count,
 # so each episode's Safety value is far from 0 and 1: n = 59 allies at
-# rho = 0.5 and 0.9, and n = 499.  Each row carries the Safety rate and SE
-# that an estimator drawing the allies read on the same seed's paths; the
-# conditional estimate averages those draws out, so it lies within that SE
-# of the drawn rate, with an SE no larger.
+# rho = 0.5 and 0.9, and n = 499.  Each id ends with the Safety rate and
+# SE that an estimator drawing the allies read on the same seed's paths;
+# the conditional pins lie within those SEs, with smaller SEs.
 GOLDEN_ALLY_STATS = [
-    # (M, lambda_a, rho, drawn_safety, drawn_safety_se)
-    (120, 30.0, 0.5, 0.3795, 0.004852625577973228),
-    (120, 30.0, 0.9, 0.1772, 0.003818378713537985),
-    (1000, 250.0, 0.5, 0.3687, 0.004824523914336004),
+    # (M, lambda_a, rho, burst_safety, burst_safety_se, burst_safety_ess)
+    pytest.param(
+        120, 30.0, 0.5, 0.3809396965698581, 0.004588153177105494, 4080.5460998876147,
+        id="120-30.0-0.5-0.3795-0.004852625577973228",
+    ),
+    pytest.param(
+        120, 30.0, 0.9, 0.17704423139765546, 0.0037133349372944218, 1852.1575867133283,
+        id="120-30.0-0.9-0.1772-0.003818378713537985",
+    ),
+    pytest.param(
+        1000, 250.0, 0.5, 0.3701582651379727, 0.004736980117858166, 3791.214921360608,
+        id="1000-250.0-0.5-0.3687-0.004824523914336004",
+    ),
 ]
-GOLDEN_ALLY_SAFETY = {
-    # (M, rho): (burst_safety, burst_safety_se)
-    (120, 0.5): (0.3809396965698581, 0.004588153177105494),
-    (120, 0.9): (0.17704423139765546, 0.0037133349372944218),
-    (1000, 0.5): (0.3701582651379727, 0.004736980117858166),
-}
 GOLDEN_ALLY_COMMON = {
     120: dict(
         prior_safe_rate=0.967,
@@ -489,11 +493,9 @@ GOLDEN_ALLY_COMMON = {
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("M, lambda_a, rho, drawn, drawn_se", GOLDEN_ALLY_STATS)
-def test_golden_estimate_ally_draws(M, lambda_a, rho, drawn, drawn_se, workers):
+@pytest.mark.parametrize("M, lambda_a, rho, burst, burst_se, ess", GOLDEN_ALLY_STATS)
+def test_golden_estimate_ally_draws(M, lambda_a, rho, burst, burst_se, ess, workers):
     p = params(M=M, lambda_a=lambda_a, lambda_h=0.5)
-    burst, burst_se = GOLDEN_ALLY_SAFETY[(M, rho)]
-    assert abs(burst - drawn) <= drawn_se and burst_se <= drawn_se
     stats = SimStats(
         episodes=10000,
         burst_regular=1.0,
@@ -501,6 +503,7 @@ def test_golden_estimate_ally_draws(M, lambda_a, rho, drawn, drawn_se, workers):
         burst_safety=burst,
         burst_safety_se=burst_se,
         censored_count=0,
+        burst_safety_ess=ess,
         **GOLDEN_ALLY_COMMON[M],
     )
     assert estimate(p, episodes=10_000, seed=11, rho=rho, workers=workers) == stats
@@ -581,7 +584,9 @@ def test_safety_sees_a_rare_event_the_indicator_cannot():
     positive at any seed.  The value is carried by overshoots near 19, of
     probability about 2^-20 each, which 65 536 episodes seldom draw: the
     estimate is mostly low, within 3 SE for 33 of 100 seeds, and is not
-    checked against the exact value here.
+    checked against the exact value here.  Its effective sample, (sum
+    w)^2 / sum w^2, is below 100 episodes (about 3 here; at most 14 over
+    seeds 0-99), which ``simulate`` notes.
 
     At lambda_a = 0.1, rho = 1/4 the effective sample, E[w]^2 / E[w^2]
     episodes, is about 120 of the 65 536, and Safety (2.5e-7) is within 3
@@ -592,6 +597,7 @@ def test_safety_sees_a_rare_event_the_indicator_cannot():
     assert pathwise_events(p, 0.5).burst_safety < 1 / episodes
     assert stats.burst_regular == 1.0 and stats.censored_count == 0
     assert stats.burst_safety >= 2.0**-59 and stats.burst_safety_se > 0.0
+    assert 1.0 < stats.burst_safety_ess < 100
     p = long_shape(lambda_a=0.1)
     exact = pathwise_events(p, 0.25).burst_safety
     stats = estimate(p, episodes, seed=2026, rho=0.25)
@@ -622,6 +628,38 @@ def test_counts_below_the_ally_window_build_no_table(monkeypatch):
         stats = estimate(params(M=M, lambda_a=lambda_a), 5000, seed=1, rho=0.5, workers=2)
         assert stats.burst_regular == 1.0
         assert stats.burst_safety == stats.burst_safety_se == 0.0
+
+
+def test_safety_with_overshoots_near_a_large_ally_count():
+    """At M = 2 * 10^8, lambda_a = 5 * 10^7, the overshoots are about as
+    large as the n rho = 5 * 10^7 allies, so most Safety values come from
+    inside the allies' window, 387 000 counts long, and Safety is within 3
+    SE of ``pathwise_events`` (about 1/e)."""
+    p = params(M=2 * 10**8, lambda_a=5e7)
+    stats = estimate(p, 20_000, seed=1, rho=0.5)
+    assert 0.0 < stats.burst_safety < 1.0 and stats.burst_safety_ess > 5000
+    exact = pathwise_events(p, 0.5).burst_safety
+    assert abs(stats.burst_safety - exact) <= 3 * stats.burst_safety_se
+
+
+@pytest.mark.parametrize("M, lambda_a, rho", [(10**13, 2.5e12, 0.5), (10**16, 1e15, 0.2)])
+def test_an_ally_window_the_exit_counts_can_reach_past_the_bound_is_refused(
+    monkeypatch, M, lambda_a, rho
+):
+    """Overshoots of mean lambda_a reach the allies' window, which spans
+    about 8.7 * 10^7 and 2.2 * 10^9 counts here: the run is refused before
+    any chunk, with no table built.  At lambda_a = 10^10, M = 10^13, no
+    draw can reach it (``sim._geometric_bound``), and the run needs none."""
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(kernels, "_binom_table", no_table)
+    with pytest.raises(ValueError, match="more than the 1048576 it may table"):
+        estimate(params(M=M, lambda_a=lambda_a), 10, seed=1, rho=rho)
+    stats = estimate(params(M=10**13, lambda_a=1e10), 5000, seed=1, rho=0.5)
+    assert stats.burst_regular == 1.0
+    assert stats.burst_safety == stats.burst_safety_ess == 0.0
 
 
 def test_seeds_past_int64_are_distinct_streams():
