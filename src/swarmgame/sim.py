@@ -11,9 +11,9 @@ Poisson processes, so each outcome is drawn from a few laws of their
 arrival times (gamma) and of the counts around them (Poisson, or
 binomial, as a Poisson process's points given their count on an
 interval are uniform there).  A chunk costs at most ten numpy draws
-whatever the exit index; ``_chunk`` states the laws.  Only a crossing at
-or past ``MAX_EXIT_TIME``, which keeps every count inside int64, censors
-an episode.
+whatever the exit index, seven on ``estimate``'s path; ``_chunk`` states
+the laws.  Only a crossing at or past ``MAX_EXIT_TIME``, which keeps
+every count inside int64, censors an episode.
 
 No ally is drawn either: the allies are independent of the path, so each
 episode's Safety value is the burst's probability given its path, whose
@@ -21,14 +21,18 @@ mean is Safety's probability and whose variance is never larger than the
 indicator's (conditional Monte Carlo: Asmussen and Glynn, "Stochastic
 Simulation", 2007, V.4).  A run whose exit counts can reach an allies'
 cdf too wide to table (``kernels.binom_cdfs``) is refused before any chunk.
+The prior epoch's safety is estimated the same way: given the count F of
+epoch ends before the exit, P{a_prior < M/2} has a closed form, so
+``estimate`` draws neither the last end's place nor the captures before
+it, the two draws that would settle it.
 
 One kernel, ``_chunk``, draws a chunk of episodes from its own
 counter-based random stream keyed on (seed, chunk index), both
 strategies' bursts among them: Regular is Safety with no allies, facing
 the same attack.  ``estimate`` reduces each chunk to sums
 (``_chunk_sums``) and ``sample_exit_indices`` keeps the exit indices,
-both skipping mu's split, and ``simulate_episode(seed)`` is chunk 0 at
-size 1, the episode ``estimate(episodes=1, seed=seed)`` aggregates.  So
+both stopping after F, and ``simulate_episode(seed)`` is chunk 0 at size
+1, the episode ``estimate(episodes=1, seed=seed)`` aggregates.  So
 results are bitwise reproducible for any worker count.
 """
 
@@ -113,7 +117,9 @@ class EpisodeOutcome:
     ``MAX_EXIT_TIME``, at which its counts are taken.  burst_safety is the
     probability, given the path, that burst_regular (the attacker exits
     first) survives the allies B ~ Binomial(M/2 - 1, rho): P{B <= a_exit -
-    thr} if it bursts, else 0.
+    thr} if it bursts, else 0.  a_prior is drawn, so whether the prior
+    epoch was safe, a_prior < M/2, is read off it; ``estimate`` averages
+    that event's probability given the path instead (``_chunk``).
     """
 
     nu: Optional[int]
@@ -135,6 +141,9 @@ class SimStats:
     (``EpisodeOutcome.burst_safety``), with their standard error and
     effective sample size (sum w)^2 / sum w^2 (Kish; the burst count where
     every w is 0 or 1): where it is small, the SE may understate the error.
+    prior_safe_rate is likewise the mean of the episodes' probabilities of
+    a_prior < M/2 given their paths, with its standard error; at odd M
+    every one is 1, so it is 1 with SE 0.
     """
 
     episodes: int
@@ -218,7 +227,9 @@ def _chunk(
 
     Returns per-episode arrays in EpisodeOutcome field order: nu, mu,
     a_prior, a_exit, burst_regular, burst_safety, censored, with 0 in
-    nu/mu for a threshold not reached; mu is None unless ``split``.
+    nu/mu for a threshold not reached, then the prior-safe values.  Unless
+    ``split``, mu and a_prior are None and a censored episode's a_exit is
+    A1 alone: the draws after F are skipped.
 
     Epoch 1 is drawn as a count: its total y is geometric, P{y >= k} =
     r^k with r = m / (1 + m), m = (lambda_a + lambda_h) delta0, by
@@ -261,11 +272,21 @@ def _chunk(
 
     Regular bursts iff the attacker exits first, nu < mu.  mu never
     exceeds nu once set, so that is mu unset: not censored, no settled
-    race, H1 < thr.  So the bursts need no mu, and mu's split, the
-    stream's last draw, is skipped unless ``split``, which moves no other
-    draw.  Safety bursts iff Regular does and a_exit - thr covers the
-    allies, Binomial(M/2 - 1, rho) in number: its value, averaged over
-    them, is 1{Regular} P{allies <= a_exit - thr}, 0 or 1 at rho = 0.
+    race, H1 < thr.  So the bursts need no mu.  Safety bursts iff Regular
+    does and a_exit - thr covers the allies, Binomial(M/2 - 1, rho) in
+    number: its value, averaged over them, is 1{Regular} P{allies <=
+    a_exit - thr}, 0 or 1 at rho = 0.
+
+    The prior epoch is safe iff a_prior < M/2.  At odd M that always
+    holds, as a_prior < thr = (M + 1) / 2; at even M it fails iff a_prior
+    = thr - 1, that is, iff all s - 1 earlier captures precede X B, or for
+    a censored episode MAX_EXIT_TIME.  Given F and X, that has probability
+    E[B^(s - 1)] = F / (F + s - 1), B ~ Beta(F, 1) (at F = 0, B = 0: 1 iff
+    s = 1), or (MAX_EXIT_TIME / X)^(s - 1), and 0 for an epoch-1 exit.
+    The prior-safe value is 1 less that: its mean is P{prior safe}, and its
+    variance is never larger than the indicator's.  So B, the captures
+    before X B and mu's split, the stream's last draws, are skipped unless
+    ``split``, which moves no other draw.
     """
     rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
@@ -298,6 +319,21 @@ def _chunk(
     # F, the ends before X; censored, the ends before a settled Y.
     counts = rng.poisson(np.where(done, cross, np.where(settled, race, 0.0)))
     ends = np.where(done, counts, 0)
+    nu = np.where(exited, 1, np.where(done, ends + 2, 0))
+    regular = ~(censored | settled) & (h1 < threshold)
+    # a_exit; a censored episode's captures after epoch 1 are drawn only if split.
+    exits = np.where(done, threshold + over, a1)
+    safety = regular * binom_cdfs(exits - threshold, params.candidates, rho)
+    # P{a_prior < M/2 | path}: 1 at odd M, else P{before < s - 1}.
+    if params.M % 2:
+        safe = np.ones(size)
+    else:
+        k = s - 1
+        safe = np.where(done, k / np.maximum(ends + k, 1), 1.0)
+        safe[censored] = 1.0 - np.power(MAX_EXIT_TIME / cross[censored], k[censored])
+    if not split:
+        return nu, None, None, exits, regular, safety, censored, safe
+
     # B, the last of the F ends as a share of X (0 if none).
     frac = rng.random(size) ** (1.0 / np.maximum(ends, 1))
     frac[ends == 0] = 0.0
@@ -306,15 +342,9 @@ def _chunk(
         s - 1,
         np.where(done, frac, MAX_EXIT_TIME / np.maximum(cross, MAX_EXIT_TIME)),
     )
-
-    nu = np.where(exited, 1, np.where(done, ends + 2, 0))
     prior = a1 + before
-    a_exit = np.where(done, threshold + over, prior)
+    a_exit = np.where(done, exits, prior)
     a_prior = np.where(exited, 0, prior)
-    regular = ~(censored | settled) & (h1 < threshold)
-    safety = regular * binom_cdfs(a_exit - threshold, params.candidates, rho)
-    if not split:
-        return nu, None, a_prior, a_exit, regular, safety, censored
     # The ends before Y when it precedes X B: uniform on [0, X B], drawn only
     # there, as numpy draws nothing at n = 0 or p = 0.  Elsewhere the counts
     # already are the ends before a settled Y.
@@ -323,7 +353,7 @@ def _chunk(
     counts[inside] = rng.binomial(counts[inside] - 1, race[inside] / last[inside])
     mu = np.where(settled, counts + 2, 0)
     mu[h1 >= threshold] = 1
-    return nu, mu, a_prior, a_exit, regular, safety, censored
+    return nu, mu, a_prior, a_exit, regular, safety, censored, safe
 
 
 def simulate_episode(
@@ -331,7 +361,7 @@ def simulate_episode(
 ) -> EpisodeOutcome:
     """Simulate one game, deterministically in the seed: chunk 0 at size 1."""
     _plan(params, rho, 1)
-    arrays = _chunk(params, rho, seed, 0, 1)
+    arrays = _chunk(params, rho, seed, 0, 1)[:-1]  # drops the prior-safe value
     nu, mu, *rest = (a[0].item() for a in arrays)
     return EpisodeOutcome(nu or None, mu or None, *rest)
 
@@ -347,7 +377,7 @@ def sample_exit_indices(
     censored_total = 0
     for index in range(_plan(params, 0.0, episodes)):
         size = min(CHUNK, episodes - index * CHUNK)
-        nu, *_, censored = _chunk(params, 0.0, seed, index, size, split=False)
+        nu, *_, censored, _ = _chunk(params, 0.0, seed, index, size, split=False)
         censored_total += int(censored.sum())
         collected.append(nu[~censored])
     return np.concatenate(collected), censored_total
@@ -358,20 +388,21 @@ def _chunk_sums(
 ) -> tuple[list, tuple[int, int, float]]:
     """Reduce chunk ``index``'s draws to ``estimate``'s sums: the count of
     Regular bursts, the sums of the Safety values and of their squares, the
-    counts of a_prior < M/2 and of censored episodes, and a_exit's sum,
-    then (count, sum, squared deviations about the mean) of nu, both over
-    the episodes not censored.
+    sums of the prior-safe values and of their squares, the count of
+    censored episodes, and a_exit's sum, then (count, sum, squared
+    deviations about the mean) of nu, both over the episodes not censored.
 
     The counts and a_exit's sum are exact integers.  nu's squared
     deviations are taken about the chunk's own mean: E[nu^2] - mean^2 would
     cancel where nu's spread is small beside its mean, as at large M.
     """
-    nu, _, a_prior, a_exit, regular, safety, censored = _chunk(
+    nu, _, _, a_exit, regular, safety, censored, safe = _chunk(
         params, rho, seed, index, size, split=False
     )
-    counts = [int(np.count_nonzero(c)) for c in (regular, a_prior < params.M / 2, censored)]
-    sums = [counts[0], float(safety.sum()), float((safety * safety).sum()), *counts[1:]]
-    kept = ~censored if counts[-1] else slice(None)
+    counts = [int(np.count_nonzero(c)) for c in (regular, censored)]
+    sums = [counts[0], *(float(w.sum()) for w in (safety, safety * safety, safe, safe * safe)),
+            counts[1]]
+    kept = ~censored if counts[1] else slice(None)
     nu, exits = nu[kept], a_exit[kept]
     total = int(nu.sum())
     # A CHUNK of exit counts near a threshold of 2**62 sums to about
@@ -457,12 +488,12 @@ def estimate(
     Each chunk's draws are reduced to sums as they are drawn
     (``_chunk_sums``), and the sums are folded in chunk order, so the
     outcome is identical for any worker count; ``_pooled`` pools nu's
-    squared deviations.  Safety's standard error, sqrt(s (sum w^2 / sum w -
-    s) / E) for values w of mean s over E episodes, is the rates' binomial
-    one bit for bit where every w is 0 or 1.  No more threads run than
-    there are chunks or CPUs this process may run on: one is the caller's
-    own, which also computes its share of the chunks when more run
-    (``_in_order``).
+    squared deviations.  Safety's and prior-safe's standard error, sqrt(s
+    (sum w^2 / sum w - s) / E) for values w of mean s over E episodes, is
+    the rates' binomial one bit for bit where every w is 0 or 1.  No more
+    threads run than there are chunks or CPUs this process may run on: one
+    is the caller's own, which also computes its share of the chunks when
+    more run (``_in_order``).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -474,11 +505,11 @@ def estimate(
 
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    sums, pooled = [0] * 6, (0, 0, 0.0)
+    sums, pooled = [0] * 7, (0, 0, 0.0)
     for part_sums, part in _in_order(run, chunks, min(workers, chunks, cpus)):
         sums = [a + b for a, b in zip(sums, part_sums)]
         pooled = _pooled(pooled, part)
-    regular, weight, weight_sq, safe, censored, a_sum = sums
+    regular, weight, weight_sq, safe, safe_sq, censored, a_sum = sums
     done, nu_sum, nu_m2 = pooled
 
     def rate(count, ratio=1.0) -> tuple[float, float]:
@@ -499,7 +530,7 @@ def estimate(
         episodes,
         *rate(regular),
         *rate(weight, weight_sq / weight if weight else 0.0),
-        *rate(safe),
+        *rate(safe, safe_sq / safe if safe else 0.0),
         mean_nu=mean_nu,
         mean_nu_se=mean_nu_se,
         mean_a_exit=mean_a_exit,

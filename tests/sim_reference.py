@@ -16,7 +16,8 @@ It draws the allies B ~ Binomial(M/2 - 1, rho) from their own stream,
 Philox key (seed, 2 chunk + 1), which the sampler leaves unused, and its
 Safety is the indicator of a Regular burst with a_exit - B >= thr.  The
 sampler's Safety value is that indicator's mean given the path, so the
-two agree in mean.
+two agree in mean.  Likewise its prior-safe value is the indicator of
+a_prior < M/2, whose mean given the path the sampler returns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from swarmgame.sim import _streams
 def reference_chunk(
     params: SwarmParams, rho: float, seed: int, index: int, size: int, horizon: int
 ) -> tuple[np.ndarray, ...]:
-    """nu, mu, a_prior, a_exit, burst_regular, burst_safety, censored."""
+    """nu, mu, a_prior, a_exit, burst_regular, burst_safety, censored, prior_safe."""
     rng = _streams(seed, index)
     key = np.array([seed % 2**64, 2 * index + 1], dtype=np.uint64)
     ally_rng = np.random.Generator(np.random.Philox(key=key))
@@ -82,4 +83,4 @@ def reference_chunk(
     allies = ally_rng.binomial(params.candidates, rho, size=size)
     regular = ~censored & (mu == 0)
     safety = regular & (a_exit - allies >= threshold)
-    return nu, mu, a_prior, a_exit, regular, safety, censored
+    return nu, mu, a_prior, a_exit, regular, safety, censored, a_prior < params.M / 2

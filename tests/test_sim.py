@@ -200,6 +200,12 @@ def within_seconds(seconds: float, fn, *args, **kwargs):
     return out[0]
 
 
+def zero_sums() -> list:
+    """A stand-in for ``_chunk_sums``' sums: zeros, as many as one real call
+    returns."""
+    return [0] * len(sim._chunk_sums(params(), 0.0, 1, 0, 1)[0])
+
+
 def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch):
     """Each helper's results computed but not yet folded stay at most two,
     however many chunks there are, and all are folded in chunk order.  The
@@ -208,6 +214,7 @@ def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch)
     not wait on it.  Three threads run, switching often."""
     threads, folded, peaks = 3, [], []
     real_pooled = sim._pooled
+    zeros = zero_sums()
 
     def cheap_sums(params, rho, seed, index, size):
         worker = index % threads
@@ -216,7 +223,7 @@ def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch)
         else:
             computed = len(range(worker, index + 1, threads))
             peaks.append(computed - len(range(worker, len(folded), threads)))
-        return [0] * 6, (size, 0, float(index))
+        return zeros, (size, 0, float(index))
 
     def recorded_pooled(a, b):
         folded.append(int(b[2]))
@@ -246,12 +253,13 @@ def test_a_helpers_exception_is_raised_by_estimate(monkeypatch):
     exception, and stops and joins its helpers."""
     error = RuntimeError("chunk 5 failed")
     caller = threading.get_ident()
+    zeros = zero_sums()
 
     def failing_sums(params, rho, seed, index, size):
         if index == 5:
             assert threading.get_ident() != caller
             raise error
-        return [0] * 6, (size, 0, 0.0)
+        return zeros, (size, 0, 0.0)
 
     monkeypatch.setattr(sim, "_chunk_sums", failing_sums)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -306,10 +314,14 @@ def test_estimate_mean_exit_count_past_int64_chunk_sums(M, lambda_a):
     # A chunk's exit counts sum past int64, up to the largest threshold
     # the simulator takes, 2**62; each count is the threshold plus an
     # overshoot of mean lambda_a * delta.
-    stats = estimate(params(M=M, lambda_a=lambda_a), episodes=1000, seed=1)
+    p = params(M=M, lambda_a=lambda_a)
+    stats = estimate(p, episodes=1000, seed=1)
     assert stats.censored_count == 0
     expected = majority_threshold(M) + lambda_a
     assert stats.mean_a_exit == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # About 1 / (1 + lambda_a); the prior-safe values' spread is near 1e-10.
+    exact = pathwise_events(p, 0.0).prior_safe
+    assert stats.prior_safe_rate == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 def test_estimate_single_episode_se():
@@ -398,8 +410,8 @@ REGULAR_STATS = SimStats(
     burst_regular_se=0.002672250736738602,
     burst_safety=0.9226,
     burst_safety_se=0.002672250736738602,
-    prior_safe_rate=0.495,
-    prior_safe_se=0.004999749993749687,
+    prior_safe_rate=0.500541533408724,
+    prior_safe_se=0.001229709837099837,
     mean_nu=12.0082,
     mean_nu_se=0.04780976130457043,
     mean_a_exit=12.0195,
@@ -417,8 +429,8 @@ GOLDEN_STATS = [
             burst_regular_se=0.002672250736738602,
             burst_safety=0.0685015625,
             burst_safety_se=0.0016755260154186586,
-            prior_safe_rate=0.495,
-            prior_safe_se=0.004999749993749687,
+            prior_safe_rate=0.500541533408724,
+            prior_safe_se=0.001229709837099837,
             mean_nu=12.0082,
             mean_nu_se=0.04780976130457043,
             mean_a_exit=12.0195,
@@ -476,15 +488,15 @@ GOLDEN_ALLY_STATS = [
 ]
 GOLDEN_ALLY_COMMON = {
     120: dict(
-        prior_safe_rate=0.967,
-        prior_safe_se=0.00178636502428815,
+        prior_safe_rate=0.9677154840186364,
+        prior_safe_se=0.0007580231081484019,
         mean_nu=2.9998,
         mean_nu_se=0.014361754628178272,
         mean_a_exit=90.9828,
     ),
     1000: dict(
-        prior_safe_rate=0.9952,
-        prior_safe_se=0.0006911555541265676,
+        prior_safe_rate=0.996018167272604,
+        prior_safe_se=0.00024786648160105674,
         mean_nu=2.9783,
         mean_nu_se=0.014159905049116676,
         mean_a_exit=753.1089,
@@ -555,6 +567,11 @@ def test_estimate_matches_pathwise_events(overrides, rho):
     for field in ("burst_regular", "burst_safety"):
         assert within(getattr(stats, field), getattr(exact, field)), field
     assert within(stats.prior_safe_rate, exact.prior_safe)
+    # Also within 3 of its own SE, far below the indicator's at M = 30 000
+    # (6.4e-6 against 1.1e-3).
+    assert abs(stats.prior_safe_rate - exact.prior_safe) <= 3 * stats.prior_safe_se
+    if p.M == 30_000:
+        assert stats.prior_safe_se < 1e-4
     if p.lambda_h == 0.0:
         assert stats.burst_regular == exact.burst_regular == 1.0
     assert abs(stats.mean_nu - expected_exit_index(p)) <= 3 * stats.mean_nu_se
@@ -614,6 +631,19 @@ def test_safety_se_is_below_the_indicators():
     stats = estimate(params(lambda_h=0.5), episodes, seed=2026, rho=0.5)
     s = stats.burst_safety
     assert 0.0 < stats.burst_safety_se < 0.7 * math.sqrt(s * (1.0 - s) / episodes)
+
+
+@pytest.mark.parametrize(
+    "p, episodes", [(params(lambda_h=0.5), 131_072), (long_shape(), 65_536)],
+    ids=["short", "long"],
+)
+def test_prior_safe_se_is_below_the_indicators(p, episodes):
+    """At the benchmark's shapes the prior-safe values' SE is below half the
+    indicator's sqrt(s (1 - s) / E), s the estimate: 0.24 and 0.09 times it,
+    17 and 118 times less variance."""
+    stats = estimate(p, episodes, seed=2026, rho=0.5)
+    s = stats.prior_safe_rate
+    assert 0.0 < stats.prior_safe_se < 0.5 * math.sqrt(s * (1.0 - s) / episodes)
 
 
 def test_counts_below_the_ally_window_build_no_table(monkeypatch):
@@ -712,7 +742,7 @@ def test_short_horizon_bookkeeping():
 # (``sim_reference``), in law: two independent samples of 200 000
 # episodes each, every statistic's means within 4 SE of their
 # difference.  The bound is 4 rather than 3 SE because each case compares
-# 15 statistics; the cross moments check the joint law of (nu, mu,
+# 16 statistics; the cross moments check the joint law of (nu, mu,
 # a_prior, a_exit, censored), not only its margins.
 
 
@@ -724,9 +754,10 @@ def _outcomes(chunk, p, seed, episodes, rho=0.5):
 
 
 def _statistics(outcomes):
-    nu, mu, a_prior, a_exit, regular, safety, censored = outcomes
+    nu, mu, a_prior, a_exit, regular, safety, censored, safe = outcomes
     return {
         "nu": nu,
+        "prior_safe": safe,
         "mu": mu,
         "a_prior": a_prior,
         "a_exit": a_exit,
@@ -801,12 +832,16 @@ def test_tiny_rates_censor_without_warnings(overrides):
     # errors); past epoch 1 nothing crosses before MAX_EXIT_TIME where
     # lambda_a delta is far below 1 / MAX_EXIT_TIME.
     p = params(**overrides)
-    nu, mu, a_prior, a_exit, *_, censored = sim._chunk(p, 0.5, 3, 0, sim.CHUNK)
+    nu, mu, a_prior, a_exit, _, _, censored, safe = sim._chunk(p, 0.5, 3, 0, sim.CHUNK)
     assert ((nu == 0) == censored).all()
     assert (a_prior[censored] == a_exit[censored]).all()
     assert (a_exit[censored] < majority_threshold(p.M)).all()
+    assert ((0.0 <= safe) & (safe <= 1.0)).all()
     if p.lambda_a * p.delta < 1e-100:
         assert set(nu.tolist()) <= {0, 1}
+        # No capture follows epoch 1, whose count alone settles the prior
+        # epoch: a censored episode with s = 1 reads 1 - 0^0 = 0.
+        assert (safe == (a_prior < p.M / 2)).all()
     if p.lambda_h * p.delta < 1e-100:
         assert set(mu.tolist()) <= {0, 1}
     # Counts stay below 2 * MAX_EXIT_TIME, and a chunk's int64 sum of
@@ -816,14 +851,42 @@ def test_tiny_rates_censor_without_warnings(overrides):
         assert int(count.sum()) == sum(count.tolist())
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        *(pytest.param(dict(M=M, lambda_h=lh), id=f"M={M}-{lh}")
+          for M in (20, 21) for lh in (0.0, 0.5, 2.0)),
+        pytest.param(CENSORING[-1], id="censoring"),
+        # The drawn B = U^(1/F) rounds to 1.0 where -log U < 2^-54 F, for
+        # 0.28% of the episodes at F near 5e13 here, and then all s - 1
+        # earlier captures precede it: the drawn a_prior reaches M/2 in
+        # 0.42% of the episodes, against 0.1% exactly.
+        pytest.param(dict(M=PAST_INT64[0][0], lambda_a=PAST_INT64[0][1]), id="past-int64",
+                     marks=pytest.mark.xfail(strict=True, reason="the drawn B rounds to 1")),
+    ],
+)
+def test_prior_safe_values_match_the_drawn_event(overrides):
+    """On the same chunks, drawn with mu's split and so with a_prior, each
+    episode's prior-safe value against the indicator a_prior < M/2: their
+    means within 4 SE of the paired difference.  At odd M both are 1
+    throughout, and estimate reads 1 with SE 0."""
+    p = params(**overrides)
+    chunks = [sim._chunk(p, 0.5, 5, index, sim.CHUNK) for index in range(50)]
+    drawn = np.concatenate([c[2] < p.M / 2 for c in chunks])
+    safe = np.concatenate([c[-1] for c in chunks])
+    difference = safe - drawn
+    assert abs(difference.mean()) <= 4 * difference.std() / math.sqrt(difference.size)
+    if p.M % 2:
+        assert drawn.all() and (safe == 1.0).all()
+        stats = estimate(p, 10_000, seed=5)
+        assert (stats.prior_safe_rate, stats.prior_safe_se) == (1.0, 0.0)
+
 
 def sums_of_chunk(params, rho, seed, index, size):
     """``sim._chunk_sums`` taken from ``_chunk``'s arrays, mu's split
     included, Regular read off mu: the reference its direct reduction of
     the draws must equal.  Safety's values are 0 off Regular."""
-    nu, mu, a_prior, a_exit, _, safety, censored = sim._chunk(
-        params, rho, seed, index, size
-    )
+    nu, mu, _, a_exit, _, safety, censored, safe = sim._chunk(params, rho, seed, index, size)
     # mu never exceeds nu once set, so nu < mu reduces to mu unset.
     regular = ~censored & (mu == 0)
     assert (safety[~regular] == 0.0).all()
@@ -832,9 +895,8 @@ def sums_of_chunk(params, rho, seed, index, size):
     exits = a_exit[done]
     exit_sum = (int((exits >> 32).sum()) << 32) + int((exits & 0xFFFFFFFF).sum())
     deviation = nu[done] - (total / count if count else 0.0)
-    weights = [float(safety.sum()), float((safety**2).sum())]
-    counts = [int(c.sum()) for c in (a_prior < params.M / 2, censored)]
-    return [int(regular.sum())] + weights + counts + [exit_sum], (
+    weights = [float(w.sum()) for w in (safety, safety**2, safe, safe**2)]
+    return [int(regular.sum())] + weights + [int(censored.sum()), exit_sum], (
         count, total, float((deviation**2).sum()))
 
 
@@ -869,8 +931,8 @@ def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
     chunks = [sim._chunk(p, 0.0, 9, index, min(sim.CHUNK, episodes - index * sim.CHUNK))
               for index in range(3)]
     nu, censored = sample_exit_indices(p, episodes, seed=9)
-    assert nu.tolist() == [n for c in chunks for n in c[0][~c[-1]].tolist()]
-    assert censored == sum(int(c[-1].sum()) for c in chunks)
+    assert nu.tolist() == [n for c in chunks for n in c[0][~c[6]].tolist()]
+    assert censored == sum(int(c[6].sum()) for c in chunks)
 
 
 LEAN_WORKERS = """\
