@@ -17,7 +17,11 @@ Philox key (seed, 2 chunk + 1), which the sampler leaves unused, and its
 Safety is the indicator of a Regular burst with a_exit - B >= thr.  The
 sampler's Safety value is that indicator's mean given the path, so the
 two agree in mean.  Likewise its prior-safe value is the indicator of
-a_prior < M/2, whose mean given the path the sampler returns.
+a_prior < M/2, the attacker's count at the epoch before the exit, whose
+mean given the path the sampler returns.  Regular is read off mu, the
+epoch at which the honest side first holds thr: the attacker exits first
+iff mu is unset at its exit.  A censored episode's a_exit is its count at
+the horizon.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from swarmgame.sim import _streams
 def reference_chunk(
     params: SwarmParams, rho: float, seed: int, index: int, size: int, horizon: int
 ) -> tuple[np.ndarray, ...]:
-    """nu, mu, a_prior, a_exit, burst_regular, burst_safety, censored, prior_safe."""
+    """nu, a_exit, burst_regular, burst_safety, prior_safe, censored."""
     rng = _streams(seed, index)
     key = np.array([seed % 2**64, 2 * index + 1], dtype=np.uint64)
     ally_rng = np.random.Generator(np.random.Philox(key=key))
@@ -78,9 +82,8 @@ def reference_chunk(
 
     censored = np.zeros(size, dtype=bool)
     censored[live] = True
-    mu[live] = live_mu
     a_prior[live] = a_exit[live] = attacker
     allies = ally_rng.binomial(params.candidates, rho, size=size)
     regular = ~censored & (mu == 0)
     safety = regular & (a_exit - allies >= threshold)
-    return nu, mu, a_prior, a_exit, regular, safety, censored, a_prior < params.M / 2
+    return nu, a_exit, regular, safety, a_prior < params.M / 2, censored

@@ -47,8 +47,8 @@ def test_episode_no_attacker_censors():
     outcome = simulate_episode(p, seed=5)
     assert outcome.censored
     assert not outcome.burst_regular and not outcome.burst_safety
-    assert outcome.nu is None
-    assert outcome.mu is not None  # the honest side still reaches thr
+    assert outcome.nu is None and outcome.a_exit is None
+    assert outcome.prior_safe == 1.0  # no capture ever: every epoch is safe
 
 
 def test_episode_coupling_rho_zero():
@@ -59,7 +59,7 @@ def test_episode_coupling_rho_zero():
         some = simulate_episode(p, seed=seed, rho=0.5)
         assert none.burst_safety == float(none.burst_regular)
         assert none.burst_regular == some.burst_regular
-        assert (none.nu, none.mu, none.a_exit) == (some.nu, some.mu, some.a_exit)
+        assert (none.nu, none.a_exit, none.prior_safe) == (some.nu, some.a_exit, some.prior_safe)
         assert some.burst_safety <= some.burst_regular
 
 
@@ -72,7 +72,8 @@ def test_episode_exit_counts_bracket_threshold():
         outcome = simulate_episode(p, seed=seed, rho=0.3)
         assert not outcome.censored
         assert outcome.nu >= 1
-        assert outcome.a_prior < threshold <= outcome.a_exit
+        assert threshold <= outcome.a_exit
+        assert 0.0 <= outcome.prior_safe <= 1.0
         cover = outcome.a_exit - threshold
         cdf = math.fsum(binom_pmf(j, p.candidates, 0.3) for j in range(cover + 1))
         assert outcome.burst_safety == pytest.approx(outcome.burst_regular * cdf, rel=1e-14)
@@ -200,10 +201,12 @@ def within_seconds(seconds: float, fn, *args, **kwargs):
     return out[0]
 
 
-def zero_sums() -> list:
-    """A stand-in for ``_chunk_sums``' sums: zeros, as many as one real call
+def zero_sums() -> tuple:
+    """A stand-in for ``_chunk_sums``' parts before nu's: zero counts, and
+    empty (count, sum, squared deviations) parts, as many as one real call
     returns."""
-    return [0] * len(sim._chunk_sums(params(), 0.0, 1, 0, 1)[0])
+    real = sim._chunk_sums(params(), 0.0, 1, 0, 1)[:-1]
+    return tuple((0, 0, 0.0) if isinstance(part, tuple) else 0 for part in real)
 
 
 def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch):
@@ -223,10 +226,11 @@ def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch)
         else:
             computed = len(range(worker, index + 1, threads))
             peaks.append(computed - len(range(worker, len(folded), threads)))
-        return zeros, (size, 0, float(index))
+        return (*zeros, (size, 0, float(index)))
 
     def recorded_pooled(a, b):
-        folded.append(int(b[2]))
+        if b[0]:  # nu's part: the stand-in's others are empty
+            folded.append(int(b[2]))
         return real_pooled(a, b)
 
     monkeypatch.setattr(sim, "_chunk_sums", cheap_sums)
@@ -259,7 +263,7 @@ def test_a_helpers_exception_is_raised_by_estimate(monkeypatch):
         if index == 5:
             assert threading.get_ident() != caller
             raise error
-        return zeros, (size, 0, 0.0)
+        return (*zeros, (size, 0, 0.0))
 
     monkeypatch.setattr(sim, "_chunk_sums", failing_sums)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -322,6 +326,24 @@ def test_estimate_mean_exit_count_past_int64_chunk_sums(M, lambda_a):
     # About 1 / (1 + lambda_a); the prior-safe values' spread is near 1e-10.
     exact = pathwise_events(p, 0.0).prior_safe
     assert stats.prior_safe_rate == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("M, lambda_a", PAST_INT64)
+def test_prior_safe_se_keeps_a_tiny_spread(M, lambda_a):
+    """The prior-safe values lie within about 1 / lambda_a of 1 here, so
+    sqrt(s (sum v^2 / sum v - s) / E) cancelled to rounding noise (0.0 at
+    M = 2^63 - 2, 6.2e-11 at M = 10^17); squared deviations about each
+    chunk's mean, pooled, keep their spread, and the estimate lies within
+    3 SE of the exact value.  At odd M every value is exactly 1, so the
+    estimate reads 1 with SE 0."""
+    p = params(M=M, lambda_a=lambda_a)
+    stats = estimate(p, 200_000, seed=5)
+    exact = pathwise_events(p, 0.0).prior_safe
+    assert stats.prior_safe_se > 0.0
+    assert abs(stats.prior_safe_rate - exact) <= 3 * stats.prior_safe_se
+    for lambda_h in (0.0, 0.5, 2.0):
+        stats = estimate(params(M=21, lambda_h=lambda_h), 10_000, seed=5)
+        assert (stats.prior_safe_rate, stats.prior_safe_se) == (1.0, 0.0)
 
 
 def test_estimate_single_episode_se():
@@ -394,24 +416,25 @@ def test_safety_allies_lower_burst_rate():
 GOLDEN_EPISODES = [
     # (lambda_h, label, rho, seed, outcome).  Safety's value at M = 20,
     # rho = 1/2 is P{B <= a_exit - 11}, B ~ Binomial(9, 1/2): 46/512 at
-    # a_exit = 13, 10/512 at 12, 1/512 at 11.
-    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(6, None, 6, 13, True, 46 / 512, False)),
-    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(12, None, 9, 11, True, 1 / 512, False)),
-    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(16, None, 9, 11, True, 1 / 512, False)),
-    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, None, 7, 12, True, 10 / 512, False)),
-    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(6, None, 6, 13, True, 46 / 512, False)),
-    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(11, 6, 10, 11, False, 0.0, False)),
-    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(6, None, 6, 13, True, 1.0, False)),
+    # a_exit = 13, 10/512 at 12, 1/512 at 11.  The prior-safe value is
+    # (s - 1) / (F + s - 1), with F = nu - 2 ends and s - 1 = 10 - A1.
+    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(6, 13, True, 46 / 512, 10 / 14, False)),
+    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(12, 11, True, 1 / 512, 10 / 20, False)),
+    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(16, 11, True, 1 / 512, 8 / 22, False)),
+    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, 12, True, 10 / 512, 8 / 14, False)),
+    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(6, 13, True, 46 / 512, 10 / 14, False)),
+    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(11, 11, False, 0.0, 10 / 19, False)),
+    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(6, 13, True, 1.0, 10 / 14, False)),
 ]
 
 REGULAR_STATS = SimStats(
     episodes=10000,
     burst_regular=0.9226,
-    burst_regular_se=0.002672250736738602,
+    burst_regular_se=0.0026722507367386017,
     burst_safety=0.9226,
-    burst_safety_se=0.002672250736738602,
+    burst_safety_se=0.0026722507367386017,
     prior_safe_rate=0.500541533408724,
-    prior_safe_se=0.001229709837099837,
+    prior_safe_se=0.0012297098370998368,
     mean_nu=12.0082,
     mean_nu_se=0.04780976130457043,
     mean_a_exit=12.0195,
@@ -426,11 +449,11 @@ GOLDEN_STATS = [
         SimStats(
             episodes=10000,
             burst_regular=0.9226,
-            burst_regular_se=0.002672250736738602,
+            burst_regular_se=0.0026722507367386017,
             burst_safety=0.0685015625,
-            burst_safety_se=0.0016755260154186586,
+            burst_safety_se=0.0016755260154186584,
             prior_safe_rate=0.500541533408724,
-            prior_safe_se=0.001229709837099837,
+            prior_safe_se=0.0012297098370998368,
             mean_nu=12.0082,
             mean_nu_se=0.04780976130457043,
             mean_a_exit=12.0195,
@@ -456,7 +479,7 @@ def test_golden_episode(lambda_h, label, rho, seed, outcome):
 def test_golden_censored_episode():
     p = params(lambda_a=0.0, lambda_h=2.0)
     got = simulate_episode(p, seed=5)
-    assert got == EpisodeOutcome(None, 7, 0, 0, False, 0.0, True)
+    assert got == EpisodeOutcome(None, None, False, 0.0, 1.0, True)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -482,21 +505,21 @@ GOLDEN_ALLY_STATS = [
         id="120-30.0-0.9-0.1772-0.003818378713537985",
     ),
     pytest.param(
-        1000, 250.0, 0.5, 0.3701582651379727, 0.004736980117858166, 3791.214921360608,
+        1000, 250.0, 0.5, 0.3701582651379727, 0.004736980117858165, 3791.2149213606085,
         id="1000-250.0-0.5-0.3687-0.004824523914336004",
     ),
 ]
 GOLDEN_ALLY_COMMON = {
     120: dict(
         prior_safe_rate=0.9677154840186364,
-        prior_safe_se=0.0007580231081484019,
+        prior_safe_se=0.0007580231081484013,
         mean_nu=2.9998,
         mean_nu_se=0.014361754628178272,
         mean_a_exit=90.9828,
     ),
     1000: dict(
         prior_safe_rate=0.996018167272604,
-        prior_safe_se=0.00024786648160105674,
+        prior_safe_se=0.00024786648160103603,
         mean_nu=2.9783,
         mean_nu_se=0.014159905049116676,
         mean_a_exit=753.1089,
@@ -535,6 +558,7 @@ def test_episode_is_first_episode_of_estimate_and_exit_indices():
             stats = estimate(p, episodes=1, seed=seed, rho=rho)
             assert stats.burst_regular == float(episode.burst_regular)
             assert stats.burst_safety == float(episode.burst_safety)
+            assert stats.prior_safe_rate == episode.prior_safe
             assert stats.mean_nu == episode.nu
             assert stats.mean_a_exit == episode.a_exit
         nu, censored = sample_exit_indices(p, 1, seed=seed)
@@ -721,7 +745,7 @@ def test_short_horizon_bookkeeping():
     nu, censored = sample_exit_indices(p, episodes, seed=31)
     assert censored == stats.censored_count
     done = episodes - censored
-    # nu - 2 and mu - 2 are Poisson counts with means below MAX_EXIT_TIME.
+    # nu - 2 is a Poisson count with a mean below MAX_EXIT_TIME.
     limit = 2 * sim.MAX_EXIT_TIME
     assert len(nu) == done and nu.max() <= limit
     # estimate's exact integer sum, divided as estimate divides it: here
@@ -731,19 +755,20 @@ def test_short_horizon_bookkeeping():
     cut = [o for o in outcomes if o.censored]
     assert cut and len(cut) < len(outcomes)
     for o in cut:
-        assert o.nu is None and not o.burst_regular and not o.burst_safety
-        assert o.a_prior == o.a_exit < majority_threshold(p.M)
+        assert o.nu is None and o.a_exit is None
+        assert not o.burst_regular and not o.burst_safety
     for o in outcomes:
-        if o.mu is not None:
-            assert o.mu <= (o.nu or limit)
+        assert 0.0 <= o.prior_safe <= 1.0
 
 
 # The path-level sampler against the epoch loop it replaced
 # (``sim_reference``), in law: two independent samples of 200 000
 # episodes each, every statistic's means within 4 SE of their
 # difference.  The bound is 4 rather than 3 SE because each case compares
-# 16 statistics; the cross moments check the joint law of (nu, mu,
-# a_prior, a_exit, censored), not only its margins.
+# 11 statistics; the cross moments check the joint law of (nu, a_exit,
+# prior_safe), not only its margins.  The sampler's prior-safe value is
+# the loop's indicator's mean given a path that fixes nu and a_exit, so
+# its products with them have the indicator's products' means.
 
 
 def _outcomes(chunk, p, seed, episodes, rho=0.5):
@@ -754,24 +779,19 @@ def _outcomes(chunk, p, seed, episodes, rho=0.5):
 
 
 def _statistics(outcomes):
-    nu, mu, a_prior, a_exit, regular, safety, censored, safe = outcomes
+    nu, a_exit, regular, safety, safe, censored = outcomes
     return {
         "nu": nu,
         "prior_safe": safe,
-        "mu": mu,
-        "a_prior": a_prior,
         "a_exit": a_exit,
         "censored": censored,
         "burst_regular": regular,
         "burst_safety": safety,
-        "mu set": mu > 0,
         "nu^2": nu**2,
         "a_exit^2": a_exit**2,
-        "mu a_prior": mu * a_prior,
-        "nu a_prior": nu * a_prior,
-        "mu nu": mu * nu,
-        "mu censored": mu * censored,
-        "a_prior censored": a_prior * censored,
+        "nu prior_safe": nu * safe,
+        "a_exit prior_safe": a_exit * safe,
+        "nu a_exit": nu * a_exit,
     }
 
 
@@ -799,7 +819,7 @@ def test_sampler_matches_epoch_loop(lambda_h, horizon):
 
 
 def test_sampler_matches_epoch_loop_without_attacker():
-    # Every episode is censored; only the honest race and mu are random.
+    # Every episode is censored; only epoch 1's honest count is random.
     assert_same_law(params(lambda_a=0.0, lambda_h=2.0), horizon=50)
 
 
@@ -832,72 +852,38 @@ def test_tiny_rates_censor_without_warnings(overrides):
     # errors); past epoch 1 nothing crosses before MAX_EXIT_TIME where
     # lambda_a delta is far below 1 / MAX_EXIT_TIME.
     p = params(**overrides)
-    nu, mu, a_prior, a_exit, _, _, censored, safe = sim._chunk(p, 0.5, 3, 0, sim.CHUNK)
+    nu, a_exit, _, _, safe, censored = sim._chunk(p, 0.5, 3, 0, sim.CHUNK)
     assert ((nu == 0) == censored).all()
-    assert (a_prior[censored] == a_exit[censored]).all()
     assert (a_exit[censored] < majority_threshold(p.M)).all()
     assert ((0.0 <= safe) & (safe <= 1.0)).all()
     if p.lambda_a * p.delta < 1e-100:
         assert set(nu.tolist()) <= {0, 1}
         # No capture follows epoch 1, whose count alone settles the prior
-        # epoch: a censored episode with s = 1 reads 1 - 0^0 = 0.
-        assert (safe == (a_prior < p.M / 2)).all()
-    if p.lambda_h * p.delta < 1e-100:
-        assert set(mu.tolist()) <= {0, 1}
+        # epoch: a censored episode's count is A1, its a_exit, and with
+        # s = 1 it reads 1 - 0^0 = 0; an epoch-1 exit reads 1.
+        assert (safe == np.where(censored, a_exit < p.M / 2, True)).all()
     # Counts stay below 2 * MAX_EXIT_TIME, and a chunk's int64 sum of
     # them is exact.
-    for count in (nu, mu):
-        assert count.max() < 2 * sim.MAX_EXIT_TIME
-        assert int(count.sum()) == sum(count.tolist())
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        *(pytest.param(dict(M=M, lambda_h=lh), id=f"M={M}-{lh}")
-          for M in (20, 21) for lh in (0.0, 0.5, 2.0)),
-        pytest.param(CENSORING[-1], id="censoring"),
-        # The drawn B = U^(1/F) rounds to 1.0 where -log U < 2^-54 F, for
-        # 0.28% of the episodes at F near 5e13 here, and then all s - 1
-        # earlier captures precede it: the drawn a_prior reaches M/2 in
-        # 0.42% of the episodes, against 0.1% exactly.
-        pytest.param(dict(M=PAST_INT64[0][0], lambda_a=PAST_INT64[0][1]), id="past-int64",
-                     marks=pytest.mark.xfail(strict=True, reason="the drawn B rounds to 1")),
-    ],
-)
-def test_prior_safe_values_match_the_drawn_event(overrides):
-    """On the same chunks, drawn with mu's split and so with a_prior, each
-    episode's prior-safe value against the indicator a_prior < M/2: their
-    means within 4 SE of the paired difference.  At odd M both are 1
-    throughout, and estimate reads 1 with SE 0."""
-    p = params(**overrides)
-    chunks = [sim._chunk(p, 0.5, 5, index, sim.CHUNK) for index in range(50)]
-    drawn = np.concatenate([c[2] < p.M / 2 for c in chunks])
-    safe = np.concatenate([c[-1] for c in chunks])
-    difference = safe - drawn
-    assert abs(difference.mean()) <= 4 * difference.std() / math.sqrt(difference.size)
-    if p.M % 2:
-        assert drawn.all() and (safe == 1.0).all()
-        stats = estimate(p, 10_000, seed=5)
-        assert (stats.prior_safe_rate, stats.prior_safe_se) == (1.0, 0.0)
+    assert nu.max() < 2 * sim.MAX_EXIT_TIME
+    assert int(nu.sum()) == sum(nu.tolist())
 
 
 def sums_of_chunk(params, rho, seed, index, size):
-    """``sim._chunk_sums`` taken from ``_chunk``'s arrays, mu's split
-    included, Regular read off mu: the reference its direct reduction of
-    the draws must equal.  Safety's values are 0 off Regular."""
-    nu, mu, _, a_exit, _, safety, censored, safe = sim._chunk(params, rho, seed, index, size)
-    # mu never exceeds nu once set, so nu < mu reduces to mu unset.
-    regular = ~censored & (mu == 0)
-    assert (safety[~regular] == 0.0).all()
+    """``sim._chunk_sums`` taken from ``_chunk``'s arrays one by one, a_exit's
+    sum in Python ints: the reference its reduction of the draws must
+    equal.  Regular is never censored, and Safety's values are 0 off it."""
+    nu, a_exit, regular, safety, safe, censored = sim._chunk(params, rho, seed, index, size)
+    assert not (regular & censored).any() and (safety[~regular] == 0.0).all()
     done = ~censored
-    count, total = int(done.sum()), int(nu[done].sum())
-    exits = a_exit[done]
-    exit_sum = (int((exits >> 32).sum()) << 32) + int((exits & 0xFFFFFFFF).sum())
-    deviation = nu[done] - (total / count if count else 0.0)
-    weights = [float(w.sum()) for w in (safety, safety**2, safe, safe**2)]
-    return [int(regular.sum())] + weights + [int(censored.sum()), exit_sum], (
-        count, total, float((deviation**2).sum()))
+
+    def moments(values):
+        count = values.size
+        total = sum(values.tolist()) if values.dtype.kind == "i" else float(values.sum())
+        deviation = values - (total / count if count else 0.0)
+        return count, total, float((deviation**2).sum())
+
+    return (int(censored.sum()), sum(a_exit[done].tolist()),
+            *(moments(v) for v in (np.where(regular, 1.0, 0.0), safety, safe, nu[done])))
 
 
 def same_stats(a: SimStats, b: SimStats) -> bool:
@@ -931,8 +917,8 @@ def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
     chunks = [sim._chunk(p, 0.0, 9, index, min(sim.CHUNK, episodes - index * sim.CHUNK))
               for index in range(3)]
     nu, censored = sample_exit_indices(p, episodes, seed=9)
-    assert nu.tolist() == [n for c in chunks for n in c[0][~c[6]].tolist()]
-    assert censored == sum(int(c[6].sum()) for c in chunks)
+    assert nu.tolist() == [n for c in chunks for n in c[0][~c[-1]].tolist()]
+    assert censored == sum(int(c[-1].sum()) for c in chunks)
 
 
 LEAN_WORKERS = """\
