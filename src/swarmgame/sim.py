@@ -5,14 +5,14 @@ counts accumulate as Poisson processes between epochs.  An episode ends
 when the attacker first holds a strict majority, at the exit index nu,
 which nothing caps.
 
-No epoch is stepped.  Epoch 1's counts are drawn from their exact law;
-after it, epoch ends, captures and honest arrivals are independent
-Poisson processes, so each outcome is drawn from a few laws of their
-arrival times (gamma) and of the counts around them (Poisson and
-geometric).  A chunk costs seven numpy draws whatever the exit index;
-``_chunk`` states the laws.  Only a crossing at or past
-``MAX_EXIT_TIME``, which keeps every count inside int64, censors an
-episode.
+No epoch is stepped.  Epoch 1's captures are drawn from their exact law;
+after it, epoch ends and captures are independent Poisson processes, and
+the honest arrivals race the exit epoch's end once, in real time, so each
+outcome is drawn from a few laws of arrival times (gamma) and of counts
+(Poisson and geometric).  A chunk costs four numpy draws, seven at
+lambda_h > 0, whatever the exit index; ``_chunk`` states the laws.  Only
+a crossing at or past ``MAX_EXIT_TIME``, which keeps every count inside
+int64, censors an episode.
 
 No ally is drawn either: the allies are independent of the path, so each
 episode's Safety value is the burst's probability given its path, whose
@@ -62,9 +62,9 @@ REGULAR = "Regular"
 SAFETY = "Safety"
 
 CHUNK = 4096
-# Largest mean count per epoch: epoch 1's count and the exit epoch's
-# overshoot, about an exponential draw times it, must stay far inside
-# int64.
+# Largest mean capture count per epoch, lambda_a max(delta0, delta):
+# epoch 1's captures and the exit epoch's overshoot, about an exponential
+# draw times it, stay far inside int64.  No honest count is drawn.
 MAX_EPOCH_MEAN = 1e15
 # Latest crossing time after epoch 1, in units of delta, at which an
 # episode exits; a later crossing censors it.  The counts drawn up to
@@ -83,10 +83,10 @@ def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    epoch_mean = (params.lambda_a + params.lambda_h) * max(params.delta0, params.delta)
+    epoch_mean = params.lambda_a * max(params.delta0, params.delta)
     if epoch_mean > MAX_EPOCH_MEAN:
         raise ValueError(
-            "(lambda_a + lambda_h) * max(delta0, delta) must be at most "
+            "lambda_a * max(delta0, delta) must be at most "
             f"{MAX_EPOCH_MEAN:g} for the simulator, got {epoch_mean:g}"
         )
     threshold = majority_threshold(params.M)
@@ -95,9 +95,9 @@ def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
             f"the majority threshold M // 2 + 1 must be at most {MAX_THRESHOLD} "
             f"for the simulator, got {threshold}"
         )
-    # a_exit - thr is at most the overshoot, or epoch 1's total less thr.
-    largest = max(_geometric_bound((params.lambda_a + params.lambda_h) * params.delta0)
-                  - threshold, _geometric_bound(params.lambda_a * params.delta))
+    # a_exit - thr is at most the overshoot, or epoch 1's captures less thr.
+    largest = max(_geometric_bound(params.lambda_a * params.delta0) - threshold,
+                  _geometric_bound(params.lambda_a * params.delta))
     try:
         check_binom_cdfs(params.candidates, rho, largest)
     except ValueError as exc:
@@ -196,18 +196,6 @@ def _geometric_bound(mean: float) -> int:
     return int(45.0 / math.log1p(1.0 / mean)) if mean > 0 else 0
 
 
-def _arrival(rng: np.random.Generator, count: np.ndarray, rate: float) -> np.ndarray:
-    """Time of the count-th point of a rate-``rate`` Poisson process.
-
-    A Gamma(count) draw over the rate; inf (never) at rate 0, and where
-    the time overflows the float range, as it may at tiny rates.
-    """
-    if rate == 0:
-        return np.full(count.shape, np.inf)
-    with np.errstate(over="ignore"):
-        return rng.standard_gamma(count) / rate
-
-
 def _chunk(
     params: SwarmParams, rho: float, seed: int, index: int, size: int
 ) -> tuple[np.ndarray, ...]:
@@ -217,18 +205,17 @@ def _chunk(
     burst_regular, burst_safety, prior_safe, censored, with 0 in nu and A1
     alone in a_exit for a censored episode.
 
-    Epoch 1 is drawn as a count: its total y is geometric, P{y >= k} =
-    r^k with r = m / (1 + m), m = (lambda_a + lambda_h) delta0, by
-    inversion, and splits as A1 ~ Binomial(y, lambda_a / (lambda_a +
-    lambda_h)) and H1 = y - A1 (thinning).  If A1 >= thr the episode exits
-    there: nu = 1, a_exit = A1.  After epoch 1, time runs in units of
-    delta, so epoch ends, captures and honest arrivals are independent
-    Poisson processes of rates 1, a = lambda_a delta and h = lambda_h
-    delta, and the laws below follow with s = thr - A1, t = thr - H1:
+    Epoch 1's end, at an exponential time of mean delta0, and the captures
+    form one Poisson stream of rate lambda_a + 1 / delta0 whose points are
+    captures with probability r = m / (1 + m), m = lambda_a delta0: A1,
+    the captures before the end, is geometric, P{A1 >= k} = r^k, drawn by
+    inversion.  If A1 >= thr the episode exits there: nu = 1, a_exit = A1.
+    After epoch 1, time runs in units of delta, so epoch ends and captures
+    are independent Poisson processes of rates 1 and a = lambda_a delta,
+    and the laws below follow with s = thr - A1:
 
-    - the s-th capture at X ~ Gamma(s) / a and the t-th honest arrival
-      at Y ~ Gamma(t) / h; the episode exits iff X < MAX_EXIT_TIME, else
-      it is censored;
+    - the s-th capture at X ~ Gamma(s) / a; the episode exits iff X <
+      MAX_EXIT_TIME, else it is censored;
     - exit: the ends before X, a rate-1 Poisson process independent of
       X, number F ~ Poisson(X); nu = F + 2;
     - after X, captures and ends form one Poisson stream of rate 1 + a
@@ -240,11 +227,16 @@ def _chunk(
     Every Poisson mean is below MAX_EXIT_TIME, so a = 0 or a tiny a delta
     (X = inf) simply censors, with no epoch stepped.
 
-    Regular bursts iff the attacker exits first: the episode exits, H1 <
-    thr, and Y does not precede the exit epoch's end X + D.  Safety bursts
-    iff Regular does and a_exit - thr covers the allies, Binomial(M/2 - 1,
-    rho) in number: its value, averaged over them, is 1{Regular}
-    P{allies <= a_exit - thr}, 0 or 1 at rho = 0.
+    The honest arrivals, a rate-lambda_h Poisson process independent of
+    these, race once in real time: the honest side first holds thr at R ~
+    Gamma(thr) / lambda_h, epoch 1 ends at its stream's (A1 + 1)-th point,
+    T1 ~ Gamma(A1 + 1) / (lambda_a + 1 / delta0) given A1, and the exit
+    epoch at T1, or after epoch 1 at T1 + delta (X + D).  Regular bursts
+    iff the attacker exits first: the episode exits and R follows its exit
+    epoch's end.  At lambda_h = 0, T1, D and R are not drawn.  Safety
+    bursts iff Regular does and a_exit - thr covers the allies,
+    Binomial(M/2 - 1, rho) in number: its value, averaged over them, is
+    1{Regular} P{allies <= a_exit - thr}, 0 or 1 at rho = 0.
 
     The prior epoch is safe iff the attacker's count there, a_prior, is
     below M/2.  At odd M that always holds, as a_prior < thr = (M + 1) /
@@ -261,37 +253,31 @@ def _chunk(
     """
     rng = _streams(seed, index)
     threshold = majority_threshold(params.M)
-    rate = params.lambda_a + params.lambda_h
-    share = params.lambda_a / rate if rate > 0 else 0.0
     a = params.lambda_a * params.delta
 
-    # Epoch 1: a geometric total split by thinning.
-    y = _geometric(rng, rate * params.delta0, size)
-    a1 = rng.binomial(y, share) if params.lambda_h > 0 else y
-    h1 = y - a1
+    # A1, X and O: epoch 1's captures, the s-th after it, the overshoot.
+    a1 = _geometric(rng, params.lambda_a * params.delta0, size)
     exited = a1 >= threshold
-    alive = ~exited
-
-    # X and Y: the s-th capture, the t-th honest arrival.
     s = np.maximum(threshold - a1, 1)
-    cross = _arrival(rng, s, a)
-    race = _arrival(rng, np.maximum(threshold - h1, 1), params.lambda_h * params.delta)
-    done = alive & (cross < MAX_EXIT_TIME)
-    censored = alive ^ done
-
-    # O, and the honest race, settled by the exit epoch's end.
+    with np.errstate(over="ignore"):  # X = inf (never) at a = 0 or past the float range
+        cross = rng.standard_gamma(s) / a if a > 0 else np.full(size, np.inf)
+    done = ~exited & (cross < MAX_EXIT_TIME)
+    censored = ~(exited | done)
     over = _geometric(rng, a, size)
-    if params.lambda_h > 0:
-        end = cross + rng.standard_gamma(over + 1) / (1.0 + a)
-    else:
-        end = cross  # race is inf: never settled
-    settled = done & (race < end)
 
     # F, the ends before X.
     ends = rng.poisson(np.where(done, cross, 0.0))
     nu = np.where(exited, 1, np.where(done, ends + 2, 0))
     a_exit = np.where(done, threshold + over, a1)
-    regular = ~(censored | settled) & (h1 < threshold)
+    regular = ~censored
+    if params.lambda_h > 0:
+        # T1, D and R: the honest majority R must follow the exit epoch's end.
+        first = params.delta0 / (1.0 + params.lambda_a * params.delta0)
+        with np.errstate(over="ignore"):
+            end = rng.standard_gamma(a1 + 1) * first
+            later = params.delta * (cross + rng.standard_gamma(over + 1) / (1.0 + a))
+            end += np.where(exited, 0.0, later)
+            regular &= rng.standard_gamma(threshold, size) / params.lambda_h > end
     safety = regular * binom_cdfs(a_exit - threshold, params.candidates, rho)
     # P{a_prior < M/2 | path}: 1 at odd M, else 1 - P{all s - 1 before X B}.
     if params.M % 2:

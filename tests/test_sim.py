@@ -109,13 +109,23 @@ def test_estimate_no_attacker():
 
 def test_estimate_rejects_epoch_means_beyond_int64_counts():
     for la in (1e16, 1e300):
-        with pytest.raises(ValueError, match="at most"):
+        with pytest.raises(ValueError, match=r"lambda_a \* max\(delta0, delta\) must be at most"):
             estimate(params(lambda_a=la), episodes=10, seed=1)
-    with pytest.raises(ValueError, match="at most"):
-        simulate_episode(params(lambda_a=1.0, lambda_h=1e16), seed=1)
     for M in (2**63, 2 * 10**19):
         with pytest.raises(ValueError, match="threshold M // 2 [+] 1 must be at most"):
             estimate(params(M=M), episodes=10, seed=1)
+
+
+@pytest.mark.parametrize("lambda_h", [1e16, 1e300])
+def test_estimate_takes_honest_rates_past_the_epoch_mean_bound(lambda_h):
+    """No honest count is drawn, so lambda_h is not bounded: the honest side
+    holds its majority within about 11 / lambda_h, long before any exit
+    epoch ends, and no RuntimeWarning is raised (the test suite makes those
+    errors)."""
+    stats = estimate(params(lambda_h=lambda_h), episodes=20, seed=1, rho=0.5)
+    assert stats.censored_count == 0
+    assert (stats.burst_regular, stats.burst_regular_se) == (0.0, 0.0)
+    assert (stats.burst_safety, stats.burst_safety_se) == (0.0, 0.0)
 
 
 def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
@@ -418,28 +428,31 @@ GOLDEN_EPISODES = [
     # rho = 1/2 is P{B <= a_exit - 11}, B ~ Binomial(9, 1/2): 46/512 at
     # a_exit = 13, 10/512 at 12, 1/512 at 11.  The prior-safe value is
     # (s - 1) / (F + s - 1), with F = nu - 2 ends and s - 1 = 10 - A1.
-    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(6, 13, True, 46 / 512, 10 / 14, False)),
-    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(12, 11, True, 1 / 512, 10 / 20, False)),
-    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(16, 11, True, 1 / 512, 8 / 22, False)),
-    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, 12, True, 10 / 512, 8 / 14, False)),
-    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(6, 13, True, 46 / 512, 10 / 14, False)),
-    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(11, 11, False, 0.0, 10 / 19, False)),
-    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(6, 13, True, 1.0, 10 / 14, False)),
+    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(9, 12, True, 10 / 512, 10 / 17, False)),
+    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(21, 11, True, 1 / 512, 10 / 29, False)),
+    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(8, 12, True, 10 / 512, 9 / 15, False)),
+    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, 12, True, 10 / 512, 7 / 13, False)),
+    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(9, 12, False, 0.0, 10 / 17, False)),
+    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(16, 13, False, 0.0, 8 / 22, False)),
+    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(9, 12, False, 0.0, 10 / 17, False)),
+    # Seed 28 is the first at lambda_h = 2 whose attacker exits first.
+    (2.0, SAFETY, 0.5, 28, EpisodeOutcome(9, 12, True, 10 / 512, 10 / 17, False)),
+    (2.0, REGULAR, 0.0, 28, EpisodeOutcome(9, 12, True, 1.0, 10 / 17, False)),
 ]
 
 REGULAR_STATS = SimStats(
     episodes=10000,
-    burst_regular=0.9226,
-    burst_regular_se=0.0026722507367386017,
-    burst_safety=0.9226,
-    burst_safety_se=0.0026722507367386017,
-    prior_safe_rate=0.500541533408724,
-    prior_safe_se=0.0012297098370998368,
-    mean_nu=12.0082,
-    mean_nu_se=0.04780976130457043,
-    mean_a_exit=12.0195,
+    burst_regular=0.9239,
+    burst_regular_se=0.0026515804720958405,
+    burst_safety=0.9239,
+    burst_safety_se=0.0026515804720958405,
+    prior_safe_rate=0.49810343778043287,
+    prior_safe_se=0.0011837436474109913,
+    mean_nu=12.0253,
+    mean_nu_se=0.046441640700991604,
+    mean_a_exit=12.0133,
     censored_count=0,
-    burst_safety_ess=9226.0,
+    burst_safety_ess=9239.0,
 )
 GOLDEN_STATS = [
     (REGULAR, 0.0, REGULAR_STATS),
@@ -448,17 +461,17 @@ GOLDEN_STATS = [
         0.5,
         SimStats(
             episodes=10000,
-            burst_regular=0.9226,
-            burst_regular_se=0.0026722507367386017,
-            burst_safety=0.0685015625,
-            burst_safety_se=0.0016755260154186584,
-            prior_safe_rate=0.500541533408724,
-            prior_safe_se=0.0012297098370998368,
-            mean_nu=12.0082,
-            mean_nu_se=0.04780976130457043,
-            mean_a_exit=12.0195,
+            burst_regular=0.9239,
+            burst_regular_se=0.0026515804720958405,
+            burst_safety=0.066466015625,
+            burst_safety_se=0.0016353320105638427,
+            prior_safe_rate=0.49810343778043287,
+            prior_safe_se=0.0011837436474109913,
+            mean_nu=12.0253,
+            mean_nu_se=0.046441640700991604,
+            mean_a_exit=12.0133,
             censored_count=0,
-            burst_safety_ess=1432.0990081493694,
+            burst_safety_ess=1417.7189585961019,
         ),
     ),
 ]
@@ -492,37 +505,40 @@ def test_golden_estimate(label, rho, stats, workers):
 # At an attack rate whose overshoot is about as large as the ally count,
 # so each episode's Safety value is far from 0 and 1: n = 59 allies at
 # rho = 0.5 and 0.9, and n = 499.  Each id ends with the Safety rate and
-# SE that an estimator drawing the allies read on the same seed's paths;
-# the conditional pins lie within those SEs, with smaller SEs.
+# SE that an estimator drawing the allies read when the row was first
+# pinned.  On the present paths, with the allies drawn from the stream
+# ``sim_reference`` gives them, that indicator reads the rate and SE in
+# each row's comment; the conditional pins lie within those SEs, with
+# smaller SEs.
 GOLDEN_ALLY_STATS = [
     # (M, lambda_a, rho, burst_safety, burst_safety_se, burst_safety_ess)
-    pytest.param(
-        120, 30.0, 0.5, 0.3809396965698581, 0.004588153177105494, 4080.5460998876147,
+    pytest.param(  # 0.3893, SE 0.004875915401234931
+        120, 30.0, 0.5, 0.38895462506638934, 0.004597228815971703, 4171.892971737617,
         id="120-30.0-0.5-0.3795-0.004852625577973228",
     ),
-    pytest.param(
-        120, 30.0, 0.9, 0.17704423139765546, 0.0037133349372944218, 1852.1575867133283,
+    pytest.param(  # 0.183, SE 0.0038666652298847905
+        120, 30.0, 0.9, 0.18314303831465834, 0.0037673568141879756, 1911.503584577754,
         id="120-30.0-0.9-0.1772-0.003818378713537985",
     ),
-    pytest.param(
-        1000, 250.0, 0.5, 0.3701582651379727, 0.004736980117858165, 3791.2149213606085,
+    pytest.param(  # 0.3706, SE 0.00482965464603837
+        1000, 250.0, 0.5, 0.3714940204691492, 0.0047388241987577325, 3806.3521749151073,
         id="1000-250.0-0.5-0.3687-0.004824523914336004",
     ),
 ]
 GOLDEN_ALLY_COMMON = {
     120: dict(
-        prior_safe_rate=0.9677154840186364,
-        prior_safe_se=0.0007580231081484013,
-        mean_nu=2.9998,
-        mean_nu_se=0.014361754628178272,
-        mean_a_exit=90.9828,
+        prior_safe_rate=0.9679466358410751,
+        prior_safe_se=0.0007339170852081089,
+        mean_nu=3.0192,
+        mean_nu_se=0.014494934839453402,
+        mean_a_exit=91.4757,
     ),
     1000: dict(
-        prior_safe_rate=0.996018167272604,
-        prior_safe_se=0.00024786648160103603,
-        mean_nu=2.9783,
-        mean_nu_se=0.014159905049116676,
-        mean_a_exit=753.1089,
+        prior_safe_rate=0.9957554335012865,
+        prior_safe_se=0.0002858961043676835,
+        mean_nu=2.9816,
+        mean_nu_se=0.014148715277367057,
+        mean_a_exit=751.9529,
     ),
 }
 
@@ -546,7 +562,7 @@ def test_golden_estimate_ally_draws(M, lambda_a, rho, burst, burst_se, ess, work
 
 def test_golden_exit_indices():
     nu, censored = sample_exit_indices(params(lambda_h=0.5), 10_000, seed=11)
-    assert (int(nu.sum()), len(nu), censored) == (120082, 10000, 0)
+    assert (int(nu.sum()), len(nu), censored) == (120253, 10000, 0)
     assert nu.mean() == REGULAR_STATS.mean_nu
 
 
@@ -572,6 +588,7 @@ def test_episode_is_first_episode_of_estimate_and_exit_indices():
             pytest.param(dict(lambda_h=lh, delta0=2.0, delta=0.5), 0.5, id=str(lh))
             for lh in (0.0, 0.5, 2.0)
         ),
+        pytest.param(dict(M=4, lambda_h=1.0, delta0=2.0, delta=3.0), 0.5, id="M=4-1.0-delta=3"),
         # E[nu] = 15 002 epochs; rho = 1e-4 puts the Safety burst near 0.47.
         pytest.param(dict(M=30_000), 1e-4, id="M=30000"),
     ],
@@ -813,9 +830,23 @@ def assert_same_law(p, horizon=10_000, episodes=200_000):
 
 
 @pytest.mark.parametrize("horizon", [10_000])
-@pytest.mark.parametrize("lambda_h", [0.0, 0.5, 2.0])
-def test_sampler_matches_epoch_loop(lambda_h, horizon):
-    assert_same_law(params(lambda_h=lambda_h, delta0=2.0, delta=0.5), horizon)
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        *(
+            pytest.param(dict(lambda_h=lh, delta0=2.0, delta=0.5), id=str(lh))
+            for lh in (0.0, 0.5, 2.0)
+        ),
+        # The honest side ten times as fast, over short epochs: the
+        # attacker exits first in about 0.3% of episodes.
+        pytest.param(dict(M=4, lambda_h=10.0, delta0=0.5, delta=0.05), id="M=4-10.0"),
+        # A first epoch shorter than the others, at whose end about 30% of
+        # the episodes exit.
+        pytest.param(dict(M=4, lambda_h=1.0, delta0=2.0, delta=3.0), id="M=4-1.0-delta=3"),
+    ],
+)
+def test_sampler_matches_epoch_loop(overrides, horizon):
+    assert_same_law(params(**overrides), horizon)
 
 
 def test_sampler_matches_epoch_loop_without_attacker():
