@@ -24,14 +24,14 @@ The prior epoch's safety is estimated the same way: given the count F of
 epoch ends before the exit, P{a_prior < M/2} has a closed form, so
 neither the last end's place nor the captures before it is drawn.
 
-One kernel, ``_chunk``, draws a chunk of episodes from its own
-counter-based random stream keyed on (seed, chunk index), both
-strategies' bursts among them: Regular is Safety with no allies, facing
-the same attack.  ``estimate`` reduces each chunk to sums
-(``_chunk_sums``), ``sample_exit_indices`` keeps the exit indices, and
-``simulate_episode(seed)`` is chunk 0 at size 1, the episode
-``estimate(episodes=1, seed=seed)`` averages.  So results are bitwise
-reproducible for any worker count.
+One kernel, ``_chunk``, draws a chunk of episodes from its own random
+stream, SFC64 seeded by the chunk's child of the seed's SeedSequence
+(``_streams``), both strategies' bursts among them: Regular is Safety
+with no allies, facing the same attack.  ``estimate`` reduces each
+chunk to sums (``_chunk_sums``), ``sample_exit_indices`` keeps the exit
+indices, and ``simulate_episode(seed)`` is chunk 0 at size 1, the
+episode ``estimate(episodes=1, seed=seed)`` averages.  So results are
+bitwise reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -153,31 +153,17 @@ class SimStats:
     burst_safety_ess: float
 
 
-# Each thread's generator, re-keyed for every chunk.
-_local = threading.local()
-
-
 def _streams(seed: int, chunk: int) -> np.random.Generator:
-    """The generator of one chunk, keyed on (seed, chunk).
+    """The generator of one chunk: SFC64 seeded by child ``chunk`` of
+    ``SeedSequence(seed mod 2**64)``, the one ``spawn`` gives that index.
 
-    A Philox stream is fixed by its key and counter alone, so this thread's
-    generator is re-keyed in place: counter 0, key (seed modulo 2**64,
-    2 chunk), and an empty buffer, the state a new ``Philox(key=...)``
-    starts in.  It is valid until this thread's next call.  The odd keys
-    are left unused, so no draw moved when the allies' stream went.
+    The spawn key is hashed after the seed's words, padded to the pool size,
+    so distinct (seed mod 2**64, chunk) pairs name distinct streams.  An
+    entropy tuple ``(seed, chunk)`` would not: (2**32 + 5, 0) and (5, 1)
+    both pad to the words 5, 1, 0, 0.
     """
-    rng = getattr(_local, "rng", None)
-    if rng is None:
-        rng = _local.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed % (1 << 64), 2 * chunk)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+    sequence = np.random.SeedSequence(seed % (1 << 64), spawn_key=(chunk,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def _geometric(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:

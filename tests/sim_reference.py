@@ -9,11 +9,13 @@ delta after (a Poisson count over an exponential interval of mean d),
 drawn by inversion, and it splits as x ~ Binomial(y, lambda_a /
 (lambda_a + lambda_h)) attacker and y - x honest (Poisson thinning).
 It costs one round of numpy calls per epoch, so it serves only as an
-independent oracle for the path-level sampler: the two share the stream
-keys but not the draws, so they agree in law, not episode by episode.
+independent oracle for the path-level sampler: the two share the chunk
+streams (``sim._streams``) but not the draws, so they agree in law, not
+episode by episode.
 
-It draws the allies B ~ Binomial(M/2 - 1, rho) from their own stream,
-Philox key (seed, 2 chunk + 1), which the sampler leaves unused, and its
+It draws the allies B ~ Binomial(M/2 - 1, rho) from their own stream, a
+Philox generator keyed (seed, 2 chunk + 1): another generator family
+than the sampler's SFC64 chunk streams, so independent of them.  Its
 Safety is the indicator of a Regular burst with a_exit - B >= thr.  The
 sampler's Safety value is that indicator's mean given the path, so the
 two agree in mean.  Likewise its prior-safe value is the indicator of

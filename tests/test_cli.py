@@ -105,7 +105,7 @@ def test_closed_form_notes_go_to_stderr(tmp_path, capsys, command):
 
 def test_simulate_notes_a_small_effective_sample(tmp_path, capsys):
     """At the benchmark's long shape (M = 120, lambda_h = 0, rho = 1/2)
-    Safety's rate rests on about 3 effective episodes of 65 536, and a note
+    Safety's rate rests on about 1 effective episode of 65 536, and a note
     on stderr says so; stdout is that of the estimate itself.  The short
     shape (M = 20, lambda_h = 0.5), about 9300 effective episodes, prints
     none."""
@@ -119,7 +119,7 @@ def test_simulate_notes_a_small_effective_sample(tmp_path, capsys):
 
     long = cli("M = 120\nlambda_h = 0\n")
     assert long.err == (
-        "note: Safety's burst_rate rests on an effective sample of 2.93 episodes, "
+        "note: Safety's burst_rate rests on an effective sample of 1.21 episodes, "
         "fewer than 100; its se may understate its error\n"
     )
     stats = estimate(SwarmParams(M=120, drone_value=1500.0, lambda_a=1.0, delta0=1.0,
@@ -450,9 +450,10 @@ def test_out_fifo_receives_exactly_the_csv(config_path, tmp_path, capsys, comman
     try:
         assert run([command, "--config", config_path, "--out", fifo]) == 0
     finally:
-        if reader.is_alive() and not got:  # unblock the reader if nothing opened the FIFO
-            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
         reader.join(timeout=30)
+        if reader.is_alive():  # unblock the reader if nothing opened the FIFO
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
     assert got == [want]
     assert capsys.readouterr().out.endswith(f"wrote 101 grid points to {fifo}\n")
 

@@ -302,21 +302,39 @@ def test_no_helper_thread_outlives_its_run(monkeypatch):
 STREAM_SEEDS = (0, -1, 2**63, 2**64 - 1)
 
 
-def test_rekeyed_streams_are_new_philox_streams():
-    """A thread's generator, re-keyed for (seed, chunk), draws what a new
-    Philox generator keyed (seed mod 2**64, 2 chunk) draws, whatever the
-    thread drew from it before.  It is read as one 32-bit draw, which
-    leaves half a word buffered, then 1000 doubles and a binomial."""
+def _draws(rng):
+    """One 32-bit draw, 1000 doubles and a binomial."""
+    return ([rng.integers(2**32, dtype=np.uint32)] + rng.random(1000).tolist()
+            + rng.binomial(np.arange(100), 0.3).tolist())
 
-    def draws(rng):
-        return ([rng.integers(2**32, dtype=np.uint32)] + rng.random(1000).tolist()
-                + rng.binomial(np.arange(100), 0.3).tolist())
 
+def test_streams_are_spawned_sfc64_children():
+    """A chunk's generator draws what SFC64 seeded by that chunk's child of
+    SeedSequence(seed mod 2**64), spawn(chunk + 1)[chunk], draws.  spawn
+    counts its children in 32 bits, so past the first few chunks the child
+    is built as spawn builds it: the root's entropy, spawn key (chunk,)."""
     for seed in STREAM_SEEDS:
-        for chunk in (0, 1, 2**40):
-            key = np.array([seed % 2**64, 2 * chunk], dtype=np.uint64)
-            fresh = np.random.Generator(np.random.Philox(key=key))
-            assert draws(sim._streams(seed, chunk)) == draws(fresh)
+        root = np.random.SeedSequence(seed % 2**64)
+        children = dict(enumerate(root.spawn(2)))
+        for chunk in (0, 1, 2**32, 2**40):
+            child = children.get(chunk) or np.random.SeedSequence(
+                root.entropy, spawn_key=(chunk,), pool_size=root.pool_size)
+            assert child.spawn_key == (chunk,)
+            fresh = np.random.Generator(np.random.SFC64(child))
+            assert _draws(sim._streams(seed, chunk)) == _draws(fresh)
+
+
+def test_streams_keep_seed_and_chunk_apart():
+    """(2**32 + 5, 0) and (5, 1) name distinct streams, as do (0, 0) and
+    (0, 2**32); seeding by the entropy tuple (seed, chunk) pads both of the
+    first pair to the same words."""
+    pairs = [((2**32 + 5, 0), (5, 1)), ((0, 0), (0, 2**32))]
+
+    def distinct(streams):
+        return all(_draws(streams(*a)) != _draws(streams(*b)) for a, b in pairs)
+
+    assert distinct(sim._streams)
+    assert not distinct(lambda seed, chunk: np.random.default_rng((seed, chunk)))
 
 
 # (M, lambda_a) at which a chunk's exit counts sum past int64.
@@ -343,14 +361,22 @@ def test_prior_safe_se_keeps_a_tiny_spread(M, lambda_a):
     """The prior-safe values lie within about 1 / lambda_a of 1 here, so
     sqrt(s (sum v^2 / sum v - s) / E) cancelled to rounding noise (0.0 at
     M = 2^63 - 2, 6.2e-11 at M = 10^17); squared deviations about each
-    chunk's mean, pooled, keep their spread, and the estimate lies within
-    3 SE of the exact value.  At odd M every value is exactly 1, so the
-    estimate reads 1 with SE 0."""
+    chunk's mean, pooled, keep their spread.  Over seeds 0-19 the z-scores
+    against the exact value have a mean within 3 / sqrt(20) of 0, a bias
+    bound sqrt(20) times tighter than one seed's 3 SE, and a sample sd
+    below 1.6 (a chi^2 tail with 19 degrees of freedom near 2e-4).  The
+    seeds are not pooled into one estimate: near 1 its SE would fall under
+    the float spacing.  At odd M every value is exactly 1, so the estimate
+    reads 1 with SE 0."""
     p = params(M=M, lambda_a=lambda_a)
-    stats = estimate(p, 200_000, seed=5)
     exact = pathwise_events(p, 0.0).prior_safe
-    assert stats.prior_safe_se > 0.0
-    assert abs(stats.prior_safe_rate - exact) <= 3 * stats.prior_safe_se
+    z = []
+    for seed in range(20):
+        stats = estimate(p, 200_000, seed=seed)
+        assert stats.prior_safe_se > 0.0
+        z.append((stats.prior_safe_rate - exact) / stats.prior_safe_se)
+    assert abs(np.mean(z)) <= 3 / math.sqrt(20)
+    assert np.std(z, ddof=1) < 1.6
     for lambda_h in (0.0, 0.5, 2.0):
         stats = estimate(params(M=21, lambda_h=lambda_h), 10_000, seed=5)
         assert (stats.prior_safe_rate, stats.prior_safe_se) == (1.0, 0.0)
@@ -428,31 +454,31 @@ GOLDEN_EPISODES = [
     # rho = 1/2 is P{B <= a_exit - 11}, B ~ Binomial(9, 1/2): 46/512 at
     # a_exit = 13, 10/512 at 12, 1/512 at 11.  The prior-safe value is
     # (s - 1) / (F + s - 1), with F = nu - 2 ends and s - 1 = 10 - A1.
-    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(9, 12, True, 10 / 512, 10 / 17, False)),
-    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(21, 11, True, 1 / 512, 10 / 29, False)),
-    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(8, 12, True, 10 / 512, 9 / 15, False)),
-    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(8, 12, True, 10 / 512, 7 / 13, False)),
-    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(9, 12, False, 0.0, 10 / 17, False)),
-    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(16, 13, False, 0.0, 8 / 22, False)),
-    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(9, 12, False, 0.0, 10 / 17, False)),
-    # Seed 28 is the first at lambda_h = 2 whose attacker exits first.
-    (2.0, SAFETY, 0.5, 28, EpisodeOutcome(9, 12, True, 10 / 512, 10 / 17, False)),
-    (2.0, REGULAR, 0.0, 28, EpisodeOutcome(9, 12, True, 1.0, 10 / 17, False)),
+    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(6, 12, True, 10 / 512, 9 / 13, False)),
+    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(13, 11, True, 1 / 512, 10 / 21, False)),
+    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(11, 11, True, 1 / 512, 9 / 18, False)),
+    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(4, 13, True, 46 / 512, 8 / 10, False)),
+    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(6, 12, False, 0.0, 9 / 13, False)),
+    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(19, 11, False, 0.0, 8 / 25, False)),
+    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(6, 12, False, 0.0, 9 / 13, False)),
+    # Seed 38 is the first at lambda_h = 2 whose attacker exits first.
+    (2.0, SAFETY, 0.5, 38, EpisodeOutcome(4, 11, True, 1 / 512, 2 / 4, False)),
+    (2.0, REGULAR, 0.0, 38, EpisodeOutcome(4, 11, True, 1.0, 2 / 4, False)),
 ]
 
 REGULAR_STATS = SimStats(
     episodes=10000,
-    burst_regular=0.9239,
-    burst_regular_se=0.0026515804720958405,
-    burst_safety=0.9239,
-    burst_safety_se=0.0026515804720958405,
-    prior_safe_rate=0.49810343778043287,
-    prior_safe_se=0.0011837436474109913,
-    mean_nu=12.0253,
-    mean_nu_se=0.046441640700991604,
-    mean_a_exit=12.0133,
+    burst_regular=0.9218,
+    burst_regular_se=0.002684860517792312,
+    burst_safety=0.9218,
+    burst_safety_se=0.002684860517792312,
+    prior_safe_rate=0.49795413568922775,
+    prior_safe_se=0.0011932237577100082,
+    mean_nu=12.0539,
+    mean_nu_se=0.0463152186543473,
+    mean_a_exit=11.9919,
     censored_count=0,
-    burst_safety_ess=9239.0,
+    burst_safety_ess=9218.0,
 )
 GOLDEN_STATS = [
     (REGULAR, 0.0, REGULAR_STATS),
@@ -461,17 +487,17 @@ GOLDEN_STATS = [
         0.5,
         SimStats(
             episodes=10000,
-            burst_regular=0.9239,
-            burst_regular_se=0.0026515804720958405,
-            burst_safety=0.066466015625,
-            burst_safety_se=0.0016353320105638427,
-            prior_safe_rate=0.49810343778043287,
-            prior_safe_se=0.0011837436474109913,
-            mean_nu=12.0253,
-            mean_nu_se=0.046441640700991604,
-            mean_a_exit=12.0133,
+            burst_regular=0.9218,
+            burst_regular_se=0.002684860517792312,
+            burst_safety=0.064676171875,
+            burst_safety_se=0.0015893891825533334,
+    prior_safe_rate=0.49795413568922775,
+            prior_safe_se=0.0011932237577100082,
+            mean_nu=12.0539,
+            mean_nu_se=0.0463152186543473,
+            mean_a_exit=11.9919,
             censored_count=0,
-            burst_safety_ess=1417.7189585961019,
+            burst_safety_ess=1420.637082217421,
         ),
     ),
 ]
@@ -512,33 +538,33 @@ def test_golden_estimate(label, rho, stats, workers):
 # smaller SEs.
 GOLDEN_ALLY_STATS = [
     # (M, lambda_a, rho, burst_safety, burst_safety_se, burst_safety_ess)
-    pytest.param(  # 0.3893, SE 0.004875915401234931
-        120, 30.0, 0.5, 0.38895462506638934, 0.004597228815971703, 4171.892971737617,
+    pytest.param(  # 0.3836, SE 0.004862623160393987
+        120, 30.0, 0.5, 0.3839246488841968, 0.004565732875134354, 4142.057359034179,
         id="120-30.0-0.5-0.3795-0.004852625577973228",
     ),
-    pytest.param(  # 0.183, SE 0.0038666652298847905
-        120, 30.0, 0.9, 0.18314303831465834, 0.0037673568141879756, 1911.503584577754,
+    pytest.param(  # 0.1736, SE 0.0037876515151212104
+        120, 30.0, 0.9, 0.17339989832423172, 0.003688701895027522, 1809.8494299050226,
         id="120-30.0-0.9-0.1772-0.003818378713537985",
     ),
-    pytest.param(  # 0.3706, SE 0.00482965464603837
-        1000, 250.0, 0.5, 0.3714940204691492, 0.0047388241987577325, 3806.3521749151073,
+    pytest.param(  # 0.3684, SE 0.004823706458730671
+        1000, 250.0, 0.5, 0.3686539283311128, 0.004722424903683132, 3786.532248026055,
         id="1000-250.0-0.5-0.3687-0.004824523914336004",
     ),
 ]
 GOLDEN_ALLY_COMMON = {
     120: dict(
-        prior_safe_rate=0.9679466358410751,
-        prior_safe_se=0.0007339170852081089,
-        mean_nu=3.0192,
-        mean_nu_se=0.014494934839453402,
-        mean_a_exit=91.4757,
+        prior_safe_rate=0.9672808802676531,
+        prior_safe_se=0.000758353856114947,
+        mean_nu=3.0446,
+        mean_nu_se=0.014617150337873658,
+        mean_a_exit=90.8627,
     ),
     1000: dict(
-        prior_safe_rate=0.9957554335012865,
-        prior_safe_se=0.0002858961043676835,
-        mean_nu=2.9816,
-        mean_nu_se=0.014148715277367057,
-        mean_a_exit=751.9529,
+        prior_safe_rate=0.9957584314606754,
+        prior_safe_se=0.0002852663197174471,
+        mean_nu=3.0015,
+        mean_nu_se=0.014226376031864194,
+        mean_a_exit=748.535,
     ),
 }
 
@@ -562,7 +588,7 @@ def test_golden_estimate_ally_draws(M, lambda_a, rho, burst, burst_se, ess, work
 
 def test_golden_exit_indices():
     nu, censored = sample_exit_indices(params(lambda_h=0.5), 10_000, seed=11)
-    assert (int(nu.sum()), len(nu), censored) == (120253, 10000, 0)
+    assert (int(nu.sum()), len(nu), censored) == (120539, 10000, 0)
     assert nu.mean() == REGULAR_STATS.mean_nu
 
 
@@ -734,15 +760,15 @@ def test_an_ally_window_the_exit_counts_can_reach_past_the_bound_is_refused(
 
 
 def test_seeds_past_int64_are_distinct_streams():
-    # Seeds are taken modulo 2**64 into a uint64 Philox key; negative seeds
-    # and seeds >= 2**63 used to collapse onto one float64 key.
+    # Seeds are taken modulo 2**64 into the chunk streams' SeedSequence;
+    # negative seeds and seeds >= 2**63 used to collapse onto one float64 key.
     p = params()
     seeds = (0, -1, -2, -1000, 2**63, 2**63 + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         means = [estimate(p, episodes=2000, seed=s).mean_nu for s in seeds]
     assert len(set(means)) == len(seeds)
-    # seed and seed + 2**64 name the same key
+    # seed and seed + 2**64 name the same stream
     assert simulate_episode(p, seed=-1, rho=0.5) == simulate_episode(
         p, seed=2**64 - 1, rho=0.5
     )
