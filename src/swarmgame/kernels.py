@@ -57,6 +57,10 @@ _BLOCK_ELEMENTS = 1 << 20
 # Most counts ``binom_cdfs`` tables, about 64 bytes each while it builds.
 MAX_BINOM_TABLE = 1 << 20
 
+# A binomial window that reaches further than this from its mode takes
+# each step of its ratio recurrence as 1 minus the step's distance from 1.
+_NEAR_MODE = 1 << 10
+
 # The ratio recurrences run on pmfs times 2^600, so none they table falls
 # to a subnormal, where a step by a ratio above 1/2 would round back to
 # the same value; scaling by a power of two leaves normal values exact.
@@ -322,6 +326,16 @@ def _binom_table(n: int, p: float) -> tuple[int, np.ndarray]:
     pmf(k + 1) = pmf(k) (n - k) p / ((k + 1) q) both ways, as
     ``_pois_table`` takes its pmfs, and they are summed on each side of
     floor(n p) + 1 (``_side_sums``).  Read only.
+
+    The rounding of q = 1 - p would enter each step of that form alike, so
+    a pmf's error would grow with its distance from the mode (1.1e-13 at
+    the mean of Binomial(10^12, 1e-5)); Loader's pmf off the mode carries
+    the same error, so no anchor can mend it.  Where the window reaches
+    past ``_NEAR_MODE`` counts from the mode, each step is taken as 1 -
+    (k - c) / (k q) above the mode and 1 - (c - k - 1) / ((n - k) p) below
+    it, with c = (n + 1) p in two floats: q's rounding then scales only the
+    step's distance from 1, and the steps' roundings no longer add up in
+    one direction.  A window nearer the mode keeps the first form.
     """
     bottom, top = _binom_edges(n, p)
     a, b = p.as_integer_ratio()
@@ -330,8 +344,20 @@ def _binom_table(n: int, p: float) -> tuple[int, np.ndarray]:
     pmf = np.empty(top + 1 - bottom)
     steps = np.arange(pmf.size, dtype=float)
     counts, rest = bottom + steps, float(n - bottom) - steps  # k and n - k
-    np.divide((counts[:mode] + 1.0) * q, rest[:mode] * p, out=pmf[:mode])
-    np.divide((rest[mode + 1 :] + 1.0) * p, counts[mode + 1 :] * q, out=pmf[mode + 1 :])
+    down, up = pmf[:mode], pmf[mode + 1 :]
+    if max(down.size, up.size) <= _NEAR_MODE:
+        np.divide((counts[:mode] + 1.0) * q, rest[:mode] * p, out=down)
+        np.divide((rest[mode + 1 :] + 1.0) * p, counts[mode + 1 :] * q, out=up)
+    else:
+        # c = (n + 1) p = high + low, each an int ratio rounded once.
+        exact = (n + 1) * a  # c times b
+        high = exact / b
+        h, d = high.as_integer_ratio()
+        low = (exact * d - h * b) / (b * d)
+        np.divide((high - (counts[:mode] + 1.0)) + low, rest[:mode] * p, out=down)
+        np.divide((counts[mode + 1 :] - high) - low, counts[mode + 1 :] * q, out=up)
+        np.subtract(1.0, down, out=down)
+        np.subtract(1.0, up, out=up)
     pmf[mode] = binom_pmf(bottom + mode, n, p) * _SCALE
     np.multiply.accumulate(pmf[mode::-1], out=pmf[mode::-1])
     np.multiply.accumulate(pmf[mode:], out=pmf[mode:])

@@ -27,19 +27,18 @@ neither the last end's place nor the captures before it is drawn.
 One kernel, ``_chunk``, draws a chunk of episodes from its own random
 stream, SFC64 seeded by the chunk's child of the seed's SeedSequence
 (``_streams``), both strategies' bursts among them: Regular is Safety
-with no allies, facing the same attack.  ``estimate`` reduces each
-chunk to sums (``_chunk_sums``), ``sample_exit_indices`` keeps the exit
-indices, and ``simulate_episode(seed)`` is chunk 0 at size 1, the
-episode ``estimate(episodes=1, seed=seed)`` averages.  So results are
-bitwise reproducible for any worker count.
+with no allies, facing the same attack.  ``_chunks`` runs a run's
+chunks in order, in the caller's thread: ``estimate`` reduces each to
+sums (``_chunk_sums``), ``sample_exit_indices`` keeps the exit indices,
+and ``simulate_episode(seed)`` is chunk 0 at size 1, the episode
+``estimate(episodes=1, seed=seed)`` averages.  ``estimate`` takes a
+worker count but starts no thread, so one seed gives the same bytes at
+any count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,6 +103,15 @@ def _plan(params: SwarmParams, rho: float, episodes: int) -> int:
         raise ValueError(f"the exit counts can reach Safety's allies: {exc}; "
                          "lower M, rho or lambda_a") from None
     return -(-episodes // CHUNK)
+
+
+def _chunks(draw, params: SwarmParams, rho: float, episodes: int, seed: int):
+    """draw(params, rho, seed, index, size) for each chunk of the run, in
+    chunk order, in the caller's thread; the run is validated (``_plan``)
+    before any chunk is drawn."""
+    chunks = _plan(params, rho, episodes)
+    return (draw(params, rho, seed, index, min(CHUNK, episodes - index * CHUNK))
+            for index in range(chunks))
 
 
 @dataclass(frozen=True)
@@ -279,8 +287,7 @@ def simulate_episode(
     params: SwarmParams, seed: int, rho: float = 0.0
 ) -> EpisodeOutcome:
     """Simulate one game, deterministically in the seed: chunk 0 at size 1."""
-    _plan(params, rho, 1)
-    values = [a[0].item() for a in _chunk(params, rho, seed, 0, 1)]
+    values = [a[0].item() for a in next(_chunks(_chunk, params, rho, 1, seed))]
     if values[-1]:  # censored: no exit index or exit count
         values[:2] = None, None
     return EpisodeOutcome(*values)
@@ -295,9 +302,7 @@ def sample_exit_indices(
     """
     collected = []
     censored_total = 0
-    for index in range(_plan(params, 0.0, episodes)):
-        size = min(CHUNK, episodes - index * CHUNK)
-        nu, *_, censored = _chunk(params, 0.0, seed, index, size)
+    for nu, *_, censored in _chunks(_chunk, params, 0.0, episodes, seed):
         censored_total += int(censored.sum())
         collected.append(nu[~censored])
     return np.concatenate(collected), censored_total
@@ -340,58 +345,6 @@ def _pooled(a: tuple, b: tuple) -> tuple:
     return count + part_count, total + part_sum, m2 + part_m2
 
 
-def _in_order(fn, count: int, threads: int):
-    """Yield fn(0), ..., fn(count - 1) in order, computed by ``threads``
-    workers: the caller's thread computes the calls ``index % threads == 0``
-    as it reaches them, and each of ``threads - 1`` helper threads its own
-    residue, ahead of the caller by at most two results not yet folded.
-
-    A helper's result is folded when the caller asks for the next one, which
-    frees the helper's slot; a helper's exception is raised at its call's
-    turn.  The caller waits only for the result it is due to yield, which
-    its helper computes at once or has already computed, so it never waits
-    on the bound.  On every exit the helpers are stopped and joined.
-    """
-    stop = threading.Event()
-    helpers = []
-
-    def helper(worker: int, slots: threading.Semaphore, results: queue.SimpleQueue):
-        for index in range(worker, count, threads):
-            slots.acquire()
-            if stop.is_set():
-                return
-            try:
-                results.put((fn(index), None))
-            except BaseException as error:  # raised again by the caller
-                results.put((None, error))
-                return
-
-    try:
-        for worker in range(1, threads):
-            slots, results = threading.Semaphore(2), queue.SimpleQueue()
-            # A daemon: a generator left suspended must not block exit.
-            thread = threading.Thread(target=helper, args=(worker, slots, results),
-                                      daemon=True)
-            thread.start()
-            helpers.append((thread, slots, results))
-        for index in range(count):
-            worker = index % threads
-            if worker == 0:
-                yield fn(index)
-                continue
-            _, slots, results = helpers[worker - 1]
-            result, error = results.get()
-            if error is not None:
-                raise error
-            yield result
-            slots.release()
-    finally:
-        stop.set()
-        for thread, slots, _ in helpers:
-            slots.release()  # wakes a helper waiting for a slot
-            thread.join()
-
-
 def estimate(
     params: SwarmParams,
     episodes: int,
@@ -404,23 +357,18 @@ def estimate(
 
     Each chunk's draws are reduced to sums as they are drawn
     (``_chunk_sums``), and the sums are folded in chunk order, every mean's
-    by ``_pooled``, so the outcome is identical for any worker count.  No
-    more threads run than there are chunks or CPUs this process may run on:
-    one is the caller's own, which also computes its share of the chunks
-    when more run (``_in_order``).
+    by ``_pooled``, all in the caller's thread, so the outcome is the same
+    at any worker count by construction.  ``workers`` is validated and kept
+    for compatibility, but starts no thread: when the caller's thread and a
+    helper thread shared the chunks, 2 workers ran at 0.97-1.43 times 1
+    worker's rate, never the 1.5 that would pay for the second CPU (medians
+    in process, on the benchmark's two shapes at 2^17 and 2^20 episodes,
+    2-vCPU VM).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    chunks = _plan(params, rho, episodes)
-
-    def run(index: int) -> tuple:
-        size = min(CHUNK, episodes - index * CHUNK)
-        return _chunk_sums(params, rho, seed, index, size)
-
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     censored, a_sum, moments = 0, 0, [(0, 0, 0.0)] * 4
-    for part_censored, part_a_sum, *parts in _in_order(run, chunks, min(workers, chunks, cpus)):
+    for part_censored, part_a_sum, *parts in _chunks(_chunk_sums, params, rho, episodes, seed):
         censored += part_censored
         a_sum += part_a_sum
         moments = [_pooled(a, b) for a, b in zip(moments, parts)]

@@ -365,10 +365,11 @@ def no_table(*args):
 @pytest.mark.parametrize("p", [0.0, 1e-5, 0.5, 0.9, 1.0])
 def test_binom_cdfs_match_mpmath(monkeypatch, n, p):
     """Counts at both ends of the window, just inside it, at the mean and
-    near 5, against 50 digits: within 1e-12 relative, or below the normal
+    near 5, against 50 digits: within 1e-14 relative, or below the normal
     range.  (At n = 10^6, p = 1e-5, k = 5, scipy's binom.cdf is 4.6e-11
-    relative off, this 2e-16; the most, 1.1e-13, is near the mean at n =
-    10^12, where the ratio recurrence runs 10^5 steps.)
+    relative off, this 2e-16; near the mean at n = 10^12, where the ratio
+    recurrence runs 10^5 steps, this is 5e-15 off, and was 1.1e-13 before
+    the steps were taken by their distance from 1.)
     Every pmf just outside the window is 0.0.  At n = 10^12, p = 0.5 and
     0.9, the window spans 2 * 10^7 counts or more, so only counts outside
     it are asked, and they build no table."""
@@ -390,7 +391,7 @@ def test_binom_cdfs_match_mpmath(monkeypatch, n, p):
     with mpmath.workdps(50):
         want = [float(mp_binom_cdf(k, n, p)) for k in counts]
     for k, g, w in zip(counts, got.tolist(), want):
-        assert g == pytest.approx(w, rel=1e-12, abs=2.0**-1022), (k, g, w)
+        assert g == pytest.approx(w, rel=1e-14, abs=2.0**-1022), (k, g, w)
 
 
 def test_binom_cdfs_past_the_window_build_no_table(monkeypatch):

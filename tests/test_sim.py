@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import warnings
 from dataclasses import astuple
 from functools import partial
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from calibration import assert_calibrated
 from sim_reference import reference_chunk
 
 from swarmgame import kernels, sim
@@ -94,8 +94,8 @@ def test_estimate_determinism_and_worker_independence():
     p = params()
     base = estimate(p, episodes=20_000, seed=9, rho=0.4)
     again = estimate(p, episodes=20_000, seed=9, rho=0.4)
-    threaded = estimate(p, episodes=20_000, seed=9, rho=0.4, workers=4)
-    assert base == again == threaded
+    four = estimate(p, episodes=20_000, seed=9, rho=0.4, workers=4)
+    assert base == again == four
 
 
 def test_estimate_no_attacker():
@@ -139,10 +139,7 @@ def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
 
 def chunk_threads(monkeypatch) -> list:
     """Record each chunk estimate computes: return the list of (chunk index,
-    the computing thread, threads alive then), filled as they run.  The
-    thread is kept as its ``threading.Thread`` object, which the list keeps
-    alive: an ident is reused once its thread exits, and a helper with one
-    chunk may exit before the next helper starts."""
+    the computing thread, threads alive then), filled as they run."""
     seen = []
     real = sim._chunk_sums
 
@@ -154,149 +151,22 @@ def chunk_threads(monkeypatch) -> list:
     return seen
 
 
-def test_estimate_starts_no_more_threads_than_it_can_use(monkeypatch):
-    """min(workers, chunks, usable CPUs) threads: the caller computes the
-    chunks index % threads == 0, each helper thread its own residue."""
-    p = params()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    caller, start = threading.current_thread(), threading.active_count()
-    for chunks, workers, threads in [(3, 10**6, 3), (5, 10**6, 4), (5, 2, 2)]:
-        episodes = (chunks - 1) * sim.CHUNK + 1
-        serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
-        with monkeypatch.context() as patch:
-            seen = chunk_threads(patch)
-            assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=workers) == serial
-        assert sorted(index for index, _, _ in seen) == list(range(chunks))
-        assert len({thread for _, thread, _ in seen}) == threads
-        for index, thread, alive in seen:
-            assert (thread is caller) == (index % threads == 0)
-            assert alive <= start + threads - 1
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        estimate(p, episodes=episodes, seed=5, workers=0)
-
-
-def test_estimate_threads_are_capped_by_the_usable_cpus(monkeypatch):
-    p = params()
-    episodes = 3 * sim.CHUNK
-    serial = estimate(p, episodes=episodes, seed=5, rho=0.3, workers=1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    seen = chunk_threads(monkeypatch)
-    assert estimate(p, episodes=episodes, seed=5, rho=0.3, workers=4) == serial
-    assert [(index, thread) for index, thread, _ in seen] == [
-        (index, threading.current_thread()) for index in range(3)
-    ]
-
-
 def test_one_worker_runs_in_the_callers_thread(monkeypatch):
+    """At any worker count, more than the CPUs too, every chunk runs in the
+    caller's thread, in chunk order, no thread is started, and the stats
+    are the same; a count below 1 is refused."""
     p = params(lambda_h=0.5)
     episodes = 3 * sim.CHUNK
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    two = estimate(p, episodes=episodes, seed=8, rho=0.5, workers=2)
-    seen = chunk_threads(monkeypatch)
-    assert estimate(p, episodes=episodes, seed=8, rho=0.5, workers=1) == two
-    assert [(index, thread) for index, thread, _ in seen] == [
-        (index, threading.current_thread()) for index in range(3)
-    ]
-
-
-def within_seconds(seconds: float, fn, *args, **kwargs):
-    """fn(*args, **kwargs), run on a thread that must end within ``seconds``:
-    a deadlock fails the test instead of hanging it."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(fn(*args, **kwargs)), daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"{fn.__name__} did not end in {seconds} s"
-    assert out, f"{fn.__name__} raised"
-    return out[0]
-
-
-def zero_sums() -> tuple:
-    """A stand-in for ``_chunk_sums``' parts before nu's: zero counts, and
-    empty (count, sum, squared deviations) parts, as many as one real call
-    returns."""
-    real = sim._chunk_sums(params(), 0.0, 1, 0, 1)[:-1]
-    return tuple((0, 0, 0.0) if isinstance(part, tuple) else 0 for part in real)
-
-
-def test_estimate_chunks_in_flight_do_not_grow_with_the_chunk_count(monkeypatch):
-    """Each helper's results computed but not yet folded stay at most two,
-    however many chunks there are, and all are folded in chunk order.  The
-    caller's own chunks are slow, so the helpers run ahead to that bound,
-    and the caller, due to fold a result a helper has already computed, must
-    not wait on it.  Three threads run, switching often."""
-    threads, folded, peaks = 3, [], []
-    real_pooled = sim._pooled
-    zeros = zero_sums()
-
-    def cheap_sums(params, rho, seed, index, size):
-        worker = index % threads
-        if worker == 0:
-            time.sleep(0.001)
-        else:
-            computed = len(range(worker, index + 1, threads))
-            peaks.append(computed - len(range(worker, len(folded), threads)))
-        return (*zeros, (size, 0, float(index)))
-
-    def recorded_pooled(a, b):
-        if b[0]:  # nu's part: the stand-in's others are empty
-            folded.append(int(b[2]))
-        return real_pooled(a, b)
-
-    monkeypatch.setattr(sim, "_chunk_sums", cheap_sums)
-    monkeypatch.setattr(sim, "_pooled", recorded_pooled)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for chunks in (10, 1000):
-            folded[:], peaks[:] = [], []
-            stats = within_seconds(
-                60, estimate, params(), episodes=chunks * sim.CHUNK, seed=1, workers=threads
-            )
-            assert stats.mean_nu == 0.0 and stats.censored_count == 0
-            assert folded == list(range(chunks))
-            assert max(peaks) <= 2, chunks
-    finally:
-        sys.setswitchinterval(interval)
-    assert max(peaks) == 2
-
-
-def test_a_helpers_exception_is_raised_by_estimate(monkeypatch):
-    """A chunk computed by a helper thread raises: estimate raises that same
-    exception, and stops and joins its helpers."""
-    error = RuntimeError("chunk 5 failed")
-    caller = threading.get_ident()
-    zeros = zero_sums()
-
-    def failing_sums(params, rho, seed, index, size):
-        if index == 5:
-            assert threading.get_ident() != caller
-            raise error
-        return (*zeros, (size, 0, 0.0))
-
-    monkeypatch.setattr(sim, "_chunk_sums", failing_sums)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    start = threading.active_count()
-    with pytest.raises(RuntimeError) as raised:
-        estimate(params(), episodes=100 * sim.CHUNK, seed=1, workers=2)
-    assert raised.value is error
-    assert threading.active_count() == start
-
-
-def test_no_helper_thread_outlives_its_run(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    start = threading.active_count()
-    estimate(params(lambda_h=0.5), episodes=5 * sim.CHUNK, seed=2, rho=0.5, workers=2)
-    assert threading.active_count() == start
-    assert list(sim._in_order(lambda index: index, 100, 3)) == list(range(100))
-    assert threading.active_count() == start
-    # Closed after its first result, with the helpers still running ahead.
-    results = sim._in_order(lambda index: index, 100, 2)
-    assert next(results) == 0
-    assert threading.active_count() == start + 1
-    results.close()
-    assert threading.active_count() == start
+    caller, start = threading.current_thread(), threading.active_count()
+    one = estimate(p, episodes=episodes, seed=8, rho=0.5, workers=1)
+    for workers in (1, 2, 7):
+        with monkeypatch.context() as patch:
+            seen = chunk_threads(patch)
+            assert estimate(p, episodes=episodes, seed=8, rho=0.5, workers=workers) == one
+        assert seen == [(index, caller, start) for index in range(3)], workers
+        assert threading.active_count() == start
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        estimate(p, episodes=episodes, seed=8, workers=0)
 
 
 STREAM_SEEDS = (0, -1, 2**63, 2**64 - 1)
@@ -361,22 +231,15 @@ def test_prior_safe_se_keeps_a_tiny_spread(M, lambda_a):
     """The prior-safe values lie within about 1 / lambda_a of 1 here, so
     sqrt(s (sum v^2 / sum v - s) / E) cancelled to rounding noise (0.0 at
     M = 2^63 - 2, 6.2e-11 at M = 10^17); squared deviations about each
-    chunk's mean, pooled, keep their spread.  Over seeds 0-19 the z-scores
-    against the exact value have a mean within 3 / sqrt(20) of 0, a bias
-    bound sqrt(20) times tighter than one seed's 3 SE, and a sample sd
-    below 1.6 (a chi^2 tail with 19 degrees of freedom near 2e-4).  The
-    seeds are not pooled into one estimate: near 1 its SE would fall under
-    the float spacing.  At odd M every value is exactly 1, so the estimate
-    reads 1 with SE 0."""
+    chunk's mean, pooled, keep their spread.  Seeds 0-19 pass the seed
+    rule against the exact value (``assert_calibrated``).  The seeds are not
+    pooled into one estimate: near 1 its SE would fall under the float
+    spacing.  At odd M every value is exactly 1, so the estimate reads 1
+    with SE 0."""
     p = params(M=M, lambda_a=lambda_a)
-    exact = pathwise_events(p, 0.0).prior_safe
-    z = []
-    for seed in range(20):
-        stats = estimate(p, 200_000, seed=seed)
-        assert stats.prior_safe_se > 0.0
-        z.append((stats.prior_safe_rate - exact) / stats.prior_safe_se)
-    assert abs(np.mean(z)) <= 3 / math.sqrt(20)
-    assert np.std(z, ddof=1) < 1.6
+    runs = [estimate(p, 200_000, seed=seed) for seed in range(20)]
+    assert_calibrated([s.prior_safe_rate for s in runs], [s.prior_safe_se for s in runs],
+                      pathwise_events(p, 0.0).prior_safe)
     for lambda_h in (0.0, 0.5, 2.0):
         stats = estimate(params(M=21, lambda_h=lambda_h), 10_000, seed=5)
         assert (stats.prior_safe_rate, stats.prior_safe_se) == (1.0, 0.0)
@@ -661,16 +524,54 @@ def long_shape(**overrides):
     return params(M=120, **overrides)
 
 
+def seed_runs(p, rho, episodes=65_536, seeds=20) -> list:
+    """``estimate`` at seeds 0 .. seeds - 1."""
+    return [estimate(p, episodes, seed=seed, rho=rho) for seed in range(seeds)]
+
+
+def test_estimate_is_calibrated_at_the_short_shape():
+    """Beside the one-seed check above, the seed rule over 20 seeds of
+    65 536 episodes at the benchmark's short shape (M = 20, lambda_h =
+    0.5, rho = 1/2): Regular, Safety and prior-safe against
+    ``pathwise_events``, and the mean exit index against E[nu]."""
+    p = params(lambda_h=0.5)
+    runs = seed_runs(p, 0.5)
+    exact = pathwise_events(p, 0.5)
+    for rate, se, want in [
+        ("burst_regular", "burst_regular_se", exact.burst_regular),
+        ("burst_safety", "burst_safety_se", exact.burst_safety),
+        ("prior_safe_rate", "prior_safe_se", exact.prior_safe),
+        ("mean_nu", "mean_nu_se", expected_exit_index(p)),
+    ]:
+        assert_calibrated([getattr(s, rate) for s in runs], [getattr(s, se) for s in runs], want)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the long shape's Safety is heavy-tailed: "
+                   "ROADMAP item 17's tilted overshoot must make it pass")
+def test_safety_is_calibrated_at_the_long_shape():
+    """At the benchmark's long shape (M = 120, lambda_h = 0, rho = 1/2,
+    65 536 episodes) Safety, 4.25e-8, rests on overshoots of probability
+    about 2^-20 each: seeds 0-19 read a mean z of -15.5 and an sd of 19.7,
+    and 42 of seeds 0-99 lie within 3 SE."""
+    p = long_shape()
+    runs = seed_runs(p, 0.5)
+    assert_calibrated([s.burst_safety for s in runs], [s.burst_safety_se for s in runs],
+                      pathwise_events(p, 0.5).burst_safety)
+
+
 def test_safety_sees_a_rare_event_the_indicator_cannot():
     """At the long shape, rho = 1/2, Safety is 4.25e-8, far below 1 / E, so
     the indicator of drawn allies reads 0 +- 0.  Every episode's Safety
     value is at least P{B = 0} = 2^-59, so the estimate and its SE are
     positive at any seed.  The value is carried by overshoots near 19, of
     probability about 2^-20 each, which 65 536 episodes seldom draw: the
-    estimate is mostly low, within 3 SE for 33 of 100 seeds, and is not
-    checked against the exact value here.  Its effective sample, (sum
-    w)^2 / sum w^2, is below 100 episodes (about 3 here; at most 14 over
-    seeds 0-99), which ``simulate`` notes.
+    estimate is mostly low, within 3 SE for 42 of seeds 0-99, and is not
+    checked against the exact value here (the seed rule fails there, as
+    ``test_safety_is_calibrated_at_the_long_shape`` records).  Its
+    effective sample, (sum w)^2 / sum w^2, is below 100 episodes (1.2
+    here; a median of 2.7 and at most 12.1 over seeds 0-99), which
+    ``simulate`` notes.
 
     At lambda_a = 0.1, rho = 1/4 the effective sample, E[w]^2 / E[w^2]
     episodes, is about 120 of the 65 536, and Safety (2.5e-7) is within 3
@@ -959,7 +860,6 @@ def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
     its fold of the sums of _chunk's arrays, at 1 to 4 workers;
     sample_exit_indices keeps _chunk's exit indices."""
     p = params(**overrides)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for episodes in (1, sim.CHUNK - 1, sim.CHUNK + 1, 20_000):
         for workers in (1, 2):
             direct = estimate(p, episodes, seed=9, rho=rho, workers=workers)
@@ -979,10 +879,9 @@ def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
 
 
 LEAN_WORKERS = """\
-import json, os, sys
+import json, sys
 from swarmgame import kernels, sim
 from swarmgame.model import SwarmParams
-os.sched_getaffinity = lambda pid: {0, 1}
 p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, delta0=1.0, delta=1.0)
 loaded = ["concurrent.futures" in sys.modules]
 for workers in (1, 2):
