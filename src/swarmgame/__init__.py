@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "CostBreakdown",
     "CostMatrix",
-    "EpisodeOutcome",
     "OptimalRho",
     "PathwiseEvents",
     "REGULAR",
@@ -76,14 +75,11 @@ __all__ = [
     "pois_pmf",
     "pois_tail",
     "prior_safe_prob",
-    "simulate_episode",
     "sweep",
     "total_cost",
 ]
 
-_SIM_NAMES = frozenset(
-    ("REGULAR", "SAFETY", "EpisodeOutcome", "SimStats", "estimate", "simulate_episode")
-)
+_SIM_NAMES = frozenset(("REGULAR", "SAFETY", "SimStats", "estimate"))
 
 
 def __getattr__(name: str):

@@ -136,8 +136,7 @@ def _cmd_simulate(config: RunConfig, params: SwarmParams, args) -> int:
     estimate = sys.modules[__name__].estimate
     # The simulator never reads expected_nu, so "auto" is left unresolved.
     try:
-        stats = estimate(params, episodes=config.episodes,
-                         seed=config.seed, rho=config.rho, workers=args.workers)
+        stats = estimate(params, episodes=config.episodes, seed=config.seed, rho=config.rho)
     except ValueError as exc:  # the simulator's bounds, checked before any chunk
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -196,9 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="kept for compatibility and checked (>= 1): simulate runs its "
-        "chunks in one thread, as 2 threads never ran 1.5 times as fast as 1 "
-        "(output is the same for any count)",
+        help="checked (>= 1) and ignored, kept for compatibility: simulate "
+        "runs its chunks in one thread, as 2 threads never ran 1.5 times as "
+        "fast as 1 (output is the same for any count)",
     )
     return parser
 

@@ -318,12 +318,12 @@ def _binom_edges(n: int, p: float) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=1)  # a simulator run asks one (n, p) throughout
-def _binom_table(n: int, p: float) -> tuple[int, np.ndarray]:
-    """(bottom, P{B < k} for k = bottom..top + 1), B ~ Binomial(n, p).
+def _binom_table(n: int, p: float, bottom: int, top: int) -> np.ndarray:
+    """P{B < k} for k = bottom..top + 1, B ~ Binomial(n, p).
 
-    [bottom, top] is ``_binom_edges``.  Loader's pmf at the mode, clipped
-    into it, times ``_SCALE``, falls away through the ratio recurrence
-    pmf(k + 1) = pmf(k) (n - k) p / ((k + 1) q) both ways, as
+    [bottom, top] is ``_binom_edges(n, p)``.  Loader's pmf at the mode,
+    clipped into it, times ``_SCALE``, falls away through the ratio
+    recurrence pmf(k + 1) = pmf(k) (n - k) p / ((k + 1) q) both ways, as
     ``_pois_table`` takes its pmfs, and they are summed on each side of
     floor(n p) + 1 (``_side_sums``).  Read only.
 
@@ -337,7 +337,6 @@ def _binom_table(n: int, p: float) -> tuple[int, np.ndarray]:
     step's distance from 1, and the steps' roundings no longer add up in
     one direction.  A window nearer the mode keeps the first form.
     """
-    bottom, top = _binom_edges(n, p)
     a, b = p.as_integer_ratio()
     mode = min(max((n + 1) * a // b, bottom), top) - bottom
     q = 1.0 - p
@@ -363,14 +362,16 @@ def _binom_table(n: int, p: float) -> tuple[int, np.ndarray]:
     np.multiply.accumulate(pmf[mode:], out=pmf[mode:])
     below = _side_sums(pmf, min(n * a // b + 1, top + 1) - bottom)[0]
     below.flags.writeable = False
-    return bottom, below
+    return below
 
 
-def check_binom_cdfs(n: int, p: float, largest: int) -> None:
+def check_binom_cdfs(n: int, p: float, largest: int,
+                     edges: tuple[int, int] | None = None) -> None:
     """Raise the ValueError ``binom_cdfs`` raises for Binomial(n, p) when
     asked a count no larger than ``largest`` inside its window, which is
-    refused past ``MAX_BINOM_TABLE`` counts."""
-    bottom, top = _binom_edges(n, p)
+    refused past ``MAX_BINOM_TABLE`` counts.  ``edges`` is the window,
+    ``_binom_edges(n, p)``, worked out here if not given."""
+    bottom, top = edges or _binom_edges(n, p)
     if largest >= bottom and top - bottom >= MAX_BINOM_TABLE:
         raise ValueError(f"the cdf of Binomial({n}, {p}) spans {top + 1 - bottom} "
                          f"counts, more than the {MAX_BINOM_TABLE} it may table")
@@ -388,12 +389,11 @@ def binom_cdfs(k: np.ndarray, n: int, p: float) -> np.ndarray:
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ValueError(f"need n >= 0 and p in [0, 1], got n={n}, p={p}")
     k = np.asarray(k)
-    bottom, top = _binom_edges(n, p)
+    bottom, top = edges = _binom_edges(n, p)
     if not ((k >= bottom) & (k <= top)).any():
         return (k > top).astype(float)
-    check_binom_cdfs(n, p, int(k.max()))
-    bottom, below = _binom_table(n, float(p))
-    return below.take(k + 1 - bottom, mode="clip")
+    check_binom_cdfs(n, p, int(k.max()), edges)
+    return _binom_table(n, float(p), bottom, top).take(k + 1 - bottom, mode="clip")
 
 
 def binomial_mixture(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -29,18 +29,16 @@ stream, SFC64 seeded by the chunk's child of the seed's SeedSequence
 (``_streams``), both strategies' bursts among them: Regular is Safety
 with no allies, facing the same attack.  ``_chunks`` runs a run's
 chunks in order, in the caller's thread: ``estimate`` reduces each to
-sums (``_chunk_sums``), ``sample_exit_indices`` keeps the exit indices,
-and ``simulate_episode(seed)`` is chunk 0 at size 1, the episode
-``estimate(episodes=1, seed=seed)`` averages.  ``estimate`` takes a
-worker count but starts no thread, so one seed gives the same bytes at
-any count.
+sums (``_chunk_sums``), and ``sample_exit_indices`` keeps the exit
+indices.  ``estimate(episodes=1, seed=seed)`` reports one episode's
+values.  No thread is started: ``swarmgame simulate --workers`` is
+checked and ignored, so one seed gives the same bytes at any count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,9 +48,7 @@ from .model import SwarmParams, majority_threshold
 __all__ = [
     "REGULAR",
     "SAFETY",
-    "EpisodeOutcome",
     "SimStats",
-    "simulate_episode",
     "estimate",
     "sample_exit_indices",
 ]
@@ -115,36 +111,25 @@ def _chunks(draw, params: SwarmParams, rho: float, episodes: int, seed: int):
 
 
 @dataclass(frozen=True)
-class EpisodeOutcome:
-    """One simulated game: the values ``estimate`` averages over episodes.
-
-    nu and a_exit are None for a censored episode.  burst_safety is the
-    probability, given the path, that burst_regular (the attacker exits
-    first) survives the allies B ~ Binomial(M/2 - 1, rho): P{B <= a_exit -
-    thr} if it bursts, else 0.  prior_safe is likewise the probability,
-    given the path, that the epoch before the exit was safe, a_prior < M/2
-    (``_chunk``).
-    """
-
-    nu: Optional[int]
-    a_exit: Optional[int]
-    burst_regular: bool
-    burst_safety: float
-    prior_safe: float
-    censored: bool
-
-
-@dataclass(frozen=True)
 class SimStats:
-    """The means of ``EpisodeOutcome``'s values over independent episodes.
+    """The means of each episode's values over independent episodes.
+
+    An episode's values (``_chunk``) are its exit index nu and exit count
+    a_exit, undefined for a censored episode; burst_regular, 1 if the
+    attacker exits first, else 0; burst_safety, the probability given the
+    path that the burst survives the allies B ~ Binomial(M/2 - 1, rho),
+    P{B <= a_exit - thr} if it bursts, else 0; and prior_safe, the
+    probability given the path that the epoch before the exit was safe,
+    a_prior < M/2.  At one episode the means are its values.
 
     The rates are over all episodes (a censored one counts as no burst);
-    mean_nu and mean_a_exit are over the episodes not censored.  Each
-    standard error is sqrt(m2) / n, m2 the values' squared deviations about
-    their mean over n episodes.  burst_safety_ess is the Safety values'
-    effective sample size (sum w)^2 / sum w^2 (Kish; the burst count where
-    every w is 0 or 1): where it is small, the SE may understate the error.
-    At odd M every prior-safe value is 1, so prior_safe_rate is 1 with SE 0.
+    mean_nu and mean_a_exit are over the episodes not censored, nan if
+    every episode is.  Each standard error is sqrt(m2) / n, m2 the values'
+    squared deviations about their mean over n episodes.  burst_safety_ess
+    is the Safety values' effective sample size (sum w)^2 / sum w^2 (Kish;
+    the burst count where every w is 0 or 1): where it is small, the SE may
+    understate the error.  At odd M every prior-safe value is 1, so
+    prior_safe_rate is 1 with SE 0.
     """
 
     episodes: int
@@ -195,8 +180,9 @@ def _chunk(
 ) -> tuple[np.ndarray, ...]:
     """Draw chunk ``index`` of ``size`` episodes from their path laws.
 
-    Returns per-episode arrays in EpisodeOutcome field order: nu, a_exit,
-    burst_regular, burst_safety, prior_safe, censored, with 0 in nu and A1
+    Returns per-episode arrays of the values ``SimStats`` averages: nu,
+    a_exit, burst_regular (bool), burst_safety, prior_safe (floats, each a
+    probability given the path) and censored (bool), with 0 in nu and A1
     alone in a_exit for a censored episode.
 
     Epoch 1's end, at an exponential time of mean delta0, and the captures
@@ -283,16 +269,6 @@ def _chunk(
     return nu, a_exit, regular, safety, safe, censored
 
 
-def simulate_episode(
-    params: SwarmParams, seed: int, rho: float = 0.0
-) -> EpisodeOutcome:
-    """Simulate one game, deterministically in the seed: chunk 0 at size 1."""
-    values = [a[0].item() for a in next(_chunks(_chunk, params, rho, 1, seed))]
-    if values[-1]:  # censored: no exit index or exit count
-        values[:2] = None, None
-    return EpisodeOutcome(*values)
-
-
 def sample_exit_indices(
     params: SwarmParams, episodes: int, seed: int
 ) -> tuple[np.ndarray, int]:
@@ -345,28 +321,16 @@ def _pooled(a: tuple, b: tuple) -> tuple:
     return count + part_count, total + part_sum, m2 + part_m2
 
 
-def estimate(
-    params: SwarmParams,
-    episodes: int,
-    seed: int,
-    rho: float = 0.0,
-    workers: int = 1,
-) -> SimStats:
+def estimate(params: SwarmParams, episodes: int, seed: int, rho: float = 0.0) -> SimStats:
     """Average independent episodes' values into SimStats, both strategies
     at once.
 
     Each chunk's draws are reduced to sums as they are drawn
     (``_chunk_sums``), and the sums are folded in chunk order, every mean's
-    by ``_pooled``, all in the caller's thread, so the outcome is the same
-    at any worker count by construction.  ``workers`` is validated and kept
-    for compatibility, but starts no thread: when the caller's thread and a
-    helper thread shared the chunks, 2 workers ran at 0.97-1.43 times 1
-    worker's rate, never the 1.5 that would pay for the second CPU (medians
-    in process, on the benchmark's two shapes at 2^17 and 2^20 episodes,
-    2-vCPU VM).
+    by ``_pooled``, all in the caller's thread.  No thread is started:
+    ``swarmgame simulate --workers`` is checked and ignored, as 2 threads
+    never ran 1.5 times as fast as 1.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     censored, a_sum, moments = 0, 0, [(0, 0, 0.0)] * 4
     for part_censored, part_a_sum, *parts in _chunks(_chunk_sums, params, rho, episodes, seed):
         censored += part_censored

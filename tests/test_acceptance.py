@@ -7,6 +7,7 @@ import math
 
 import mpmath
 import numpy as np
+from calibration import assert_calibrated
 
 from swarmgame.cli import main as cli_main
 from swarmgame.fluctuation import exit_index_pgf, expected_exit_index, pathwise_events
@@ -142,6 +143,16 @@ def test_criterion_3_analytic_vs_monte_carlo():
         f"gap closed form - pathwise {q0 - exact0:+.3f} Regular, "
         f"{q1 - exact1:+.3f} Safety",
     )
+
+    # 4. The seed rule over seeds 0-19 of 65 536 episodes, beside the one
+    # seed above: the simulator's Safety against its exact value, and
+    # Wald's gap E[A_exit] - m E[nu] against 0 with each seed's
+    # second-identity SE.
+    runs = [estimate(p, episodes=65_536, seed=seed, rho=rho) for seed in range(20)]
+    assert_calibrated([s.burst_safety for s in runs], [s.burst_safety_se for s in runs], exact1)
+    gaps = [s.mean_a_exit - exit_mean_count(params(expected_nu=s.mean_nu)) for s in runs]
+    ses = [math.sqrt(m * (1 + m) * s.mean_nu / s.episodes) for s in runs]
+    assert_calibrated(gaps, ses, 0.0)
 
 
 def test_criterion_4_fluctuation_vs_monte_carlo():

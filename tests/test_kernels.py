@@ -449,6 +449,23 @@ def test_binom_cdfs_refuse_a_window_past_the_bound(monkeypatch):
         binom_cdfs(np.array([-1, bottom, top + 1]), n, 0.5)
 
 
+def test_binom_cdfs_work_out_the_window_once(monkeypatch):
+    """A call with counts inside the window works out its edges once, for
+    the refusal check and the table built on a cache miss alike."""
+    calls = []
+    edges = kernels._binom_edges
+
+    def counted(n, p):
+        calls.append((n, p))
+        return edges(n, p)
+
+    monkeypatch.setattr(kernels, "_binom_edges", counted)
+    kernels._binom_table.cache_clear()
+    got = binom_cdfs(np.array([-1, 4, 59]), 59, 0.3)
+    assert calls == [(59, 0.3)]
+    assert got[0] == 0.0 and 0.0 < got[1] < 1.0 and got[2] == 1.0
+
+
 def test_binomial_mixture_endpoints_are_exact():
     values = [0.3, 0.123456789, 1e-300, 0.7]
     got = binomial_mixture(values)(np.array([0.0, 1.0, 0.0]))

@@ -23,10 +23,7 @@ DEFINED_IN = {
         "prior_safe_prob", "total_cost",
     ),
     "optimize": ("OptimalRho", "optimize", "sweep"),
-    "sim": (
-        "REGULAR", "SAFETY", "EpisodeOutcome", "SimStats", "estimate",
-        "simulate_episode",
-    ),
+    "sim": ("REGULAR", "SAFETY", "SimStats", "estimate"),
 }
 
 

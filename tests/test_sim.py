@@ -14,19 +14,11 @@ import pytest
 from calibration import assert_calibrated
 from sim_reference import reference_chunk
 
-from swarmgame import kernels, sim
+from swarmgame import cli, kernels, sim
 from swarmgame.fluctuation import expected_exit_index, pathwise_events
 from swarmgame.kernels import binom_pmf
 from swarmgame.model import SwarmParams, majority_threshold
-from swarmgame.sim import (
-    REGULAR,
-    SAFETY,
-    EpisodeOutcome,
-    SimStats,
-    estimate,
-    sample_exit_indices,
-    simulate_episode,
-)
+from swarmgame.sim import REGULAR, SAFETY, SimStats, estimate, sample_exit_indices
 
 
 def params(**overrides):
@@ -35,31 +27,58 @@ def params(**overrides):
     return SwarmParams(**base)
 
 
+@pytest.fixture
+def simulate(tmp_path, monkeypatch, capsys):
+    """simulate(p, episodes, seed, rho, workers): the SimStats that
+    ``swarmgame simulate --workers N`` prints, as its call to ``estimate``
+    returns them."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(estimate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "estimate", recorded)
+    keys = ("M", "drone_value", "lambda_a", "lambda_h", "delta0", "delta")
+
+    def run(p, episodes, seed, rho, workers):
+        cfg = tmp_path / "simulate.cfg"
+        cfg.write_text("".join(f"{key} = {getattr(p, key)!r}\n" for key in keys))
+        argv = ["simulate", "--config", str(cfg), "--episodes", str(episodes),
+                "--seed", str(seed), "--rho", repr(rho), "--workers", str(workers)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        return runs[-1]
+
+    return run
+
+
 def test_episode_determinism():
     p = params()
-    a = simulate_episode(p, seed=123, rho=0.5)
-    b = simulate_episode(p, seed=123, rho=0.5)
+    a = estimate(p, 1, seed=123, rho=0.5)
+    b = estimate(p, 1, seed=123, rho=0.5)
     assert a == b
 
 
 def test_episode_no_attacker_censors():
     p = params(lambda_a=0.0, lambda_h=2.0)
-    outcome = simulate_episode(p, seed=5)
-    assert outcome.censored
-    assert not outcome.burst_regular and not outcome.burst_safety
-    assert outcome.nu is None and outcome.a_exit is None
-    assert outcome.prior_safe == 1.0  # no capture ever: every epoch is safe
+    outcome = estimate(p, 1, seed=5)
+    assert outcome.censored_count == 1
+    assert outcome.burst_regular == outcome.burst_safety == 0.0
+    assert math.isnan(outcome.mean_nu) and math.isnan(outcome.mean_a_exit)
+    assert outcome.prior_safe_rate == 1.0  # no capture ever: every epoch is safe
 
 
 def test_episode_coupling_rho_zero():
     # Regular is Safety with no allies; rho moves only Safety's value.
     p = params(lambda_h=0.5)
     for seed in range(30):
-        none = simulate_episode(p, seed=seed)
-        some = simulate_episode(p, seed=seed, rho=0.5)
-        assert none.burst_safety == float(none.burst_regular)
+        none = estimate(p, 1, seed=seed)
+        some = estimate(p, 1, seed=seed, rho=0.5)
+        assert none.burst_safety == none.burst_regular
         assert none.burst_regular == some.burst_regular
-        assert (none.nu, none.a_exit, none.prior_safe) == (some.nu, some.a_exit, some.prior_safe)
+        assert ((none.mean_nu, none.mean_a_exit, none.prior_safe_rate)
+                == (some.mean_nu, some.mean_a_exit, some.prior_safe_rate))
         assert some.burst_safety <= some.burst_regular
 
 
@@ -69,12 +88,12 @@ def test_episode_exit_counts_bracket_threshold():
     p = params()
     threshold = majority_threshold(p.M)
     for seed in range(50):
-        outcome = simulate_episode(p, seed=seed, rho=0.3)
-        assert not outcome.censored
-        assert outcome.nu >= 1
-        assert threshold <= outcome.a_exit
-        assert 0.0 <= outcome.prior_safe <= 1.0
-        cover = outcome.a_exit - threshold
+        outcome = estimate(p, 1, seed=seed, rho=0.3)
+        assert outcome.censored_count == 0
+        assert outcome.mean_nu >= 1
+        assert threshold <= outcome.mean_a_exit
+        assert 0.0 <= outcome.prior_safe_rate <= 1.0
+        cover = int(outcome.mean_a_exit) - threshold
         cdf = math.fsum(binom_pmf(j, p.candidates, 0.3) for j in range(cover + 1))
         assert outcome.burst_safety == pytest.approx(outcome.burst_regular * cdf, rel=1e-14)
 
@@ -84,17 +103,17 @@ def test_episode_overwhelming_attack():
     p = params(lambda_a=50.0)
     bursts = 0
     for seed in range(10_000):
-        outcome = simulate_episode(p, seed=seed)
+        outcome = estimate(p, 1, seed=seed)
         bursts += outcome.burst_regular
-        assert outcome.nu == 1 or outcome.a_exit >= 11
+        assert outcome.mean_nu == 1 or outcome.mean_a_exit >= 11
     assert bursts / 10_000 > 0.99
 
 
-def test_estimate_determinism_and_worker_independence():
+def test_estimate_determinism_and_worker_independence(simulate):
     p = params()
     base = estimate(p, episodes=20_000, seed=9, rho=0.4)
     again = estimate(p, episodes=20_000, seed=9, rho=0.4)
-    four = estimate(p, episodes=20_000, seed=9, rho=0.4, workers=4)
+    four = simulate(p, 20_000, seed=9, rho=0.4, workers=4)
     assert base == again == four
 
 
@@ -134,7 +153,7 @@ def test_epoch_mean_bound_checked_before_any_chunk(monkeypatch):
 
     monkeypatch.setattr(sim, "_chunk_sums", no_chunk)
     with pytest.raises(ValueError, match="at most"):
-        estimate(params(lambda_a=1e300), episodes=10_000, seed=1, workers=2)
+        estimate(params(lambda_a=1e300), episodes=10_000, seed=1)
 
 
 def chunk_threads(monkeypatch) -> list:
@@ -151,22 +170,21 @@ def chunk_threads(monkeypatch) -> list:
     return seen
 
 
-def test_one_worker_runs_in_the_callers_thread(monkeypatch):
-    """At any worker count, more than the CPUs too, every chunk runs in the
+def test_one_worker_runs_in_the_callers_thread(monkeypatch, simulate):
+    """At any ``--workers``, more than the CPUs too, every chunk runs in the
     caller's thread, in chunk order, no thread is started, and the stats
-    are the same; a count below 1 is refused."""
+    are the same (a count below 1 exits 2: ``test_invalid_override_exits_2``
+    in test_cli.py)."""
     p = params(lambda_h=0.5)
     episodes = 3 * sim.CHUNK
     caller, start = threading.current_thread(), threading.active_count()
-    one = estimate(p, episodes=episodes, seed=8, rho=0.5, workers=1)
+    one = estimate(p, episodes=episodes, seed=8, rho=0.5)
     for workers in (1, 2, 7):
         with monkeypatch.context() as patch:
             seen = chunk_threads(patch)
-            assert estimate(p, episodes=episodes, seed=8, rho=0.5, workers=workers) == one
+            assert simulate(p, episodes, seed=8, rho=0.5, workers=workers) == one
         assert seen == [(index, caller, start) for index in range(3)], workers
         assert threading.active_count() == start
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        estimate(p, episodes=episodes, seed=8, workers=0)
 
 
 STREAM_SEEDS = (0, -1, 2**63, 2**64 - 1)
@@ -258,13 +276,12 @@ def test_estimate_mean_nu_se_at_huge_exit_indices():
     # (1.7e-5 and 1.5e-3 relative off the two-pass SE).
     episodes = 20_000
     for p in (params(lambda_a=1e-9), params(M=10**12), params(M=10**14)):
-        runs = [estimate(p, episodes, seed=12, workers=w) for w in (1, 2)]
-        assert runs[0] == runs[1]
+        stats = estimate(p, episodes, seed=12)
         nu, censored = sample_exit_indices(p, episodes, seed=12)
-        assert censored == runs[0].censored_count == 0
-        assert sum(nu.tolist()) / episodes == runs[0].mean_nu
+        assert censored == stats.censored_count == 0
+        assert sum(nu.tolist()) / episodes == stats.mean_nu
         se = nu.astype(float).std() / math.sqrt(episodes)
-        assert runs[0].mean_nu_se == pytest.approx(se, rel=1e-9, abs=0.0), p.M
+        assert stats.mean_nu_se == pytest.approx(se, rel=1e-9, abs=0.0), p.M
 
 
 def test_estimate_mean_nu_sane():
@@ -313,20 +330,22 @@ def test_safety_allies_lower_burst_rate():
 # agree.
 
 GOLDEN_EPISODES = [
-    # (lambda_h, label, rho, seed, outcome).  Safety's value at M = 20,
-    # rho = 1/2 is P{B <= a_exit - 11}, B ~ Binomial(9, 1/2): 46/512 at
-    # a_exit = 13, 10/512 at 12, 1/512 at 11.  The prior-safe value is
-    # (s - 1) / (F + s - 1), with F = nu - 2 ends and s - 1 = 10 - A1.
-    (0.5, SAFETY, 0.5, 0, EpisodeOutcome(6, 12, True, 10 / 512, 9 / 13, False)),
-    (0.5, SAFETY, 0.5, 1, EpisodeOutcome(13, 11, True, 1 / 512, 10 / 21, False)),
-    (0.5, SAFETY, 0.5, 7, EpisodeOutcome(11, 11, True, 1 / 512, 9 / 18, False)),
-    (0.5, SAFETY, 0.5, 2024, EpisodeOutcome(4, 13, True, 46 / 512, 8 / 10, False)),
-    (2.0, SAFETY, 0.5, 0, EpisodeOutcome(6, 12, False, 0.0, 9 / 13, False)),
-    (2.0, SAFETY, 0.5, 3, EpisodeOutcome(19, 11, False, 0.0, 8 / 25, False)),
-    (2.0, REGULAR, 0.0, 0, EpisodeOutcome(6, 12, False, 0.0, 9 / 13, False)),
+    # (lambda_h, label, rho, seed, outcome): outcome is the episode's nu,
+    # a_exit, burst_regular, burst_safety, prior_safe and censored, as
+    # ``_chunk`` draws them.  Safety's value at M = 20, rho = 1/2 is
+    # P{B <= a_exit - 11}, B ~ Binomial(9, 1/2): 46/512 at a_exit = 13,
+    # 10/512 at 12, 1/512 at 11.  The prior-safe value is (s - 1) / (F +
+    # s - 1), with F = nu - 2 ends and s - 1 = 10 - A1.
+    (0.5, SAFETY, 0.5, 0, (6, 12, True, 10 / 512, 9 / 13, False)),
+    (0.5, SAFETY, 0.5, 1, (13, 11, True, 1 / 512, 10 / 21, False)),
+    (0.5, SAFETY, 0.5, 7, (11, 11, True, 1 / 512, 9 / 18, False)),
+    (0.5, SAFETY, 0.5, 2024, (4, 13, True, 46 / 512, 8 / 10, False)),
+    (2.0, SAFETY, 0.5, 0, (6, 12, False, 0.0, 9 / 13, False)),
+    (2.0, SAFETY, 0.5, 3, (19, 11, False, 0.0, 8 / 25, False)),
+    (2.0, REGULAR, 0.0, 0, (6, 12, False, 0.0, 9 / 13, False)),
     # Seed 38 is the first at lambda_h = 2 whose attacker exits first.
-    (2.0, SAFETY, 0.5, 38, EpisodeOutcome(4, 11, True, 1 / 512, 2 / 4, False)),
-    (2.0, REGULAR, 0.0, 38, EpisodeOutcome(4, 11, True, 1.0, 2 / 4, False)),
+    (2.0, SAFETY, 0.5, 38, (4, 11, True, 1 / 512, 2 / 4, False)),
+    (2.0, REGULAR, 0.0, 38, (4, 11, True, 1.0, 2 / 4, False)),
 ]
 
 REGULAR_STATS = SimStats(
@@ -366,29 +385,55 @@ GOLDEN_STATS = [
 ]
 
 
+def one_episode(nu, a_exit, regular, safety, safe, censored) -> SimStats:
+    """The SimStats of one episode of these values: each mean is its value,
+    nan for a censored episode's nu and a_exit, and each SE is 0."""
+    return SimStats(
+        episodes=1,
+        burst_regular=float(regular),
+        burst_regular_se=0.0,
+        burst_safety=safety,
+        burst_safety_se=0.0,
+        prior_safe_rate=safe,
+        prior_safe_se=0.0,
+        mean_nu=math.nan if censored else float(nu),
+        mean_nu_se=0.0,
+        mean_a_exit=math.nan if censored else float(a_exit),
+        censored_count=int(censored),
+        burst_safety_ess=1.0 if safety else 0.0,
+    )
+
+
 @pytest.mark.parametrize("lambda_h, label, rho, seed, outcome", GOLDEN_EPISODES)
 def test_golden_episode(lambda_h, label, rho, seed, outcome):
-    got = simulate_episode(params(lambda_h=lambda_h), seed=seed, rho=rho)
-    assert got == outcome
-    assert all(
-        type(getattr(got, f)) is type(getattr(outcome, f))
-        for f in EpisodeOutcome.__dataclass_fields__
-    )
+    """The one-episode estimate reports the episode's values; its exact
+    counts and types are chunk 0's at size 1."""
+    p = params(lambda_h=lambda_h)
+    assert estimate(p, 1, seed=seed, rho=rho) == one_episode(*outcome)
+    drawn = [a.item() for a in sim._chunk(p, rho, seed, 0, 1)]
+    assert drawn == list(outcome)
+    assert [type(v) for v in drawn] == [int, int, bool, float, float, bool]
     if label == REGULAR:
-        assert got.burst_safety == got.burst_regular
+        assert drawn[3] == drawn[2]
 
 
 def test_golden_censored_episode():
+    """A censored episode draws 0 for nu and A1 (here 0) for a_exit; the
+    estimate reads neither."""
     p = params(lambda_a=0.0, lambda_h=2.0)
-    got = simulate_episode(p, seed=5)
-    assert got == EpisodeOutcome(None, None, False, 0.0, 1.0, True)
+    outcome = (0, 0, False, 0.0, 1.0, True)
+    assert same_stats(estimate(p, 1, seed=5), one_episode(*outcome))
+    assert [a.item() for a in sim._chunk(p, 0.0, 5, 0, 1)] == list(outcome)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("label, rho, stats", GOLDEN_STATS)
-def test_golden_estimate(label, rho, stats, workers):
+def test_golden_estimate(simulate, label, rho, stats, workers):
+    """Pinned for ``estimate``, and for ``swarmgame simulate`` at 1 and 2
+    ``--workers``, which it ignores."""
     p = params(lambda_h=0.5)
-    assert estimate(p, episodes=10_000, seed=11, rho=rho, workers=workers) == stats
+    assert estimate(p, episodes=10_000, seed=11, rho=rho) == stats
+    assert simulate(p, 10_000, seed=11, rho=rho, workers=workers) == stats
 
 
 # At an attack rate whose overshoot is about as large as the ally count,
@@ -434,7 +479,7 @@ GOLDEN_ALLY_COMMON = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("M, lambda_a, rho, burst, burst_se, ess", GOLDEN_ALLY_STATS)
-def test_golden_estimate_ally_draws(M, lambda_a, rho, burst, burst_se, ess, workers):
+def test_golden_estimate_ally_draws(simulate, M, lambda_a, rho, burst, burst_se, ess, workers):
     p = params(M=M, lambda_a=lambda_a, lambda_h=0.5)
     stats = SimStats(
         episodes=10000,
@@ -446,7 +491,8 @@ def test_golden_estimate_ally_draws(M, lambda_a, rho, burst, burst_se, ess, work
         burst_safety_ess=ess,
         **GOLDEN_ALLY_COMMON[M],
     )
-    assert estimate(p, episodes=10_000, seed=11, rho=rho, workers=workers) == stats
+    assert estimate(p, episodes=10_000, seed=11, rho=rho) == stats
+    assert simulate(p, 10_000, seed=11, rho=rho, workers=workers) == stats
 
 
 def test_golden_exit_indices():
@@ -456,18 +502,14 @@ def test_golden_exit_indices():
 
 
 def test_episode_is_first_episode_of_estimate_and_exit_indices():
+    """estimate and sample_exit_indices at one episode see chunk 0 at size 1."""
     p = params(lambda_h=0.5)
     for seed in range(40):
         for rho in (0.0, 0.5):
-            episode = simulate_episode(p, seed=seed, rho=rho)
-            stats = estimate(p, episodes=1, seed=seed, rho=rho)
-            assert stats.burst_regular == float(episode.burst_regular)
-            assert stats.burst_safety == float(episode.burst_safety)
-            assert stats.prior_safe_rate == episode.prior_safe
-            assert stats.mean_nu == episode.nu
-            assert stats.mean_a_exit == episode.a_exit
+            episode = [a.item() for a in sim._chunk(p, rho, seed, 0, 1)]
+            assert estimate(p, episodes=1, seed=seed, rho=rho) == one_episode(*episode)
         nu, censored = sample_exit_indices(p, 1, seed=seed)
-        assert (nu.tolist(), censored) == ([episode.nu], 0)
+        assert (nu.tolist(), censored) == ([episode[0]], 0)
 
 
 @pytest.mark.parametrize(
@@ -484,7 +526,8 @@ def test_episode_is_first_episode_of_estimate_and_exit_indices():
 )
 def test_estimate_matches_pathwise_events(overrides, rho):
     # The simulator's own events against their exact probabilities, at
-    # 3 SE of the exact value, with delta0 != delta and at large M.
+    # 3 SE of the exact value, with delta0 != delta and at large M; then
+    # the seed rule over 20 seeds.
     p = params(**overrides)
     episodes = 200_000
     exact = pathwise_events(p, rho)
@@ -517,6 +560,7 @@ def test_estimate_matches_pathwise_events(overrides, rho):
     assert abs(stats.mean_a_exit - exact.mean_exit_count) <= 3 * math.sqrt(
         variance / episodes
     )
+    assert_runs_calibrated(p, rho, seed_runs(p, rho))
 
 
 def long_shape(**overrides):
@@ -529,14 +573,12 @@ def seed_runs(p, rho, episodes=65_536, seeds=20) -> list:
     return [estimate(p, episodes, seed=seed, rho=rho) for seed in range(seeds)]
 
 
-def test_estimate_is_calibrated_at_the_short_shape():
-    """Beside the one-seed check above, the seed rule over 20 seeds of
-    65 536 episodes at the benchmark's short shape (M = 20, lambda_h =
-    0.5, rho = 1/2): Regular, Safety and prior-safe against
-    ``pathwise_events``, and the mean exit index against E[nu]."""
-    p = params(lambda_h=0.5)
-    runs = seed_runs(p, 0.5)
-    exact = pathwise_events(p, 0.5)
+def assert_runs_calibrated(p, rho, runs):
+    """The seed rule on ``runs``: Regular, Safety and prior-safe against
+    ``pathwise_events``, and the mean exit index against E[nu].  At
+    lambda_h = 0 Regular is 1 with SE 0, so the rule asks each seed to
+    read exactly 1."""
+    exact = pathwise_events(p, rho)
     for rate, se, want in [
         ("burst_regular", "burst_regular_se", exact.burst_regular),
         ("burst_safety", "burst_safety_se", exact.burst_safety),
@@ -544,6 +586,14 @@ def test_estimate_is_calibrated_at_the_short_shape():
         ("mean_nu", "mean_nu_se", expected_exit_index(p)),
     ]:
         assert_calibrated([getattr(s, rate) for s in runs], [getattr(s, se) for s in runs], want)
+
+
+def test_estimate_is_calibrated_at_the_short_shape():
+    """Beside the one-seed check above, the seed rule over 20 seeds of
+    65 536 episodes at the benchmark's short shape (M = 20, lambda_h =
+    0.5, rho = 1/2)."""
+    p = params(lambda_h=0.5)
+    assert_runs_calibrated(p, 0.5, seed_runs(p, 0.5))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -623,7 +673,7 @@ def test_counts_below_the_ally_window_build_no_table(monkeypatch):
 
     monkeypatch.setattr(kernels, "_binom_table", no_table)
     for M, lambda_a in PAST_INT64:
-        stats = estimate(params(M=M, lambda_a=lambda_a), 5000, seed=1, rho=0.5, workers=2)
+        stats = estimate(params(M=M, lambda_a=lambda_a), 5000, seed=1, rho=0.5)
         assert stats.burst_regular == 1.0
         assert stats.burst_safety == stats.burst_safety_se == 0.0
 
@@ -670,9 +720,7 @@ def test_seeds_past_int64_are_distinct_streams():
         means = [estimate(p, episodes=2000, seed=s).mean_nu for s in seeds]
     assert len(set(means)) == len(seeds)
     # seed and seed + 2**64 name the same stream
-    assert simulate_episode(p, seed=-1, rho=0.5) == simulate_episode(
-        p, seed=2**64 - 1, rho=0.5
-    )
+    assert estimate(p, 1, seed=-1, rho=0.5) == estimate(p, 1, seed=2**64 - 1, rho=0.5)
 
 
 def test_short_horizon_bookkeeping():
@@ -682,9 +730,7 @@ def test_short_horizon_bookkeeping():
     # 2**50, so sums of nu are far past float64's 2**53.
     p = params(lambda_h=1.0, delta0=2.0, delta=8 / sim.MAX_EXIT_TIME)
     episodes = 9000
-    runs = [estimate(p, episodes, seed=31, rho=0.5, workers=w) for w in (1, 2, 4)]
-    assert runs[0] == runs[1] == runs[2]
-    stats = runs[0]
+    stats = estimate(p, episodes, seed=31, rho=0.5)
     assert 0 < stats.censored_count < episodes
     nu, censored = sample_exit_indices(p, episodes, seed=31)
     assert censored == stats.censored_count
@@ -695,14 +741,14 @@ def test_short_horizon_bookkeeping():
     # estimate's exact integer sum, divided as estimate divides it: here
     # mean_nu * done need not round back to the sum.
     assert sum(nu.tolist()) / done == stats.mean_nu
-    outcomes = [simulate_episode(p, seed=seed, rho=0.5) for seed in range(60)]
-    cut = [o for o in outcomes if o.censored]
+    outcomes = [estimate(p, 1, seed=seed, rho=0.5) for seed in range(60)]
+    cut = [o for o in outcomes if o.censored_count]
     assert cut and len(cut) < len(outcomes)
     for o in cut:
-        assert o.nu is None and o.a_exit is None
-        assert not o.burst_regular and not o.burst_safety
+        assert math.isnan(o.mean_nu) and math.isnan(o.mean_a_exit)
+        assert o.burst_regular == o.burst_safety == 0.0
     for o in outcomes:
-        assert 0.0 <= o.prior_safe <= 1.0
+        assert 0.0 <= o.prior_safe_rate <= 1.0
 
 
 # The path-level sampler against the epoch loop it replaced
@@ -857,19 +903,15 @@ def same_stats(a: SimStats, b: SimStats) -> bool:
 )
 def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
     """estimate, reducing each chunk's draws straight to its sums, equals
-    its fold of the sums of _chunk's arrays, at 1 to 4 workers;
-    sample_exit_indices keeps _chunk's exit indices."""
+    its fold of the sums of _chunk's arrays; sample_exit_indices keeps
+    _chunk's exit indices."""
     p = params(**overrides)
     for episodes in (1, sim.CHUNK - 1, sim.CHUNK + 1, 20_000):
-        for workers in (1, 2):
-            direct = estimate(p, episodes, seed=9, rho=rho, workers=workers)
-            with monkeypatch.context() as patch:
-                patch.setattr(sim, "_chunk_sums", sums_of_chunk)
-                reference = estimate(p, episodes, seed=9, rho=rho, workers=workers)
-            assert same_stats(direct, reference), (episodes, workers, direct, reference)
-        for workers in (3, 4):
-            more = estimate(p, episodes, seed=9, rho=rho, workers=workers)
-            assert same_stats(more, direct), (episodes, workers, more, direct)
+        direct = estimate(p, episodes, seed=9, rho=rho)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_chunk_sums", sums_of_chunk)
+            reference = estimate(p, episodes, seed=9, rho=rho)
+        assert same_stats(direct, reference), (episodes, direct, reference)
     episodes = 2 * sim.CHUNK + 1
     chunks = [sim._chunk(p, 0.0, 9, index, min(sim.CHUNK, episodes - index * sim.CHUNK))
               for index in range(3)]
@@ -878,15 +920,14 @@ def test_estimate_reduces_the_draws_of_chunk(monkeypatch, overrides, rho):
     assert censored == sum(int(c[-1].sum()) for c in chunks)
 
 
-LEAN_WORKERS = """\
+LEAN_RUN = """\
 import json, sys
 from swarmgame import kernels, sim
 from swarmgame.model import SwarmParams
 p = SwarmParams(M=20, drone_value=1500.0, lambda_a=1.0, delta0=1.0, delta=1.0)
 loaded = ["concurrent.futures" in sys.modules]
-for workers in (1, 2):
-    sim.estimate(p, episodes=2 * sim.CHUNK, seed=1, workers=workers)
-    loaded.append("concurrent.futures" in sys.modules)
+sim.estimate(p, episodes=2 * sim.CHUNK, seed=1)
+loaded.append("concurrent.futures" in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -894,7 +935,7 @@ print(json.dumps(loaded))
 def test_simulator_never_loads_concurrent_futures():
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-c", LEAN_WORKERS],
+        [sys.executable, "-c", LEAN_RUN],
         cwd=root,
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True,
@@ -902,5 +943,5 @@ def test_simulator_never_loads_concurrent_futures():
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    # Imported, at one worker, at two.
-    assert json.loads(result.stdout.splitlines()[-1]) == [False, False, False]
+    # Imported, then run.
+    assert json.loads(result.stdout.splitlines()[-1]) == [False, False]
